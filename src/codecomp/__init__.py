@@ -7,7 +7,7 @@ unlabeled pool, and aggregate their bag-level probabilities by the product
 rule at test time.
 """
 
-from .baselines import EMConfig, em_fit, em_pool_size_sweep, nb_baseline_fit
+from .baselines import EMConfig, em_fit, nb_baseline_fit
 from .concepts import (
     Bag,
     KeyConceptSet,

@@ -2,11 +2,14 @@
 
 Both operate on unigram+bigram counts of the raw, unmasked text. The EM
 variant folds unlabeled documents in with fractional class posteriors,
-re-estimating until the (weighted) observed-data log-likelihood stalls.
+re-estimating until its objective stalls: the (weighted) observed-data
+log-likelihood plus the Dirichlet log-prior of the Laplace smoothing, the
+quantity each M-step maximises, so the objective never falls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +20,6 @@ from .learners import (
     NBModel,
     _train_nb_weighted,
     nb_joint_log_probs,
-    nb_predict_proba,
     ngram_counts,
     train_nb,
 )
@@ -49,10 +51,6 @@ def nb_baseline_fit(labeled_docs, alpha: float = 1.0) -> NBModel:
     return train_nb(features, labels, alpha=alpha)
 
 
-def nb_label(model: NBModel, doc) -> str:
-    return "positive" if nb_predict_proba(model, document_features(doc)) >= 0.5 else "negative"
-
-
 def _posteriors(model: NBModel, features) -> np.ndarray:
     joint = nb_joint_log_probs(model, features)
     joint = joint - joint.max()
@@ -60,17 +58,24 @@ def _posteriors(model: NBModel, features) -> np.ndarray:
     return p / p.sum()
 
 
-def _observed_log_likelihood(model, labeled_feats, labels, unlabeled_feats, weight):
-    """Labeled joint log-probability plus weighted unlabeled marginals."""
-    total = 0.0
-    for feats, label in zip(labeled_feats, labels):
-        joint = nb_joint_log_probs(model, feats)
-        total += joint[model.class_order.index(label)]
+def _em_objective(model, labeled_feats, labels, unlabeled_feats, weight):
+    """Labeled joint log-probability plus weighted unlabeled marginals, plus
+    the smoothing's log-prior: alpha times every class's log-likelihoods,
+    unseen-feature slot included (the class priors are unsmoothed).
+
+    Summed exactly (``math.fsum``): near convergence successive values
+    differ by less than the rounding error of a plain running sum.
+    """
+    terms = [
+        nb_joint_log_probs(model, feats)[model.class_order.index(label)]
+        for feats, label in zip(labeled_feats, labels)
+    ]
     for feats in unlabeled_feats:
         joint = nb_joint_log_probs(model, feats)
         m = joint.max()
-        total += weight * (m + np.log(np.exp(joint - m).sum()))
-    return float(total)
+        terms.append(weight * (m + np.log(np.exp(joint - m).sum())))
+    prior = model.alpha * np.array([*model.log_likelihoods.values(), model.log_oov])
+    return math.fsum(terms + prior.ravel().tolist())
 
 
 def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(),
@@ -78,8 +83,10 @@ def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(),
     """Semi-supervised NB: E-steps assign fractional labels, M-steps refit.
 
     Unlabeled contributions are damped by ``unlabeled_weight``. Returns the
-    final model and the per-iteration observed-data log-likelihood trace
-    (one value per completed E/M pass).
+    final model and the per-iteration objective trace (one value per
+    completed E/M pass): the weighted observed-data log-likelihood plus the
+    Laplace smoothing's Dirichlet log-prior, which the M-step maximises, so
+    the trace is non-decreasing and early stopping watches what EM climbs.
     """
     if not labeled_docs:
         raise LearnerError("em_fit needs at least one labeled document")
@@ -117,25 +124,11 @@ def _em_iterate(model, labeled_feats, labels, unlabeled_feats, em_config, alpha)
         model = _train_nb_weighted(labeled_feats + unlabeled_feats,
                                    base_weights + fractional, alpha,
                                    model.class_order)
-        objective = _observed_log_likelihood(model, labeled_feats, labels,
-                                             unlabeled_feats, w)
+        objective = _em_objective(model, labeled_feats, labels,
+                                  unlabeled_feats, w)
         trace.append(objective)
         if abs(objective - previous) < em_config.convergence_tolerance:
             break
         previous = objective
     return model, trace
 
-
-def em_pool_size_sweep(labeled_docs, unlabeled_docs, pool_sizes=(10, 20, 50, 100),
-                       em_config: EMConfig = EMConfig(), alpha: float = 1.0):
-    """Fit EM at several unlabeled-pool sizes (the semi-supervision knob).
-
-    Returns one (pool_size, model, trace) triple per size; sizes beyond the
-    available pool use everything there is.
-    """
-    out = []
-    for size in pool_sizes:
-        model, trace = em_fit(labeled_docs, unlabeled_docs[:size], em_config,
-                              alpha=alpha)
-        out.append((size, model, trace))
-    return out

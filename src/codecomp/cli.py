@@ -200,7 +200,7 @@ class ExperimentConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate, epochs=self.epochs,
-            l2_lambda=self.l2_lambda, seed=self.master_seed,
+            l2_lambda=self.l2_lambda,
             convergence_tolerance=self.convergence_tolerance,
         )
 
@@ -470,7 +470,7 @@ def cmd_ablate(args) -> int:
     table = evaluation.ablation_table(
         docs, spec, cfg.ablation_iterations, cfg.k_folds,
         SampleSpec(cfg.n_labeled, cfg.master_seed),
-        repetitions=cfg.repetitions, dev_fold=cfg.dev_fold)
+        repetitions=cfg.repetitions, dev_fold=cfg.dev_fold, jobs=cfg.jobs)
     out = _out_dir(cfg)
     (out / "ablation.csv").write_text(evaluation.ablation_csv(table), encoding="utf-8")
     for name, mean in table.items():

@@ -69,17 +69,6 @@ class FoldPlan:
     def fold_ids(self, fold: int) -> list[str]:
         return sorted(d for d, f in self.assignments.items() if f == fold)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"k": self.k, "assignments": dict(sorted(self.assignments.items()))},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "FoldPlan":
-        raw = json.loads(blob)
-        return cls(k=raw["k"], assignments=types.MappingProxyType(dict(raw["assignments"])))
-
 
 @dataclass(frozen=True)
 class SampleSpec:

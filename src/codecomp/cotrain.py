@@ -121,7 +121,7 @@ class CoDecompModel:
             kcs_names=tuple(raw["kcs_names"]),
             classifiers=[LogRegModel.from_dict(c) for c in raw["classifiers"]],
             co_config=CoConfig(**raw["co_config"]),
-            train_config=TrainConfig(**raw["train_config"]),
+            train_config=TrainConfig.from_dict(raw["train_config"]),
             provider_spec=raw.get("provider_spec"),
         )
 

@@ -210,33 +210,24 @@ class CoDecompSpec:
         }
 
 
-class _NBRunner:
-    def __init__(self, corpus, spec: NBSpec):
+class _DocumentRunner:
+    """NB or EM over unigram+bigram counts, counted once per corpus."""
+
+    def __init__(self, corpus, spec):
         self.spec = spec
         self.features = {d.id: document_features(d) for d in corpus}
 
-    def fit_predict(self, labeled, unlabeled, test):
-        model = nb_baseline_fit(labeled, alpha=self.spec.alpha)
-        return {
+    def predictions(self, labeled, unlabeled, test):
+        if isinstance(self.spec, EMSpec):
+            model, _ = em_fit(labeled, unlabeled, self.spec.em_config,
+                              alpha=self.spec.alpha)
+        else:
+            model = nb_baseline_fit(labeled, alpha=self.spec.alpha)
+        return {self.spec.name: {
             d.id: POSITIVE if nb_predict_proba(model, self.features[d.id]) >= 0.5
             else NEGATIVE
             for d in test
-        }
-
-
-class _EMRunner:
-    def __init__(self, corpus, spec: EMSpec):
-        self.spec = spec
-        self.features = {d.id: document_features(d) for d in corpus}
-
-    def fit_predict(self, labeled, unlabeled, test):
-        model, _ = em_fit(labeled, unlabeled, self.spec.em_config,
-                          alpha=self.spec.alpha)
-        return {
-            d.id: POSITIVE if nb_predict_proba(model, self.features[d.id]) >= 0.5
-            else NEGATIVE
-            for d in test
-        }
+        }}
 
 
 class _CoDecompRunner:
@@ -244,10 +235,13 @@ class _CoDecompRunner:
 
     Mention structure and vectors are label-independent, so they are
     computed once per corpus; each fold only reassigns instance labels.
+    Given iteration settings, a fold yields every ablation variant instead
+    of the single co-trained model.
     """
 
-    def __init__(self, corpus, spec: CoDecompSpec):
+    def __init__(self, corpus, spec: CoDecompSpec, iteration_settings=None):
         self.spec = spec
+        self.iteration_settings = iteration_settings
         lexicons = spec.lexicons if spec.lexicons is not None else load_lexicons()
         self.kcs_names = tuple(k.name for k in spec.preset.kcs_list)
         self.examples = {}
@@ -263,30 +257,23 @@ class _CoDecompRunner:
                    for v in example.views],
         )
 
-    def fit_predict(self, labeled, unlabeled, test):
-        model = cotrain_fit(
+    def predictions(self, labeled, unlabeled, test):
+        pools = (
             [self.examples[d.id] for d in labeled],
             [self._as_unlabeled(self.examples[d.id]) for d in unlabeled],
             len(self.kcs_names), self.spec.co_config, self.spec.train_config,
-            kcs_names=self.kcs_names,
         )
-        return predict_many(model, [self.examples[d.id] for d in test])
-
-    def variant_predictions(self, labeled, unlabeled, test, iteration_counts):
-        return ablation_variants(
-            [self.examples[d.id] for d in labeled],
-            [self._as_unlabeled(self.examples[d.id]) for d in unlabeled],
-            len(self.kcs_names), self.spec.co_config, self.spec.train_config,
-            iteration_counts, [self.examples[d.id] for d in test],
-            kcs_names=self.kcs_names,
-        )
+        test = [self.examples[d.id] for d in test]
+        if self.iteration_settings is None:
+            model = cotrain_fit(*pools, kcs_names=self.kcs_names)
+            return {self.spec.name: predict_many(model, test)}
+        return ablation_variants(*pools, self.iteration_settings, test,
+                                 kcs_names=self.kcs_names)
 
 
 def _make_runner(corpus, model_spec):
-    if isinstance(model_spec, NBSpec):
-        return _NBRunner(corpus, model_spec)
-    if isinstance(model_spec, EMSpec):
-        return _EMRunner(corpus, model_spec)
+    if isinstance(model_spec, (NBSpec, EMSpec)):
+        return _DocumentRunner(corpus, model_spec)
     if isinstance(model_spec, CoDecompSpec):
         return _CoDecompRunner(corpus, model_spec)
     raise EvalError(f"unknown model spec {type(model_spec).__name__}")
@@ -297,34 +284,82 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _fold_iteration(corpus, plan, n_labeled, seed_r, dev_fold):
-    """Yield (fold, labeled, unlabeled, test, gold) per evaluated fold."""
+def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
+    """Yield (variant, rep, fold, Metrics) for each evaluated fold of one
+    repetition; folds and samples derive from ``seed_r``."""
+    plan = stratified_folds(corpus, k_folds, seed_r)
     by_id = {d.id: d for d in corpus}
     for fold in range(plan.k):
-        if dev_fold is not None and fold == dev_fold:
+        if fold == dev_fold:
             continue
-        test_ids = set(plan.fold_ids(fold))
-        train = [
-            d for d in corpus
-            if d.id not in test_ids
-            and (dev_fold is None or plan.assignments[d.id] != dev_fold)
-        ]
+        train = [d for d in corpus if plan.assignments[d.id] not in (fold, dev_fold)]
         sample = sample_labeled(train, SampleSpec(n_labeled, seed_r * 8191 + fold))
-        test = [by_id[i] for i in sorted(test_ids)]
+        test = [by_id[i] for i in plan.fold_ids(fold)]
         gold = {d.id: d.gold_label for d in test}
-        yield fold, sample.labeled, sample.unlabeled, test, gold
+        variants = runner.predictions(sample.labeled, sample.unlabeled, test)
+        for variant, predictions in variants.items():
+            yield variant, rep, fold, compute_metrics(predictions, gold)
 
 
-def _run_repetition(args):
-    corpus, model_spec, k_folds, n_labeled, rep, seed_r, dev_fold = args
-    runner = _make_runner(corpus, model_spec)
-    plan = stratified_folds(corpus, k_folds, seed_r)
-    rows = []
-    for fold, labeled, unlabeled, test, gold in _fold_iteration(
-            corpus, plan, n_labeled, seed_r, dev_fold):
-        predictions = runner.fit_predict(labeled, unlabeled, test)
-        rows.append((rep, fold, compute_metrics(predictions, gold)))
-    return rows
+# a pool worker's (corpus, runner, k_folds, n_labeled, dev_fold), set by _share
+_shared = None
+
+
+def _share(*protocol):
+    global _shared
+    _shared = protocol
+
+
+def _shared_repetition(rep_seed):
+    return list(_repetition(*_shared, *rep_seed))
+
+
+def _fold_runs(corpus, runner, k_folds: int, sample_spec: SampleSpec,
+               repetitions: int, dev_fold: int | None, jobs: int):
+    """Yield (variant, rep, fold, Metrics) for every repetition and fold.
+
+    Repetition r draws its folds and samples from (master seed + r). With
+    ``jobs > 1`` repetitions run in worker processes that receive the
+    already-built runner, so no worker processes the corpus again.
+    """
+    if repetitions < 1:
+        raise EvalError(f"repetitions must be >= 1, got {repetitions}")
+    protocol = (corpus, runner, k_folds, sample_spec.n_labeled, dev_fold)
+    rep_seeds = [(rep, sample_spec.seed + rep) for rep in range(repetitions)]
+    if jobs > 1 and repetitions > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, repetitions),
+                initializer=_share, initargs=protocol) as pool:
+            for rows in pool.map(_shared_repetition, rep_seeds):
+                yield from rows
+    else:
+        for rep_seed in rep_seeds:
+            yield from _repetition(*protocol, *rep_seed)
+
+
+def _report(corpus, runner, k_folds, sample_spec, repetitions, dev_fold,
+            jobs) -> RunReport:
+    runs = [
+        (rep, fold, m) for _, rep, fold, m in _fold_runs(
+            corpus, runner, k_folds, sample_spec, repetitions, dev_fold, jobs)
+    ]
+    master = sample_spec.seed
+    return RunReport(
+        model=runner.spec.name,
+        runs=runs,
+        mean=_mean_of(runs),
+        config_fingerprint=config_fingerprint({
+            **runner.spec.describe(),
+            "k_folds": k_folds, "n_labeled": sample_spec.n_labeled,
+            "repetitions": repetitions, "master_seed": master,
+            "dev_fold": dev_fold,
+        }),
+        master_seed=master,
+        seeds=[master + rep for rep in range(repetitions)],
+        k_folds=k_folds,
+        n_labeled=sample_spec.n_labeled,
+        repetitions=repetitions,
+    )
 
 
 def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
@@ -336,70 +371,25 @@ def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
     repetition), trains the model spec on the labeled/unlabeled split of
     every training partition, and scores the held-out fold.
     """
-    if repetitions < 1:
-        raise EvalError(f"repetitions must be >= 1, got {repetitions}")
-    master = sample_spec.seed
-    seeds = [master + rep for rep in range(repetitions)]
-    tasks = [
-        (corpus, model_spec, k_folds, sample_spec.n_labeled, rep, seeds[rep], dev_fold)
-        for rep in range(repetitions)
-    ]
-    if jobs > 1 and repetitions > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, repetitions)) as pool:
-            rep_rows = list(pool.map(_run_repetition, tasks))
-    else:
-        runner = _make_runner(corpus, model_spec)  # shared across repetitions
-        rep_rows = []
-        for rep in range(repetitions):
-            plan = stratified_folds(corpus, k_folds, seeds[rep])
-            rows = []
-            for fold, labeled, unlabeled, test, gold in _fold_iteration(
-                    corpus, plan, sample_spec.n_labeled, seeds[rep], dev_fold):
-                predictions = runner.fit_predict(labeled, unlabeled, test)
-                rows.append((rep, fold, compute_metrics(predictions, gold)))
-            rep_rows.append(rows)
-    runs = [row for rows in rep_rows for row in rows]
-    return RunReport(
-        model=model_spec.name,
-        runs=runs,
-        mean=_mean_of(runs),
-        config_fingerprint=config_fingerprint({
-            **model_spec.describe(),
-            "k_folds": k_folds, "n_labeled": sample_spec.n_labeled,
-            "repetitions": repetitions, "master_seed": master,
-            "dev_fold": dev_fold,
-        }),
-        master_seed=master,
-        seeds=seeds,
-        k_folds=k_folds,
-        n_labeled=sample_spec.n_labeled,
-        repetitions=repetitions,
-    )
+    return _report(corpus, _make_runner(corpus, model_spec), k_folds,
+                   sample_spec, repetitions, dev_fold, jobs)
 
 
 def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
                    k_folds: int, sample_spec: SampleSpec,
-                   repetitions: int = 5, dev_fold: int | None = None) -> dict:
+                   repetitions: int = 5, dev_fold: int | None = None,
+                   jobs: int = 1) -> dict:
     """Mean metrics per ablation stage, shared folds and samples throughout.
 
     Returns an ordered mapping: each single view, the no-promotion
     combination, then one entry per co-training iteration setting.
     """
     iteration_settings = sorted(set(int(k) for k in iteration_settings))
-    runner = _CoDecompRunner(corpus, spec)
-    master = sample_spec.seed
+    runner = _CoDecompRunner(corpus, spec, iteration_settings)
     variant_rows: dict = {}
-    for rep in range(repetitions):
-        seed_r = master + rep
-        plan = stratified_folds(corpus, k_folds, seed_r)
-        for fold, labeled, unlabeled, test, gold in _fold_iteration(
-                corpus, plan, sample_spec.n_labeled, seed_r, dev_fold):
-            variants = runner.variant_predictions(
-                labeled, unlabeled, test, iteration_settings)
-            for name, predictions in variants.items():
-                variant_rows.setdefault(name, []).append(
-                    (rep, fold, compute_metrics(predictions, gold)))
+    for variant, rep, fold, m in _fold_runs(corpus, runner, k_folds, sample_spec,
+                                             repetitions, dev_fold, jobs):
+        variant_rows.setdefault(variant, []).append((rep, fold, m))
     return {name: _mean_of(rows) for name, rows in variant_rows.items()}
 
 
@@ -420,14 +410,12 @@ def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise EvalError("sizes must be ascending")
-    out = []
-    for n in sizes:
-        report = run_experiment(corpus, model_spec, k_folds,
-                                SampleSpec(n_labeled=n, seed=master_seed),
-                                repetitions=repetitions, dev_fold=dev_fold,
-                                jobs=jobs)
-        out.append((n, report))
-    return out
+    runner = _make_runner(corpus, model_spec)  # shared by every size
+    return [
+        (n, _report(corpus, runner, k_folds, SampleSpec(n, master_seed),
+                    repetitions, dev_fold, jobs))
+        for n in sizes
+    ]
 
 
 def sweep_csv(rows) -> str:

@@ -27,7 +27,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 500
     l2_lambda: float = 1e-3
-    seed: int = 0
     convergence_tolerance: float = 1e-7
 
     def __post_init__(self):
@@ -37,6 +36,12 @@ class TrainConfig:
             raise LearnerError(f"epochs must be >= 1, got {self.epochs}")
         if self.l2_lambda < 0:
             raise LearnerError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "TrainConfig":
+        # model files written before the unused ``seed`` field was dropped
+        # still carry it
+        return cls(**{k: v for k, v in raw.items() if k != "seed"})
 
 
 @dataclass
@@ -65,7 +70,7 @@ class LogRegModel:
         return cls(
             weights=np.asarray(raw["weights"], dtype=float),
             bias=float(raw["bias"]),
-            config=TrainConfig(**raw["config"]),
+            config=TrainConfig.from_dict(raw["config"]),
             final_loss=float(raw["final_loss"]),
             epochs_run=int(raw["epochs_run"]),
         )

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from codecomp import evaluation
 from codecomp.cli import ConfigError, ExperimentConfig, main, resolve_preset
 from codecomp.learners import load_model
 from codecomp.synthetic import decomposable_corpus
@@ -284,6 +285,26 @@ def test_ablation_rows(synth_setup):
     rows = (out / "ablation.csv").read_text(encoding="utf-8").strip().split("\n")
     names = [r.split(",")[0] for r in rows[1:]]
     assert names == ["alpha-cl", "beta-cl", "combined", "+2-itr"]
+
+
+def test_ablate_honours_jobs(synth_setup, monkeypatch):
+    config, out = synth_setup
+    seen_jobs = []
+    real = evaluation.ablation_table
+
+    def spy(*args, **kwargs):
+        seen_jobs.append(kwargs.get("jobs"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ablation_table", spy)
+    tables = []
+    for jobs in ("1", "2"):
+        alt = out / f"jobs{jobs}"
+        assert main(["ablate", "--config", str(config), "--reps", "2",
+                     "--jobs", jobs, "--out", str(alt)]) == 0
+        tables.append((alt / "ablation.csv").read_bytes())
+    assert seen_jobs == [1, 2]
+    assert tables[0] == tables[1]
 
 
 def test_sweep_rows(synth_setup):

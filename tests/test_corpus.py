@@ -5,7 +5,6 @@ import pytest
 from codecomp.corpus import (
     CorpusError,
     Document,
-    FoldPlan,
     NEGATIVE,
     POSITIVE,
     SampleSpec,
@@ -158,13 +157,6 @@ def test_folds_require_labels():
     docs = [Document(id="1", text="x")]
     with pytest.raises(CorpusError, match="gold label"):
         stratified_folds(docs * 1 + _balanced_corpus(5, 5), k=2, seed=0)
-
-
-def test_fold_plan_json_roundtrip():
-    plan = stratified_folds(_balanced_corpus(10, 10), k=2, seed=1)
-    again = FoldPlan.from_json(plan.to_json())
-    assert again.k == plan.k
-    assert dict(again.assignments) == dict(plan.assignments)
 
 
 def test_sample_labeled_protocol_sizes():

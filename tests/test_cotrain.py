@@ -332,6 +332,19 @@ def test_model_serialization_roundtrip(tmp_path):
     assert again.provider_spec == model.provider_spec
 
 
+def test_model_with_legacy_seed_loads():
+    # model files written while TrainConfig had a (never read) seed field
+    labeled, unlabeled, cfg = _simple_examples()
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    blob = model.to_dict()
+    blob["train_config"]["seed"] = 7
+    for c in blob["classifiers"]:
+        c["config"]["seed"] = 7
+    again = CoDecompModel.from_dict(blob)
+    assert again.train_config == model.train_config
+    assert [c.config for c in again.classifiers] == [c.config for c in model.classifiers]
+
+
 def test_score_example_winning_instance():
     model, example = _bias_model((0.8,))
     example.views[0] = ViewInstances(np.array([[0.0], [0.0], [0.0]]),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from codecomp import evaluation
 from codecomp.concepts import load_lexicons
 from codecomp.context import HashedWindowProvider
 from codecomp.corpus import NEGATIVE, POSITIVE, SampleSpec
@@ -32,6 +33,26 @@ def small_corpus():
     docs, preset = decomposable_corpus(200, seed=6, positive_rate=0.4,
                                        ambiguity=0.15)
     return docs, preset
+
+
+@pytest.fixture()
+def processed(monkeypatch, small_corpus):
+    """Ids passed to ``evaluation.process_document``, at most one call per
+    corpus document. Forked pool workers inherit the list, so a worker that
+    processes the corpus again raises, and the error reaches the caller."""
+    limit = len(small_corpus[0])
+    calls = []
+    real = evaluation.process_document
+
+    def counted(doc, *args):
+        calls.append(doc.id)
+        if len(calls) > limit:
+            raise AssertionError(f"process_document call {len(calls)} "
+                                 f"for {limit} documents")
+        return real(doc, *args)
+
+    monkeypatch.setattr(evaluation, "process_document", counted)
+    return calls
 
 
 def _codecomp_spec(preset, iterations=3):
@@ -174,6 +195,43 @@ class TestAblation:
                             SampleSpec(40, 3), repetitions=1)
         for key in ("precision", "recall", "f1"):
             assert table["combined"][key] == pytest.approx(k0.mean[key])
+
+
+class TestDriver:
+    """run_experiment, ablation_table and the sweep share one fold driver
+    that processes the corpus once, in the calling process."""
+
+    KWARGS = dict(k_folds=4, sample_spec=SampleSpec(40, 3), repetitions=2)
+
+    def test_codecomp_parallel_equals_sequential(self, small_corpus, processed):
+        docs, preset = small_corpus
+        reports = []
+        for jobs in (1, 2):
+            processed.clear()
+            reports.append(run_experiment(docs, _codecomp_spec(preset),
+                                          **self.KWARGS, jobs=jobs))
+            assert sorted(processed) == sorted(d.id for d in docs)
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[0].to_csv() == reports[1].to_csv()
+
+    def test_ablation_parallel_equals_sequential(self, small_corpus, processed):
+        docs, preset = small_corpus
+        tables = []
+        for jobs in (1, 2):
+            processed.clear()
+            tables.append(ablation_csv(ablation_table(
+                docs, _codecomp_spec(preset), [2, 3], **self.KWARGS, jobs=jobs)))
+            assert len(processed) == len(docs)
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_processes_corpus_once(self, small_corpus, processed, jobs):
+        docs, preset = small_corpus
+        rows = training_size_sweep(docs, _codecomp_spec(preset), [20, 30, 40],
+                                   k_folds=4, master_seed=3, repetitions=2,
+                                   jobs=jobs)
+        assert [n for n, _ in rows] == [20, 30, 40]
+        assert len(processed) == len(docs)
 
 
 class TestSweep:
