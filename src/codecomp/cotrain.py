@@ -46,6 +46,10 @@ class CoConfig:
             raise CotrainError(
                 f"confidence_floor must lie in (0.5, 1], got {self.confidence_floor}"
             )
+        if not (0.0 <= self.neutral_prob <= 1.0):
+            raise CotrainError(
+                f"neutral_prob must lie in [0, 1], got {self.neutral_prob}"
+            )
 
 
 @dataclass
@@ -117,12 +121,23 @@ class CoDecompModel:
     def from_dict(cls, raw: dict) -> "CoDecompModel":
         if raw.get("kind") != "codecomp":
             raise CotrainError(f"not a codecomp record: kind={raw.get('kind')!r}")
+        kcs_names = tuple(raw["kcs_names"])
+        classifiers = [LogRegModel.from_dict(c) for c in raw["classifiers"]]
+        provider_spec = raw.get("provider_spec")
+        dims = sorted({c.weights.shape[0] for c in classifiers})
+        spec_dim = (provider_spec or {}).get("dim")
+        if len(classifiers) != len(kcs_names):
+            raise CotrainError(f"{len(classifiers)} classifiers for {len(kcs_names)} views")
+        if len(dims) > 1:
+            raise CotrainError(f"classifier weight lengths differ: {dims}")
+        if spec_dim is not None and dims and spec_dim != dims[0]:
+            raise CotrainError(f"provider dim {spec_dim} != classifier weight length {dims[0]}")
         return cls(
-            kcs_names=tuple(raw["kcs_names"]),
-            classifiers=[LogRegModel.from_dict(c) for c in raw["classifiers"]],
+            kcs_names=kcs_names,
+            classifiers=classifiers,
             co_config=CoConfig(**raw["co_config"]),
             train_config=TrainConfig.from_dict(raw["train_config"]),
-            provider_spec=raw.get("provider_spec"),
+            provider_spec=provider_spec,
         )
 
 
@@ -196,51 +211,39 @@ def _train_views(examples, n_views: int, train_config: TrainConfig):
     return classifiers
 
 
-class _UnlabeledPool:
-    """Stacked instance matrices of the promotable unlabeled examples.
+class _StackedBags:
+    """One view's bags of many documents, stacked into one instance matrix.
 
-    Examples with an empty bag in any view never qualify for promotion;
-    they stay in the pool untouched and fall back to the neutral score at
-    test time only.
+    Bag i is rows ``starts[i] : starts[i] + lengths[i]`` of ``matrix``. A
+    row's probability does not depend on the rows around it, so a bag scores
+    here exactly as ``mil_example_score`` scores it alone.
     """
 
-    def __init__(self, examples, n_views: int):
-        idx = [i for i, ex in enumerate(examples)
-               if all(v.size > 0 for v in ex.views)]
-        self.index = np.asarray(idx, dtype=int)
-        self.matrices = []
-        self.starts = []
-        self.lengths = []
-        for j in range(n_views):
-            mats = [examples[i].views[j].vectors for i in idx]
-            lengths = np.asarray([m.shape[0] for m in mats], dtype=int)
-            starts = np.concatenate(([0], np.cumsum(lengths)[:-1])) if len(mats) else np.empty(0, int)
-            self.matrices.append(np.vstack(mats) if mats else None)
-            self.starts.append(starts)
-            self.lengths.append(lengths)
+    def __init__(self, examples, view: int, dim: int):
+        mats = [ex.views[view].vectors for ex in examples]
+        for ex, m in zip(examples, mats):
+            if m.shape[1] != dim:
+                raise CotrainError(
+                    f"view {view}: document {ex.doc_id!r} has vectors of width "
+                    f"{m.shape[1]}, the classifier takes {dim}"
+                )
+        self.lengths = np.array([m.shape[0] for m in mats], dtype=int)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.matrix = np.vstack(mats) if mats else np.empty((0, dim))
 
-    def score_view(self, classifier, j: int):
-        """Per-promotable-example (max prob, argmax instance) under one view."""
-        if self.matrices[j] is None:
-            return np.empty(0), np.empty(0, int)
-        probs = predict_proba_batch(classifier, self.matrices[j])
-        starts = self.starts[j]
-        maxes = np.maximum.reduceat(probs, starts)
-        hit = probs >= np.repeat(maxes, self.lengths[j])
-        position = np.where(hit, np.arange(probs.shape[0]), probs.shape[0])
-        argmax = np.minimum.reduceat(position, starts) - starts
-        return maxes, argmax
-
-
-def _rank(order_keys, limit, consumed):
-    taken = []
-    for key, pool_pos in order_keys:
-        if len(taken) >= limit:
-            break
-        if pool_pos in consumed:
-            continue
-        taken.append(pool_pos)
-    return taken
+    def score(self, classifier, neutral_prob: float):
+        """Each bag's (max prob, first argmax); an empty bag scores
+        ``neutral_prob`` and has no winning instance (-1)."""
+        probs = predict_proba_batch(classifier, self.matrix)
+        maxes = np.full(self.lengths.size, float(neutral_prob))
+        winners = np.full(self.lengths.size, -1)
+        full = self.lengths > 0
+        starts = self.starts[full]
+        maxes[full] = np.maximum.reduceat(probs, starts)
+        hit = probs >= np.repeat(maxes, self.lengths)
+        position = np.where(hit, np.arange(probs.size), probs.size)
+        winners[full] = np.minimum.reduceat(position, starts) - starts
+        return maxes, winners
 
 
 def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
@@ -265,18 +268,26 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     if kcs_names is None:
         kcs_names = tuple(f"view{j}" for j in range(n_views))
 
-    # working copies: promotion mutates instance labels
-    pool_l = [Example(ex.doc_id, [ViewInstances(v.vectors, list(v.labels))
-                                  for v in ex.views]) for ex in labeled]
-    pool_u = [Example(ex.doc_id, [ViewInstances(v.vectors, list(v.labels))
-                                  for v in ex.views]) for ex in unlabeled]
+    def working_copy(ex):  # promotion mutates instance labels
+        return Example(ex.doc_id, [ViewInstances(v.vectors, list(v.labels))
+                                   for v in ex.views])
 
+    pool_l = [working_copy(ex) for ex in labeled]
     classifiers = _train_views(pool_l, n_views, train_config)
     snapshots = {}
     if 0 in snapshot_at:
         snapshots[0] = copy.deepcopy(classifiers)
 
-    upool = _UnlabeledPool(pool_u, n_views)
+    # Documents with an empty bag in any view never qualify for promotion;
+    # they stay unlabeled and fall back to the neutral score at test time.
+    # The rest are stacked once; promotion clears their ``alive`` flag.
+    promotable = [working_copy(ex) for ex in unlabeled
+                  if all(v.size > 0 for v in ex.views)]
+    bags = [_StackedBags(promotable, j, classifiers[j].weights.shape[0])
+            for j in range(n_views)]
+    alive = np.ones(len(promotable), dtype=bool)
+    id_rank = np.argsort(sorted(range(len(promotable)),
+                                key=lambda p: promotable[p].doc_id))
     log = []
     floor = co_config.confidence_floor
     last_iteration = 0
@@ -288,59 +299,47 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
             snapshots[iteration] = copy.deepcopy(classifiers)
         last_iteration = iteration
 
-        scored = [upool.score_view(classifiers[j], j) for j in range(n_views)]
-        n_promotable = upool.index.size
-        if n_promotable:
-            maxes = np.vstack([s[0] for s in scored])          # (J, n_promotable)
-            all_confidently_negative = np.all(maxes < 1.0 - floor, axis=0)
-        else:
-            maxes = np.empty((n_views, 0))
-            all_confidently_negative = np.empty(0, dtype=bool)
+        scored = [bags[j].score(classifiers[j], co_config.neutral_prob)
+                  for j in range(n_views)]
+        maxes = np.vstack([s[0] for s in scored])           # (J, n_promotable)
+        confidently_negative = alive & np.all(maxes < 1.0 - floor, axis=0)
+
+        # Each view takes its most confident documents not yet taken this
+        # iteration: positives by descending score, then negatives by
+        # ascending score, ties to the lower doc id.
+        taken = np.zeros(len(promotable), dtype=bool)
+        picks = []
+        for kind, sign, eligible in (("positive", -1.0, alive & (maxes >= floor)),
+                                     ("negative", 1.0, [confidently_negative] * n_views)):
+            for j in range(n_views):
+                cand = np.flatnonzero(eligible[j] & ~taken)
+                cand = cand[np.lexsort((id_rank[cand], sign * maxes[j, cand]))]
+                cand = cand[:co_config.promotions_per_view]
+                taken[cand] = True
+                picks.extend((int(p), kind, j) for p in cand)
 
         promotions = []
-        consumed = {}
-        for j in range(n_views):
-            candidates = sorted(
-                ((-maxes[j, p], pool_u[upool.index[p]].doc_id), p)
-                for p in range(n_promotable)
-                if maxes[j, p] >= floor
-            )
-            for p in _rank(candidates, co_config.promotions_per_view, consumed):
-                consumed[p] = ("positive", j, float(maxes[j, p]))
-        for j in range(n_views):
-            candidates = sorted(
-                ((maxes[j, p], pool_u[upool.index[p]].doc_id), p)
-                for p in range(n_promotable)
-                if all_confidently_negative[p]
-            )
-            for p in _rank(candidates, co_config.promotions_per_view, consumed):
-                consumed[p] = ("negative", j, float(maxes[j, p]))
-
-        for p, (kind, j, confidence) in sorted(consumed.items()):
-            ex = pool_u[upool.index[p]]
+        for p, kind, j in sorted(picks):
+            ex = promotable[p]
             if kind == "positive":
-                ex.views[j].labels[scored[j][1][p]] = POSITIVE
-                for other in range(n_views):
-                    if other != j:
-                        ex.views[other].labels[scored[other][1][p]] = POSITIVE
+                # the winning instance of every view turns positive
+                for view, (_, winners) in zip(ex.views, scored):
+                    view.labels[winners[p]] = POSITIVE
             else:
                 for view in ex.views:
                     view.labels[:] = [NEGATIVE] * len(view.labels)
             pool_l.append(ex)
+            alive[p] = False
             promotions.append({
                 "view": kcs_names[j], "kind": kind,
-                "doc_id": ex.doc_id, "confidence": confidence,
+                "doc_id": ex.doc_id, "confidence": float(maxes[j, p]),
             })
 
-        promoted_ids = {pr["doc_id"] for pr in promotions}
-        pool_u = [ex for ex in pool_u if ex.doc_id not in promoted_ids]
-        if promotions:
-            upool = _UnlabeledPool(pool_u, n_views)
         log.append(IterationRecord(
             iteration=iteration,
             promotions=promotions,
             labeled_examples=len(pool_l),
-            unlabeled_examples=len(pool_u),
+            unlabeled_examples=len(unlabeled) - int(np.count_nonzero(~alive)),
         ))
         if not promotions:
             break
@@ -384,21 +383,26 @@ def predict(model: CoDecompModel, example: Example):
 
 
 def predict_many(model: CoDecompModel, examples) -> dict:
-    return {ex.doc_id: predict(model, ex)[0] for ex in examples}
+    """``predict`` labels of many documents, scoring each view in one call."""
+    examples = list(examples)
+    probs = np.vstack([
+        _StackedBags(examples, j, clf.weights.shape[0]).score(
+            clf, model.co_config.neutral_prob)[0]
+        for j, clf in enumerate(model.classifiers)
+    ])                                                  # (J, n)
+    positive = np.prod(probs, axis=0) >= np.prod(1.0 - probs, axis=0)
+    return {ex.doc_id: POSITIVE if pos else NEGATIVE
+            for ex, pos in zip(examples, positive)}
 
 
 def single_view_predictions(classifier, view_index: int, examples,
                             neutral_prob: float = 0.5) -> dict:
     """Threshold one view's bag probability at 0.5 (ties positive)."""
-    out = {}
-    for ex in examples:
-        view = ex.views[view_index]
-        if view.size == 0:
-            p = neutral_prob
-        else:
-            p, _ = mil_example_score(predict_proba_batch(classifier, view.vectors))
-        out[ex.doc_id] = POSITIVE if p >= 0.5 else NEGATIVE
-    return out
+    examples = list(examples)
+    probs, _ = _StackedBags(examples, view_index, classifier.weights.shape[0]).score(
+        classifier, neutral_prob)
+    return {ex.doc_id: POSITIVE if p >= 0.5 else NEGATIVE
+            for ex, p in zip(examples, probs)}
 
 
 def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
@@ -414,13 +418,8 @@ def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
     if any(k < 1 for k in iteration_counts):
         raise CotrainError("iteration counts must be >= 1")
     max_k = max(iteration_counts) if iteration_counts else 0
-    run_config = CoConfig(
-        iterations=max_k,
-        promotions_per_view=co_config.promotions_per_view,
-        confidence_floor=co_config.confidence_floor,
-        neutral_prob=co_config.neutral_prob,
-    )
-    model = cotrain_fit(labeled, unlabeled, n_views, run_config, train_config,
+    model = cotrain_fit(labeled, unlabeled, n_views,
+                        replace(co_config, iterations=max_k), train_config,
                         kcs_names=kcs_names, snapshot_at=(0, *iteration_counts))
     base = model.with_classifiers(model.snapshots[0])
 

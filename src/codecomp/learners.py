@@ -77,12 +77,9 @@ class LogRegModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: neither exp overflows
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def _loss_and_grad(w, b, X, y, l2_lambda):
@@ -152,15 +149,17 @@ def predict_proba(model: LogRegModel, x) -> float:
         raise LearnerError(
             f"dimension mismatch: model has {model.weights.shape[0]}, vector has {x.shape}"
         )
-    p = _sigmoid(np.atleast_1d(model.weights @ x + model.bias))[0]
-    return float(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    return float(predict_proba_batch(model, x[None, :])[0])
 
 
 def predict_proba_batch(model: LogRegModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    """``predict_proba`` of every row of ``X``. vecdot takes one dot product
+    per contiguous row, so a row's value does not depend on the matrix it
+    sits in (a BLAS ``X @ w`` may round a row differently by position)."""
+    X = np.ascontiguousarray(X, dtype=float)
     if X.shape[0] == 0:
         return np.empty(0)
-    p = _sigmoid(X @ model.weights + model.bias)
+    p = _sigmoid(np.vecdot(X, model.weights) + model.bias)
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
@@ -305,7 +304,7 @@ def nb_predict_proba(model: NBModel, feature_count: Counter) -> float:
     probs = np.exp(scores)
     probs /= probs.sum()
     p = float(probs[model.class_order.index("positive")])
-    return float(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 def save_model(model, path) -> None:

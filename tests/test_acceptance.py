@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS or FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings. Every tolerance is pinned here; the directional check
@@ -53,7 +53,8 @@ LEXICONS = load_lexicons()
 
 
 def _report(number, name, elapsed, budget):
-    print(f"\nACCEPTANCE {number} ({name}): PASS in {elapsed:.2f}s "
+    verdict = "PASS" if elapsed < budget else "FAIL"
+    print(f"\nACCEPTANCE {number} ({name}): {verdict} in {elapsed:.2f}s "
           f"(budget {budget:.0f}s)")
     assert elapsed < budget
 

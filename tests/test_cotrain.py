@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codecomp.concepts import NEGATIVE, POSITIVE, UNLABELED, load_lexicons, process_document
 from codecomp.context import HashedWindowProvider, load_precomputed
@@ -9,6 +10,7 @@ from codecomp.cotrain import (
     CotrainError,
     Example,
     ViewInstances,
+    _StackedBags,
     ablation_variants,
     build_examples,
     cotrain_fit,
@@ -19,7 +21,7 @@ from codecomp.cotrain import (
     score_example,
     single_view_predictions,
 )
-from codecomp.learners import TrainConfig, train_logreg
+from codecomp.learners import LogRegModel, TrainConfig, predict_proba_batch, train_logreg
 from codecomp.synthetic import decomposable_corpus
 
 
@@ -195,6 +197,103 @@ class TestCotrainFit:
         assert unlabeled[1].views[1].labels == [UNLABELED, UNLABELED]
 
 
+def test_duplicate_documents_score_alike_and_tie_to_lower_doc_id():
+    # Two copies of one bag at pool rows 5 and 32 of 33, where a BLAS
+    # ``X @ w`` rounds them differently (OpenBLAS gemv). The two views are
+    # identical, so view 0 must take the lower doc id and view 1 the other
+    # copy at the same confidence.
+    rng = np.random.default_rng(0)
+    dim = 48
+    X = rng.normal(size=(30, dim))
+    y = (X[:, 0] > 0).astype(float)
+    cfg = TrainConfig(learning_rate=1.0, epochs=50)
+    clf = train_logreg(X, y, cfg)
+    # large entries that cancel to w.v + b = 2, away from the clip
+    v = 30.0 * rng.normal(size=dim)
+    v += (2.0 - clf.bias - clf.weights @ v) / (clf.weights @ clf.weights) * clf.weights
+    rows = list(0.1 * rng.normal(size=(33, dim)))
+    rows[5] = rows[32] = v
+
+    def example(doc_id, row, label):
+        return Example(doc_id, [ViewInstances(row[None, :].copy(), [label])
+                                for _ in range(2)])
+
+    labeled = [example(f"L{i:02d}", X[i], POSITIVE if y[i] else NEGATIVE)
+               for i in range(len(y))]
+    unlabeled = [example(f"U{i:02d}", row, UNLABELED) for i, row in enumerate(rows)]
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    positives = {p["view"]: p for p in model.iteration_log[0].promotions
+                 if p["kind"] == "positive"}
+    assert positives["view0"]["doc_id"] == "U05"
+    assert positives["view1"]["doc_id"] == "U32"
+    assert positives["view0"]["confidence"] == positives["view1"]["confidence"]
+
+
+def _odd_offset_copy(a, offset):
+    """``a`` copied into a buffer ``offset`` floats past its start."""
+    buffer = np.empty(a.size + offset)
+    out = buffer[offset:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@st.composite
+def _scored_pools(draw):
+    """Classifiers and documents whose bags may be empty, one row, all tied
+    rows or random rows, each in a buffer at an odd or even offset."""
+    n_views = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classifiers = [LogRegModel(weights=rng.normal(size=dim), bias=rng.normal(),
+                               config=TrainConfig()) for _ in range(n_views)]
+    examples = []
+    for i in range(draw(st.integers(0, 40))):
+        views = []
+        for _ in range(n_views):
+            m = draw(st.sampled_from([0, 1, 2, 3, 5]))
+            rows = rng.normal(size=(m, dim)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+            if draw(st.booleans()):
+                rows[1:] = rows[:1]
+            rows = _odd_offset_copy(rows, draw(st.integers(0, 3)))
+            views.append(ViewInstances(rows, [UNLABELED] * m))
+        examples.append(Example(f"d{i:02d}", views))
+    neutral = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    model = CoDecompModel(
+        kcs_names=tuple(f"v{j}" for j in range(n_views)), classifiers=classifiers,
+        co_config=CoConfig(neutral_prob=neutral), train_config=TrainConfig())
+    return model, examples
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_scored_pools())
+def test_stacked_scoring_matches_per_bag_reference(pool):
+    model, examples = pool
+    neutral = model.co_config.neutral_prob
+    for j, clf in enumerate(model.classifiers):
+        maxes, winners = _StackedBags(examples, j, clf.weights.shape[0]).score(
+            clf, neutral)
+        for ex, p, win in zip(examples, maxes, winners):
+            bag = ex.views[j].vectors
+            if bag.shape[0] == 0:
+                assert (p, win) == (neutral, -1)
+            else:
+                assert (p, win) == mil_example_score(predict_proba_batch(clf, bag))
+        single = single_view_predictions(clf, j, examples, neutral)
+        assert single == {ex.doc_id: POSITIVE if p >= 0.5 else NEGATIVE
+                          for ex, p in zip(examples, maxes)}
+    assert predict_many(model, examples) == {
+        ex.doc_id: predict(model, ex)[0] for ex in examples}
+
+
+def test_stacked_scoring_rejects_a_width_mismatch():
+    model, example = _bias_model((0.9, 0.9))
+    example.views[1] = ViewInstances(np.empty((0, 3)), [])
+    with pytest.raises(CotrainError, match="view 1.*'x'.*width 3"):
+        predict_many(model, [example])
+    with pytest.raises(CotrainError, match="view 1"):
+        single_view_predictions(model.classifiers[1], 1, [example])
+
+
 def _synthetic_pools(n_docs=150, n_labeled=40, seed=5):
     docs, preset = decomposable_corpus(n_docs, seed=seed, positive_rate=0.4,
                                        ambiguity=0.15)
@@ -332,6 +431,21 @@ def test_model_serialization_roundtrip(tmp_path):
     assert again.provider_spec == model.provider_spec
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: blob["classifiers"].pop(), "1 classifiers for 2 views"),
+    (lambda blob: blob["classifiers"][1]["weights"].append(0.0), "lengths differ"),
+    (lambda blob: blob["provider_spec"].update(dim=64), "provider dim 64 != classifier weight length 1"),
+])
+def test_model_dict_mismatches_rejected(corrupt, message):
+    labeled, unlabeled, cfg = _simple_examples()
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model.provider_spec = {"kind": "hashed", "window": 2, "dim": 1}
+    blob = model.to_dict()
+    corrupt(blob)
+    with pytest.raises(CotrainError, match=message):
+        CoDecompModel.from_dict(blob)
+
+
 def test_model_with_legacy_seed_loads():
     # model files written while TrainConfig had a (never read) seed field
     labeled, unlabeled, cfg = _simple_examples()
@@ -365,3 +479,7 @@ def test_coconfig_validation():
         CoConfig(promotions_per_view=0)
     with pytest.raises(CotrainError):
         CoConfig(confidence_floor=0.5)
+    with pytest.raises(CotrainError, match="neutral_prob"):
+        CoConfig(neutral_prob=1.5)
+    with pytest.raises(CotrainError, match="neutral_prob"):
+        CoConfig(neutral_prob=-0.1)

@@ -9,6 +9,7 @@ from codecomp.learners import (
     LogRegModel,
     NBModel,
     TrainConfig,
+    _sigmoid,
     load_model,
     loss_gradient,
     nb_predict_proba,
@@ -140,6 +141,37 @@ class TestLogReg:
         order = np.argsort(scores)
         probs = predict_proba_batch(model, X)[order]
         assert np.all(np.diff(probs) >= 0)
+
+    def test_sigmoid_matches_masked_formula(self):
+        def masked(z):
+            out = np.empty_like(z, dtype=float)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+        z = np.concatenate([special, np.random.default_rng(4).normal(scale=30, size=5000)])
+        got, want = _sigmoid(z), masked(z)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        keep = ~np.isnan(want)  # the sign of a NaN carries nothing
+        assert got[keep].tobytes() == want[keep].tobytes()
+
+    def test_batch_row_probability_ignores_its_neighbours(self):
+        rng = np.random.default_rng(6)
+        model = LogRegModel(weights=rng.normal(size=64), bias=0.3, config=TrainConfig())
+        # large entries that cancel to w.x + b = 2, away from the clip
+        x = rng.normal(size=64) * 30
+        x += (2.0 - 0.3 - model.weights @ x) / (model.weights @ model.weights) * model.weights
+        X = np.tile(x, (70, 1))
+        buffer = np.empty(X.size + 1)
+        shifted = buffer[1:].reshape(X.shape)
+        shifted[...] = X
+        alone = predict_proba_batch(model, X[:1])[0]
+        assert set(predict_proba_batch(model, X)) == {alone}
+        assert set(predict_proba_batch(model, shifted)) == {alone}
+        assert set(predict_proba_batch(model, np.asfortranarray(X))) == {alone}
 
     def test_dimension_mismatch(self):
         model = _zero_model(3)
