@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,6 +144,10 @@ class KeyConceptSet:
     kind: str  # "human" | "keyword"
     keywords: tuple[str, ...] = ()
     mask_token: str | None = None
+    # first token -> the keyword token sequences starting with it, in the
+    # order the matcher tries them: longest first, so a multi-word name wins
+    # over its own first word, and ties in tuple order
+    _by_first_token: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("human", "keyword"):
@@ -153,6 +157,12 @@ class KeyConceptSet:
             raise ConceptError(f"kcs {self.name!r}: keyword view needs keywords")
         if self.kind == "human" and self.keywords:
             raise ConceptError(f"kcs {self.name!r}: human view takes no keywords")
+        seqs = {tuple(t.surface for t in tokenize(kw)) for kw in self.keywords}
+        seqs.discard(())
+        index: dict = {}
+        for seq in sorted(seqs, key=lambda s: (-len(s), s)):
+            index.setdefault(seq[0], []).append(seq)
+        object.__setattr__(self, "_by_first_token", index)
 
 
 @dataclass(frozen=True)
@@ -264,13 +274,6 @@ def synthesize_document(tokens, text: str, lexicons: Lexicons):
     return out, synth_positions
 
 
-def _keyword_sequences(kcs: KeyConceptSet) -> list[tuple[str, ...]]:
-    seqs = {tuple(t.surface for t in tokenize(kw)) for kw in kcs.keywords}
-    seqs.discard(())
-    # longest first so multi-word names win over their own sub-words
-    return sorted(seqs, key=lambda s: (-len(s), s))
-
-
 def extract_keyword_mentions(tokens, kcs: KeyConceptSet, doc_id: str = "") -> list[Mention]:
     """Case-insensitive exact-token keyword occurrences, in document order.
 
@@ -279,13 +282,13 @@ def extract_keyword_mentions(tokens, kcs: KeyConceptSet, doc_id: str = "") -> li
     """
     if kcs.kind != "keyword":
         raise ConceptError(f"kcs {kcs.name!r} is not a keyword view")
-    sequences = _keyword_sequences(kcs)
+    index = kcs._by_first_token
     surfaces = [t.surface for t in tokens]
     mentions = []
     i = 0
     while i < len(surfaces):
         matched = None
-        for seq in sequences:
+        for seq in index.get(surfaces[i], ()):
             if tuple(surfaces[i : i + len(seq)]) == seq:
                 matched = seq
                 break

@@ -87,10 +87,12 @@ def _loss_and_grad(w, b, X, y, l2_lambda):
     z = X @ w + b
     # mean softplus(z) - y*z is the log-loss without intermediate probabilities,
     # so it stays finite and exactly differentiable for any |z|
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2_lambda * float(w @ w)
+    # add.reduce / n is what np.mean computes, without its Python-level wrapper
+    loss = (float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / n)
+            + 0.5 * l2_lambda * float(w @ w))
     residual = _sigmoid(z) - y
     grad_w = X.T @ residual / n + l2_lambda * w
-    grad_b = float(np.mean(residual))
+    grad_b = float(np.add.reduce(residual) / n)
     return loss, grad_w, grad_b
 
 

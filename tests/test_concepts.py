@@ -1,8 +1,11 @@
 import logging
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from codecomp import concepts
 from codecomp.concepts import (
     ConceptError,
     KeyConceptSet,
@@ -189,6 +192,104 @@ class TestKeywordMentions:
             expected = [i for i, s in enumerate(surfaces) if s in ("w0", "w3")]
             found = [m.token_range[0] for m in extract_keyword_mentions(tokens, kcs)]
             assert found == expected
+
+    def test_longest_keyword_wins(self):
+        kcs = KeyConceptSet(name="d", kind="keyword",
+                            keywords=("heart", "heart attack", "heart attack risk"))
+        mentions = extract_keyword_mentions(
+            tokenize("heart attack risk , heart attack and heart"), kcs)
+        assert [(m.surface, m.token_range) for m in mentions] == [
+            ("heart attack risk", (0, 3)), ("heart attack", (4, 6)), ("heart", (7, 8))]
+
+    def test_equal_length_tie_keeps_tuple_order(self):
+        # the order the matcher tries the keywords of one first token in:
+        # longest first, equal lengths in tuple order, case duplicates merged
+        kcs = KeyConceptSet(name="k", kind="keyword",
+                            keywords=("a c", "A B", "a", "a b c", "a b", "b c"))
+        assert kcs._by_first_token == {
+            "a": [("a", "b", "c"), ("a", "b"), ("a", "c"), ("a",)],
+            "b": [("b", "c")],
+        }
+
+    def test_hyphenated_keyword_is_one_mention(self):
+        kcs = KeyConceptSet(name="drug", kind="keyword", keywords=("pepto-bismol",))
+        mentions = extract_keyword_mentions(tokenize("took Pepto-Bismol twice"), kcs)
+        assert [(m.surface, m.token_range) for m in mentions] == [
+            ("pepto - bismol", (1, 4))]
+
+    def test_keyword_without_tokens_is_ignored(self):
+        kcs = KeyConceptSet(name="k", kind="keyword", keywords=("  ", "flu"))
+        mentions = extract_keyword_mentions(tokenize("flu  season"), kcs)
+        assert [m.token_range for m in mentions] == [(0, 1)]
+
+    def test_packaged_drug_list_finds_back_to_back_names(self):
+        drug = task_preset("adr").kcs_list[1]
+        tokens = tokenize("advil tylenol aspirin then pepto bismol ibuprofen")
+        expected = [("advil", (0, 1)), ("tylenol", (1, 2)), ("aspirin", (2, 3)),
+                    ("pepto bismol", (4, 6)), ("ibuprofen", (6, 7))]
+        for view in (drug, pickle.loads(pickle.dumps(drug))):
+            assert [(m.surface, m.token_range)
+                    for m in extract_keyword_mentions(tokens, view)] == expected
+
+    def test_keywords_are_tokenized_when_the_view_is_built(self, lexicons, monkeypatch):
+        preset = task_preset("adr")
+        calls = []
+        real_tokenize = concepts.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return real_tokenize(text)
+
+        monkeypatch.setattr(concepts, "tokenize", counting_tokenize)
+        texts = ["my mom took advil and tylenol", "went to bed", "", "@amy: xanax?"]
+        for i, text in enumerate(texts):
+            process_document(Document(id=str(i), text=text), preset, lexicons)
+        assert calls == texts
+
+
+# the matcher before views were compiled: every keyword re-tokenised, sorted
+# longest first with ties in tuple order, and tried at every token
+def _scan_keyword_mentions(tokens, kcs, doc_id=""):
+    seqs = {tuple(t.surface for t in tokenize(kw)) for kw in kcs.keywords}
+    seqs.discard(())
+    sequences = sorted(seqs, key=lambda s: (-len(s), s))
+    surfaces = [t.surface for t in tokens]
+    mentions = []
+    i = 0
+    while i < len(surfaces):
+        matched = None
+        for seq in sequences:
+            if tuple(surfaces[i : i + len(seq)]) == seq:
+                matched = seq
+                break
+        if matched is None:
+            i += 1
+            continue
+        mentions.append(
+            Mention(doc_id=doc_id, kcs_name=kcs.name, token_range=(i, i + len(matched)),
+                    surface=" ".join(matched))
+        )
+        i += len(matched)
+    return mentions
+
+
+# pieces of a small alphabet: joined with spaces they make multi-word
+# keywords, prefixes of one another, case variants and punctuation; joined
+# without, new words ("ab") or runs of punctuation
+_PIECES = st.sampled_from(["a", "b", "ab", "A", "aB", "-", ".", "'"])
+_PHRASES = st.builds(
+    lambda pieces, sep: sep.join(pieces),
+    st.lists(_PIECES, max_size=4), st.sampled_from([" ", ""]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_PHRASES, min_size=1, max_size=8),
+       st.lists(_PIECES, max_size=30).map(" ".join))
+def test_indexed_matcher_equals_the_full_scan(keywords, text):
+    kcs = KeyConceptSet(name="k", kind="keyword", keywords=tuple(keywords))
+    tokens = tokenize(text)
+    assert (extract_keyword_mentions(tokens, kcs, doc_id="d")
+            == _scan_keyword_mentions(tokens, kcs, doc_id="d"))
 
 
 class TestMask:

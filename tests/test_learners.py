@@ -187,6 +187,50 @@ class TestLogReg:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
+    def test_fit_matches_np_mean_reference_loop(self):
+        # reference: the gradient-descent loop with the loss and the bias
+        # gradient written as np.mean; the fit must agree bit for bit
+        def reference_fit(X, y, cfg):
+            def loss_and_grad(w, b):
+                z = X @ w + b
+                loss = (float(np.mean(np.logaddexp(0.0, z) - y * z))
+                        + 0.5 * cfg.l2_lambda * float(w @ w))
+                residual = _sigmoid(z) - y
+                grad_w = X.T @ residual / len(y) + cfg.l2_lambda * w
+                return loss, grad_w, float(np.mean(residual))
+
+            w, b, prev, epochs_run = np.zeros(X.shape[1]), 0.0, np.inf, 0
+            for _ in range(cfg.epochs):
+                loss, grad_w, grad_b = loss_and_grad(w, b)
+                if abs(prev - loss) < cfg.convergence_tolerance:
+                    break
+                w -= cfg.learning_rate * grad_w
+                b -= cfg.learning_rate * grad_b
+                prev = loss
+                epochs_run += 1
+            return w, b, loss_and_grad(w, b)[0], epochs_run
+
+        rng = np.random.default_rng(30)
+        cases = []
+        for n, dim in [(60, 64), (163, 64), (300, 64), (7, 3)]:
+            X = rng.normal(size=(n, dim))
+            y = (rng.random(n) < 0.4).astype(float)
+            y[:2] = [0.0, 1.0]
+            cases.append((X, y, TrainConfig(learning_rate=4.0, epochs=300), False))
+        cases.append((rng.normal(size=(1, 5)), np.ones(1), TrainConfig(), True))
+        X = rng.normal(size=(40, 8))
+        separable = (X[:, 0] > 0).astype(float)
+        cases.append((X, separable, TrainConfig(l2_lambda=0.0, epochs=400), False))
+        cases.append((X, np.ones(40), TrainConfig(epochs=200), True))
+        cases.append((X, np.zeros(40), TrainConfig(l2_lambda=0.0, epochs=200), True))
+        for X, y, cfg, single in cases:
+            got = train_logreg(X, y, cfg, allow_single_class=single)
+            w, b, final_loss, epochs_run = reference_fit(X, y, cfg)
+            assert got.weights.tobytes() == w.tobytes()
+            assert np.float64(got.bias).tobytes() == np.float64(b).tobytes()
+            assert np.float64(got.final_loss).tobytes() == np.float64(final_loss).tobytes()
+            assert got.epochs_run == epochs_run
+
     def test_serialization_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 4))
