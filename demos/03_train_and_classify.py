@@ -7,8 +7,6 @@ promote confident unlabeled documents for a few iterations, then labels
 held-out documents by comparing prod(P_j) against prod(1 - P_j).
 """
 
-import numpy as np
-
 from codecomp import (
     CoConfig,
     HashedWindowProvider,
@@ -21,7 +19,6 @@ from codecomp import (
     process_document,
     sample_labeled,
 )
-from codecomp.cotrain import Example, ViewInstances
 from codecomp.synthetic import decomposable_corpus
 
 docs, preset = decomposable_corpus(600, seed=11, positive_rate=0.4, ambiguity=0.15)
@@ -35,11 +32,7 @@ labeled_docs, unlabeled_docs = sample_labeled(pool, SampleSpec(n_labeled=60, see
 vectorize = lambda ds: build_examples(
     [process_document(d, preset, lexicons) for d in ds], provider, names)
 labeled = vectorize(labeled_docs)
-unlabeled = [
-    Example(e.doc_id, [ViewInstances(v.vectors, ["unlabeled"] * v.size)
-                       for v in e.views])
-    for e in vectorize(unlabeled_docs)
-]
+unlabeled = vectorize(unlabeled_docs)
 
 model = cotrain_fit(
     labeled, unlabeled, len(names),

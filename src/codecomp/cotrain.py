@@ -13,7 +13,6 @@ by the product rule: positive iff prod(P_j) >= prod(1 - P_j).
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, asdict, replace
 
@@ -55,7 +54,8 @@ class CoConfig:
 @dataclass
 class ViewInstances:
     vectors: np.ndarray      # (m, dim); m == 0 for an empty bag
-    labels: list             # per-instance POSITIVE / NEGATIVE / UNLABELED
+    labels: list             # per-instance POSITIVE / NEGATIVE / UNLABELED;
+                             # co-training reads them only for labeled examples
 
     @property
     def size(self) -> int:
@@ -182,32 +182,29 @@ def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
     return examples
 
 
-def _labeled_matrix(examples, view: int):
+def _labeled_rows(examples, view: int):
+    """One view's labeled instance rows and their 0/1 targets, in document
+    then instance order; unlabeled instances are skipped."""
     rows, targets = [], []
     for ex in examples:
         vi = ex.views[view]
-        for i, label in enumerate(vi.labels):
-            if label == POSITIVE:
-                rows.append(vi.vectors[i])
-                targets.append(1.0)
-            elif label == NEGATIVE:
-                rows.append(vi.vectors[i])
-                targets.append(0.0)
-    if not rows:
-        return np.empty((0, 0)), np.empty(0)
-    return np.vstack(rows), np.asarray(targets)
+        for vector, label in zip(vi.vectors, vi.labels):
+            if label in (POSITIVE, NEGATIVE):
+                rows.append(vector)
+                targets.append(float(label == POSITIVE))
+    return rows, targets
 
 
-def _train_views(examples, n_views: int, train_config: TrainConfig):
+def _train_views(pools, train_config: TrainConfig):
     classifiers = []
-    for j in range(n_views):
-        X, y = _labeled_matrix(examples, j)
-        if X.shape[0] == 0 or len(np.unique(y)) < 2:
+    for j, (rows, targets) in enumerate(pools):
+        if len(set(targets)) < 2:
             raise CotrainError(
                 f"view {j} needs at least one positive and one negative "
                 "labeled instance"
             )
-        classifiers.append(train_logreg(X, y, train_config))
+        classifiers.append(train_logreg(np.vstack(rows), np.asarray(targets),
+                                        train_config))
     return classifiers
 
 
@@ -268,21 +265,18 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     if kcs_names is None:
         kcs_names = tuple(f"view{j}" for j in range(n_views))
 
-    def working_copy(ex):  # promotion mutates instance labels
-        return Example(ex.doc_id, [ViewInstances(v.vectors, list(v.labels))
-                                   for v in ex.views])
-
-    pool_l = [working_copy(ex) for ex in labeled]
-    classifiers = _train_views(pool_l, n_views, train_config)
+    # One labeled pool per view, read once; promotion appends to it.
+    pools = [_labeled_rows(labeled, j) for j in range(n_views)]
+    classifiers = _train_views(pools, train_config)
     snapshots = {}
     if 0 in snapshot_at:
-        snapshots[0] = copy.deepcopy(classifiers)
+        snapshots[0] = classifiers
 
     # Documents with an empty bag in any view never qualify for promotion;
     # they stay unlabeled and fall back to the neutral score at test time.
-    # The rest are stacked once; promotion clears their ``alive`` flag.
-    promotable = [working_copy(ex) for ex in unlabeled
-                  if all(v.size > 0 for v in ex.views)]
+    # The rest are stacked once; promotion clears their ``alive`` flag. The
+    # instance labels of unlabeled documents are never read.
+    promotable = [ex for ex in unlabeled if all(v.size > 0 for v in ex.views)]
     bags = [_StackedBags(promotable, j, classifiers[j].weights.shape[0])
             for j in range(n_views)]
     alive = np.ones(len(promotable), dtype=bool)
@@ -294,9 +288,9 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
 
     for iteration in range(1, co_config.iterations + 1):
         if iteration > 1:
-            classifiers = _train_views(pool_l, n_views, train_config)
+            classifiers = _train_views(pools, train_config)
         if iteration in snapshot_at:
-            snapshots[iteration] = copy.deepcopy(classifiers)
+            snapshots[iteration] = classifiers
         last_iteration = iteration
 
         scored = [bags[j].score(classifiers[j], co_config.neutral_prob)
@@ -321,32 +315,33 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
         promotions = []
         for p, kind, j in sorted(picks):
             ex = promotable[p]
-            if kind == "positive":
-                # the winning instance of every view turns positive
-                for view, (_, winners) in zip(ex.views, scored):
-                    view.labels[winners[p]] = POSITIVE
-            else:
-                for view in ex.views:
-                    view.labels[:] = [NEGATIVE] * len(view.labels)
-            pool_l.append(ex)
+            for view, (rows, targets), (_, winners) in zip(ex.views, pools, scored):
+                if kind == "positive":
+                    # the winning instance of every view, as a positive
+                    rows.append(view.vectors[winners[p]])
+                    targets.append(1.0)
+                else:
+                    rows.extend(view.vectors)
+                    targets.extend([0.0] * view.size)
             alive[p] = False
             promotions.append({
                 "view": kcs_names[j], "kind": kind,
                 "doc_id": ex.doc_id, "confidence": float(maxes[j, p]),
             })
 
+        promoted = int(np.count_nonzero(~alive))
         log.append(IterationRecord(
             iteration=iteration,
             promotions=promotions,
-            labeled_examples=len(pool_l),
-            unlabeled_examples=len(unlabeled) - int(np.count_nonzero(~alive)),
+            labeled_examples=len(labeled) + promoted,
+            unlabeled_examples=len(unlabeled) - promoted,
         ))
         if not promotions:
             break
 
     for k in snapshot_at:
         if k > last_iteration:
-            snapshots[k] = copy.deepcopy(classifiers)
+            snapshots[k] = classifiers
 
     return CoDecompModel(
         kcs_names=tuple(kcs_names),

@@ -20,7 +20,6 @@ from .baselines import EMConfig, document_features, em_fit, nb_baseline_fit
 from .concepts import (
     Lexicons,
     TaskPreset,
-    UNLABELED,
     load_lexicons,
     process_document,
 )
@@ -34,8 +33,6 @@ from .corpus import (
 )
 from .cotrain import (
     CoConfig,
-    Example,
-    ViewInstances,
     ablation_variants,
     build_examples,
     cotrain_fit,
@@ -233,8 +230,9 @@ class _DocumentRunner:
 class _CoDecompRunner:
     """Caches per-document mention extraction and context vectors.
 
-    Mention structure and vectors are label-independent, so they are
-    computed once per corpus; each fold only reassigns instance labels.
+    Documents are processed and vectorized once per corpus, and every fold
+    passes the cached examples as they are: co-training reads instance
+    labels only from a fold's labeled documents.
     Given iteration settings, a fold yields every ablation variant instead
     of the single co-trained model.
     """
@@ -250,17 +248,10 @@ class _CoDecompRunner:
             self.examples[doc.id] = build_examples(
                 [pdoc], spec.provider, self.kcs_names)[0]
 
-    def _as_unlabeled(self, example: Example) -> Example:
-        return Example(
-            doc_id=example.doc_id,
-            views=[ViewInstances(v.vectors, [UNLABELED] * v.size)
-                   for v in example.views],
-        )
-
     def predictions(self, labeled, unlabeled, test):
         pools = (
             [self.examples[d.id] for d in labeled],
-            [self._as_unlabeled(self.examples[d.id]) for d in unlabeled],
+            [self.examples[d.id] for d in unlabeled],
             len(self.kcs_names), self.spec.co_config, self.spec.train_config,
         )
         test = [self.examples[d.id] for d in test]
@@ -324,6 +315,10 @@ def _fold_runs(corpus, runner, k_folds: int, sample_spec: SampleSpec,
     """
     if repetitions < 1:
         raise EvalError(f"repetitions must be >= 1, got {repetitions}")
+    if dev_fold is not None and not 0 <= dev_fold < k_folds:
+        raise EvalError(f"dev_fold must lie in [0, {k_folds}), got {dev_fold}")
+    if jobs < 1:
+        raise EvalError(f"jobs must be >= 1, got {jobs}")
     protocol = (corpus, runner, k_folds, sample_spec.n_labeled, dev_fold)
     rep_seeds = [(rep, sample_spec.seed + rep) for rep in range(repetitions)]
     if jobs > 1 and repetitions > 1:

@@ -323,6 +323,20 @@ def test_sweep_requires_sizes(synth_setup, tmp_path, capsys):
     assert "sizes" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_dev_fold_and_jobs_out_of_range(synth_setup, tmp_path,
+                                                         capsys):
+    config, out = synth_setup
+    with_dev = tmp_path / "dev.ini"
+    with_dev.write_text(config.read_text(encoding="utf-8").replace(
+        "master_seed = 5", "master_seed = 5\ndev_fold = 3"), encoding="utf-8")
+    assert main(["evaluate", "--config", str(with_dev), "--model", "nb"]) == 2
+    assert "dev_fold must lie in [0, 3), got 3" in capsys.readouterr().err
+    assert main(["evaluate", "--config", str(config), "--model", "nb",
+                 "--jobs", "0"]) == 2
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (out / "report_nb.json").exists()
+
+
 def test_flag_overrides_config(synth_setup):
     config, out = synth_setup
     assert main(["evaluate", "--config", str(config), "--model", "nb",

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from codecomp.cotrain import (
     CoDecompModel,
     CotrainError,
     Example,
+    IterationRecord,
     ViewInstances,
     _StackedBags,
     ablation_variants,
@@ -361,6 +364,185 @@ class TestCotrainBookkeeping:
                     assert p["confidence"] >= 0.8
                 else:
                     assert p["confidence"] < 0.2
+
+
+def _assert_same_fit(a, b):
+    """Bitwise-equal classifiers, snapshots and iteration logs."""
+    def same(xs, ys):
+        assert len(xs) == len(ys)
+        for x, y in zip(xs, ys):
+            assert x.weights.tobytes() == y.weights.tobytes()
+            assert np.float64(x.bias).tobytes() == np.float64(y.bias).tobytes()
+
+    same(a.classifiers, b.classifiers)
+    assert sorted(a.snapshots) == sorted(b.snapshots)
+    for k in a.snapshots:
+        same(a.snapshots[k], b.snapshots[k])
+    assert iteration_log_lines(a.iteration_log) == iteration_log_lines(b.iteration_log)
+
+
+def test_gold_labels_of_unlabeled_examples_are_never_read():
+    # The cached examples of unlabeled documents may still carry gold
+    # instance labels; a promoted positive must add only its winning rows.
+    labeled, stripped, examples, names = _synthetic_pools()
+    gold = examples[len(labeled):]
+    assert any(label != UNLABELED for ex in gold for v in ex.views for label in v.labels)
+    run = lambda unlabeled: cotrain_fit(
+        labeled, unlabeled, 2, CoConfig(iterations=8),
+        TestCotrainBookkeeping.CFG, kcs_names=names)
+    _assert_same_fit(run(gold), run(stripped))
+
+
+# the co-training loop before each view kept one labeled pool: examples
+# copied, promoted instance labels rewritten in place, and every view's
+# training matrix rebuilt from all labeled documents in every iteration
+def _labeled_matrix(examples, view):
+    rows, targets = [], []
+    for ex in examples:
+        vi = ex.views[view]
+        for i, label in enumerate(vi.labels):
+            if label == POSITIVE:
+                rows.append(vi.vectors[i])
+                targets.append(1.0)
+            elif label == NEGATIVE:
+                rows.append(vi.vectors[i])
+                targets.append(0.0)
+    if not rows:
+        return np.empty((0, 0)), np.empty(0)
+    return np.vstack(rows), np.asarray(targets)
+
+
+def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config,
+                           snapshot_at=()):
+    def train_views(examples):
+        return [train_logreg(*_labeled_matrix(examples, j), train_config)
+                for j in range(n_views)]
+
+    def working_copy(ex):
+        return Example(ex.doc_id, [ViewInstances(v.vectors, list(v.labels))
+                                   for v in ex.views])
+
+    kcs_names = tuple(f"view{j}" for j in range(n_views))
+    pool_l = [working_copy(ex) for ex in labeled]
+    classifiers = train_views(pool_l)
+    snapshots = {0: copy.deepcopy(classifiers)} if 0 in snapshot_at else {}
+    promotable = [working_copy(ex) for ex in unlabeled
+                  if all(v.size > 0 for v in ex.views)]
+    bags = [_StackedBags(promotable, j, classifiers[j].weights.shape[0])
+            for j in range(n_views)]
+    alive = np.ones(len(promotable), dtype=bool)
+    id_rank = np.argsort(sorted(range(len(promotable)),
+                                key=lambda p: promotable[p].doc_id))
+    log = []
+    floor = co_config.confidence_floor
+    last_iteration = 0
+    for iteration in range(1, co_config.iterations + 1):
+        if iteration > 1:
+            classifiers = train_views(pool_l)
+        if iteration in snapshot_at:
+            snapshots[iteration] = copy.deepcopy(classifiers)
+        last_iteration = iteration
+        scored = [bags[j].score(classifiers[j], co_config.neutral_prob)
+                  for j in range(n_views)]
+        maxes = np.vstack([s[0] for s in scored])
+        confidently_negative = alive & np.all(maxes < 1.0 - floor, axis=0)
+        taken = np.zeros(len(promotable), dtype=bool)
+        picks = []
+        for kind, sign, eligible in (("positive", -1.0, alive & (maxes >= floor)),
+                                     ("negative", 1.0, [confidently_negative] * n_views)):
+            for j in range(n_views):
+                cand = np.flatnonzero(eligible[j] & ~taken)
+                cand = cand[np.lexsort((id_rank[cand], sign * maxes[j, cand]))]
+                cand = cand[:co_config.promotions_per_view]
+                taken[cand] = True
+                picks.extend((int(p), kind, j) for p in cand)
+        promotions = []
+        for p, kind, j in sorted(picks):
+            ex = promotable[p]
+            if kind == "positive":
+                for view, (_, winners) in zip(ex.views, scored):
+                    view.labels[winners[p]] = POSITIVE
+            else:
+                for view in ex.views:
+                    view.labels[:] = [NEGATIVE] * len(view.labels)
+            pool_l.append(ex)
+            alive[p] = False
+            promotions.append({"view": kcs_names[j], "kind": kind,
+                               "doc_id": ex.doc_id, "confidence": float(maxes[j, p])})
+        log.append(IterationRecord(
+            iteration=iteration, promotions=promotions,
+            labeled_examples=len(pool_l),
+            unlabeled_examples=len(unlabeled) - int(np.count_nonzero(~alive))))
+        if not promotions:
+            break
+    for k in snapshot_at:
+        if k > last_iteration:
+            snapshots[k] = copy.deepcopy(classifiers)
+    return CoDecompModel(kcs_names=kcs_names, classifiers=classifiers,
+                         co_config=co_config, train_config=train_config,
+                         snapshots=snapshots, iteration_log=log)
+
+
+@st.composite
+def _cotrain_pools(draw):
+    """Labeled and unlabeled examples for a short co-training run.
+
+    Every labeled view holds both classes, next to unlabeled instances.
+    Unlabeled bags may be empty or hold several rows; some documents copy
+    an earlier one's bags, under a new or the same doc id; and unlabeled
+    instances carry arbitrary labels, which co-training must not read.
+    """
+    n_views = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    direction = rng.normal(size=dim)
+    label_of = st.sampled_from([POSITIVE, NEGATIVE, UNLABELED])
+
+    def bag(m, labels):
+        return ViewInstances(rng.normal(size=(m, dim)) * 2.0 + direction * rng.normal(),
+                             labels)
+
+    labeled = []
+    for i in range(draw(st.integers(2, 6))):
+        views = []
+        for j in range(n_views):
+            labels = [draw(label_of) for _ in range(draw(st.integers(0, 3)))]
+            if i < 2:  # the first two documents give each view both classes
+                labels.append(POSITIVE if i == 0 else NEGATIVE)
+            views.append(bag(len(labels), labels))
+        labeled.append(Example(f"L{i}", views))
+    unlabeled = []
+    for i in range(draw(st.integers(0, 25))):
+        if unlabeled and draw(st.integers(0, 3)) == 0:
+            source = unlabeled[draw(st.integers(0, len(unlabeled) - 1))]
+            doc_id = source.doc_id if draw(st.booleans()) else f"U{i:02d}"
+            unlabeled.append(Example(doc_id, source.views))
+            continue
+        views = []
+        for _ in range(n_views):
+            m = draw(st.sampled_from([0, 1, 1, 2, 3]))
+            views.append(bag(m, [draw(label_of) for _ in range(m)]))
+        unlabeled.append(Example(f"U{i:02d}", views))
+    co_config = CoConfig(iterations=draw(st.integers(0, 5)),
+                         promotions_per_view=draw(st.integers(1, 3)),
+                         confidence_floor=draw(st.sampled_from([0.55, 0.7, 0.9])))
+    snapshot_at = tuple(draw(st.sets(st.integers(0, 6))))
+    return labeled, unlabeled, n_views, co_config, snapshot_at
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_cotrain_pools())
+def test_labeled_pools_match_the_rebuilding_loop(pools):
+    labeled, unlabeled, n_views, co_config, snapshot_at = pools
+    cfg = TrainConfig(learning_rate=1.0, epochs=40, convergence_tolerance=0.0)
+    stripped = [Example(ex.doc_id, [ViewInstances(v.vectors, [UNLABELED] * v.size)
+                                    for v in ex.views]) for ex in unlabeled]
+    expected = _reference_cotrain_fit(labeled, stripped, n_views, co_config, cfg,
+                                      snapshot_at)
+    _assert_same_fit(
+        cotrain_fit(labeled, unlabeled, n_views, co_config, cfg,
+                    snapshot_at=snapshot_at),
+        expected)
 
 
 class TestAblationVariants:

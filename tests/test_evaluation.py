@@ -142,6 +142,20 @@ class TestRunExperiment:
                                 repetitions=1, dev_fold=2)
         assert [fold for _, fold, _ in report.runs] == [0, 1, 3]
 
+    @pytest.mark.parametrize("dev_fold", [4, -1, 99])
+    def test_dev_fold_outside_the_folds_rejected(self, small_corpus, dev_fold):
+        docs, _ = small_corpus
+        with pytest.raises(EvalError, match=r"dev_fold must lie in \[0, 4\)"):
+            run_experiment(docs, NBSpec(), 4, SampleSpec(40, 3), repetitions=1,
+                           dev_fold=dev_fold)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, small_corpus, jobs):
+        docs, _ = small_corpus
+        with pytest.raises(EvalError, match="jobs must be >= 1"):
+            run_experiment(docs, NBSpec(), 4, SampleSpec(40, 3), repetitions=1,
+                           jobs=jobs)
+
     def test_parallel_equals_sequential(self, small_corpus):
         docs, _ = small_corpus
         kwargs = dict(k_folds=4, sample_spec=SampleSpec(40, 3), repetitions=2)
