@@ -16,11 +16,12 @@ import numpy as np
 
 from .concepts import tokenize
 from .learners import (
+    FeatureCounts,
     LearnerError,
     NBModel,
     _train_nb_weighted,
-    nb_joint_log_probs,
     ngram_counts,
+    one_hot_labels,
     train_nb,
 )
 
@@ -38,48 +39,48 @@ class EMConfig:
             raise LearnerError(
                 f"unlabeled_weight must lie in (0, 1], got {self.unlabeled_weight}"
             )
+        if self.convergence_tolerance < 0:
+            raise LearnerError(f"convergence_tolerance must be >= 0, got {self.convergence_tolerance}")
 
 
 def document_features(doc):
     return ngram_counts([t.surface for t in tokenize(doc.text)])
 
 
-def nb_baseline_fit(labeled_docs, alpha: float = 1.0) -> NBModel:
-    """Supervised NB over unigrams+bigrams of the raw text."""
-    features = [document_features(d) for d in labeled_docs]
-    labels = [d.gold_label for d in labeled_docs]
-    return train_nb(features, labels, alpha=alpha)
+def _multisets(docs, features):
+    return [document_features(d) if features is None else features[d.id] for d in docs]
 
 
-def _posteriors(model: NBModel, features) -> np.ndarray:
-    joint = nb_joint_log_probs(model, features)
-    joint = joint - joint.max()
-    p = np.exp(joint)
-    return p / p.sum()
+def nb_baseline_fit(labeled_docs, alpha: float = 1.0, *, features=None) -> NBModel:
+    """Supervised NB over unigrams+bigrams of the raw text, read from
+    ``features`` (doc id -> counts) when given, else counted here."""
+    return train_nb(_multisets(labeled_docs, features),
+                    [d.gold_label for d in labeled_docs], alpha=alpha)
 
 
-def _em_objective(model, labeled_feats, labels, unlabeled_feats, weight):
-    """Labeled joint log-probability plus weighted unlabeled marginals, plus
-    the smoothing's log-prior: alpha times every class's log-likelihoods,
-    unseen-feature slot included (the class priors are unsmoothed).
-
-    Summed exactly (``math.fsum``): near convergence successive values
-    differ by less than the rounding error of a plain running sum.
-    """
-    terms = [
-        nb_joint_log_probs(model, feats)[model.class_order.index(label)]
-        for feats, label in zip(labeled_feats, labels)
-    ]
-    for feats in unlabeled_feats:
-        joint = nb_joint_log_probs(model, feats)
-        m = joint.max()
-        terms.append(weight * (m + np.log(np.exp(joint - m).sum())))
-    prior = model.alpha * np.array([*model.log_likelihoods.values(), model.log_oov])
-    return math.fsum(terms + prior.ravel().tolist())
+def _e_step(model: NBModel, table: FeatureCounts, labeled_weights, unlabeled_weight):
+    """Class posteriors of the unlabeled rows (those after the labeled ones),
+    and the objective: labeled joint log-probabilities, weighted unlabeled
+    log-marginals and the smoothing's log-prior (alpha times every
+    log-likelihood, unseen slot included; class priors are unsmoothed).
+    ``math.fsum`` sums it exactly: near convergence successive values differ
+    by less than a running sum's rounding error."""
+    likelihoods = np.array(list(model.log_likelihoods.values())).reshape(-1, 2)
+    joint = model.log_priors + table.per_class_sums(
+        table.rows, likelihoods[table.cols], table.n_docs)
+    n_labeled = len(labeled_weights)
+    unlabeled = joint[n_labeled:]
+    peak = unlabeled.max(axis=1, keepdims=True)
+    mass = np.exp(unlabeled - peak)
+    total = mass.sum(axis=1, keepdims=True)
+    terms = (joint[:n_labeled][labeled_weights > 0],
+             unlabeled_weight * (peak + np.log(total)).ravel(),
+             model.alpha * likelihoods.ravel(), model.alpha * model.log_oov)
+    return mass / total, math.fsum(np.concatenate(terms).tolist())
 
 
 def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(),
-           alpha: float = 1.0):
+           alpha: float = 1.0, *, features=None):
     """Semi-supervised NB: E-steps assign fractional labels, M-steps refit.
 
     Unlabeled contributions are damped by ``unlabeled_weight``. Returns the
@@ -87,48 +88,29 @@ def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(),
     completed E/M pass): the weighted observed-data log-likelihood plus the
     Laplace smoothing's Dirichlet log-prior, which the M-step maximises, so
     the trace is non-decreasing and early stopping watches what EM climbs.
+    ``features`` maps doc ids to n-gram counts, as for ``nb_baseline_fit``.
     """
     if not labeled_docs:
         raise LearnerError("em_fit needs at least one labeled document")
-    labeled_feats = [document_features(d) for d in labeled_docs]
-    labels = [d.gold_label for d in labeled_docs]
-    unlabeled_feats = [document_features(d) for d in unlabeled_docs]
-
-    model = train_nb(labeled_feats, labels, alpha=alpha)
-    if not unlabeled_feats:
+    table = FeatureCounts.from_multisets(
+        _multisets([*labeled_docs, *unlabeled_docs], features))
+    labeled_weights = one_hot_labels([d.gold_label for d in labeled_docs])
+    # the first M-step sees the labeled documents only, but estimates share
+    # one vocabulary across labeled and unlabeled text from the start
+    model = _train_nb_weighted(
+        table, np.vstack([labeled_weights, np.zeros((len(unlabeled_docs), 2))]), alpha)
+    if not unlabeled_docs:
         return model, []
-    return _em_iterate(model, labeled_feats, labels, unlabeled_feats,
-                       em_config, alpha)
-
-
-def _em_iterate(model, labeled_feats, labels, unlabeled_feats, em_config, alpha):
-
-    # EM estimates share one vocabulary across labeled and unlabeled text;
-    # zero-weight entries keep the count tables aligned from iteration one
-    base_weights = [{label: 1.0} for label in labels]
-    zero = [{c: 0.0 for c in model.class_order} for _ in unlabeled_feats]
-    model = _train_nb_weighted(labeled_feats + unlabeled_feats,
-                               base_weights + zero, alpha, model.class_order)
-
+    w = em_config.unlabeled_weight
+    posteriors, _ = _e_step(model, table, labeled_weights, w)
     trace = []
     previous = -np.inf
-    w = em_config.unlabeled_weight
     for _ in range(em_config.max_iterations):
-        fractional = [
-            {
-                c: w * float(p)
-                for c, p in zip(model.class_order, _posteriors(model, feats))
-            }
-            for feats in unlabeled_feats
-        ]
-        model = _train_nb_weighted(labeled_feats + unlabeled_feats,
-                                   base_weights + fractional, alpha,
-                                   model.class_order)
-        objective = _em_objective(model, labeled_feats, labels,
-                                  unlabeled_feats, w)
+        model = _train_nb_weighted(
+            table, np.vstack([labeled_weights, w * posteriors]), alpha)
+        posteriors, objective = _e_step(model, table, labeled_weights, w)
         trace.append(objective)
         if abs(objective - previous) < em_config.convergence_tolerance:
             break
         previous = objective
     return model, trace
-

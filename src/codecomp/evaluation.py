@@ -217,9 +217,10 @@ class _DocumentRunner:
     def predictions(self, labeled, unlabeled, test):
         if isinstance(self.spec, EMSpec):
             model, _ = em_fit(labeled, unlabeled, self.spec.em_config,
-                              alpha=self.spec.alpha)
+                              alpha=self.spec.alpha, features=self.features)
         else:
-            model = nb_baseline_fit(labeled, alpha=self.spec.alpha)
+            model = nb_baseline_fit(labeled, alpha=self.spec.alpha,
+                                    features=self.features)
         return {self.spec.name: {
             d.id: POSITIVE if nb_predict_proba(model, self.features[d.id]) >= 0.5
             else NEGATIVE
@@ -292,6 +293,16 @@ def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
             yield variant, rep, fold, compute_metrics(predictions, gold)
 
 
+def _check_protocol(k_folds, repetitions, dev_fold, jobs) -> None:
+    """Reject bad protocol values before any runner processes the corpus."""
+    if repetitions < 1:
+        raise EvalError(f"repetitions must be >= 1, got {repetitions}")
+    if dev_fold is not None and not 0 <= dev_fold < k_folds:
+        raise EvalError(f"dev_fold must lie in [0, {k_folds}), got {dev_fold}")
+    if jobs < 1:
+        raise EvalError(f"jobs must be >= 1, got {jobs}")
+
+
 # a pool worker's (corpus, runner, k_folds, n_labeled, dev_fold), set by _share
 _shared = None
 
@@ -313,12 +324,6 @@ def _fold_runs(corpus, runner, k_folds: int, sample_spec: SampleSpec,
     ``jobs > 1`` repetitions run in worker processes that receive the
     already-built runner, so no worker processes the corpus again.
     """
-    if repetitions < 1:
-        raise EvalError(f"repetitions must be >= 1, got {repetitions}")
-    if dev_fold is not None and not 0 <= dev_fold < k_folds:
-        raise EvalError(f"dev_fold must lie in [0, {k_folds}), got {dev_fold}")
-    if jobs < 1:
-        raise EvalError(f"jobs must be >= 1, got {jobs}")
     protocol = (corpus, runner, k_folds, sample_spec.n_labeled, dev_fold)
     rep_seeds = [(rep, sample_spec.seed + rep) for rep in range(repetitions)]
     if jobs > 1 and repetitions > 1:
@@ -366,6 +371,7 @@ def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
     repetition), trains the model spec on the labeled/unlabeled split of
     every training partition, and scores the held-out fold.
     """
+    _check_protocol(k_folds, repetitions, dev_fold, jobs)
     return _report(corpus, _make_runner(corpus, model_spec), k_folds,
                    sample_spec, repetitions, dev_fold, jobs)
 
@@ -379,6 +385,7 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     Returns an ordered mapping: each single view, the no-promotion
     combination, then one entry per co-training iteration setting.
     """
+    _check_protocol(k_folds, repetitions, dev_fold, jobs)
     iteration_settings = sorted(set(int(k) for k in iteration_settings))
     runner = _CoDecompRunner(corpus, spec, iteration_settings)
     variant_rows: dict = {}
@@ -405,6 +412,7 @@ def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise EvalError("sizes must be ascending")
+    _check_protocol(k_folds, repetitions, dev_fold, jobs)
     runner = _make_runner(corpus, model_spec)  # shared by every size
     return [
         (n, _report(corpus, runner, k_folds, SampleSpec(n, master_seed),

@@ -36,6 +36,8 @@ class TrainConfig:
             raise LearnerError(f"epochs must be >= 1, got {self.epochs}")
         if self.l2_lambda < 0:
             raise LearnerError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if self.convergence_tolerance < 0:
+            raise LearnerError(f"convergence_tolerance must be >= 0, got {self.convergence_tolerance}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -170,18 +172,60 @@ def predict_proba_batch(model: LogRegModel, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 OOV = "\x00oov"  # reserved feature holding the smoothing mass of unseen tokens
+NB_CLASSES = ("negative", "positive")  # class order of every NB estimate
 
 
-def ngram_counts(tokens, max_n: int = 2) -> Counter:
+def ngram_counts(tokens) -> Counter:
     """Unigram and bigram multiset of a token sequence.
 
     Bigrams are stored as space-joined strings; tokens never contain
     whitespace so the two feature kinds cannot collide.
     """
     counts = Counter(tokens)
-    if max_n >= 2:
-        counts.update(" ".join(pair) for pair in zip(tokens, tokens[1:]))
+    counts.update(" ".join(pair) for pair in zip(tokens, tokens[1:]))
     return counts
+
+
+@dataclass(frozen=True)
+class FeatureCounts:
+    """Sparse document x feature count table: document ``rows[k]`` holds
+    feature ``vocabulary[cols[k]]`` ``counts[k]`` times. Entries run document
+    by document; the vocabulary is in first-seen order."""
+
+    vocabulary: list
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    n_docs: int
+
+    @classmethod
+    def from_multisets(cls, feature_counts) -> "FeatureCounts":
+        index = {}
+        rows, cols, counts = [], [], []
+        for i, multiset in enumerate(feature_counts):
+            if OOV in multiset:
+                raise LearnerError("reserved feature name in training data")
+            rows.extend([i] * len(multiset))
+            cols.extend(index.setdefault(f, len(index)) for f in multiset)
+            counts.extend(multiset.values())
+        return cls(list(index), np.array(rows, dtype=np.intp),
+                   np.array(cols, dtype=np.intp), np.array(counts, dtype=float),
+                   len(feature_counts))
+
+    def per_class_sums(self, index, values, minlength) -> np.ndarray:
+        """(minlength, 2): ``counts * values`` summed by ``index`` (rows or cols)."""
+        weighted = self.counts[:, None] * values
+        return np.stack([np.bincount(index, weights=weighted[:, c], minlength=minlength)
+                         for c in range(2)], axis=1)
+
+
+def one_hot_labels(labels) -> np.ndarray:
+    """(n, 2) class weights: 1 on each gold label's class of ``NB_CLASSES``."""
+    for label in labels:
+        if label not in NB_CLASSES:
+            raise LearnerError(f"unknown class {label!r}")
+    return np.array([[label == c for c in NB_CLASSES] for label in labels],
+                    dtype=float).reshape(-1, 2)
 
 
 @dataclass
@@ -218,81 +262,42 @@ class NBModel:
         )
 
 
-def train_nb(feature_counts, labels, alpha: float = 1.0,
-             class_order=("negative", "positive")) -> NBModel:
+def train_nb(feature_counts, labels, alpha: float = 1.0) -> NBModel:
     """Laplace-smoothed multinomial NB from per-document feature multisets.
 
     The vocabulary comes from the training documents only; one extra
     smoothing slot absorbs features unseen at training time, so the
     per-class likelihoods (vocabulary plus that slot) sum to one.
     """
-    return _train_nb_weighted(
-        feature_counts,
-        [{label: 1.0} for label in labels],
-        alpha,
-        class_order,
-    )
+    return _train_nb_weighted(FeatureCounts.from_multisets(feature_counts),
+                              one_hot_labels(labels), alpha)
 
 
-def _train_nb_weighted(feature_counts, class_weights, alpha, class_order):
+def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
     """NB estimation where each document contributes fractional class mass.
 
-    `class_weights[i]` maps class name -> weight of document i; ordinary
-    supervised training uses weight 1 on the gold class. Shared with the
-    EM baseline, whose E-step produces fractional posteriors.
+    Row i of the (n_docs, 2) ``class_weights`` is document i's weight on
+    each class of ``NB_CLASSES``; supervised training puts weight 1 on the
+    gold class. Every feature of the table is in the model, even one seen
+    only at weight zero, so EM's model family stays fixed across iterations.
     """
     if alpha <= 0:
         raise LearnerError(f"alpha must be > 0, got {alpha}")
-    if len(feature_counts) != len(class_weights) or not feature_counts:
+    if table.n_docs == 0 or class_weights.shape != (table.n_docs, 2):
         raise LearnerError("feature_counts and labels must be equal-length and non-empty")
-    class_index = {c: i for i, c in enumerate(class_order)}
-    doc_mass = np.zeros(2)
-    token_totals = np.zeros(2)
-    table = {}
-    for counts, weights in zip(feature_counts, class_weights):
-        # every document contributes vocabulary, even at weight zero, so the
-        # model family stays fixed when weights change across EM iterations
-        for feat in counts:
-            if feat == OOV:
-                raise LearnerError("reserved feature name in training data")
-            if feat not in table:
-                table[feat] = np.zeros(2)
-        for label, weight in weights.items():
-            if label not in class_index:
-                raise LearnerError(f"unknown class {label!r}")
-            if weight == 0.0:
-                continue
-            ci = class_index[label]
-            doc_mass[ci] += weight
-            for feat, c in counts.items():
-                table[feat][ci] += weight * c
-                token_totals[ci] += weight * c
+    doc_mass = class_weights.sum(axis=0)
     if np.any(doc_mass == 0):
         raise LearnerError("both classes must be present in the training data")
-    vocab_size = len(table)
-    denom = token_totals + alpha * (vocab_size + 1)  # +1: the unseen-feature slot
-    log_likelihoods = {
-        feat: np.log((row + alpha) / denom) for feat, row in table.items()
-    }
-    log_oov = np.log(alpha / denom)
-    log_priors = np.log(doc_mass / doc_mass.sum())
+    vocab_size = len(table.vocabulary)
+    feature_mass = table.per_class_sums(table.cols, class_weights[table.rows], vocab_size)
+    denom = feature_mass.sum(axis=0) + alpha * (vocab_size + 1)  # +1: the unseen slot
     return NBModel(
-        class_order=tuple(class_order),
-        log_priors=log_priors,
-        log_likelihoods=log_likelihoods,
-        log_oov=log_oov,
+        class_order=NB_CLASSES,
+        log_priors=np.log(doc_mass / doc_mass.sum()),
+        log_likelihoods=dict(zip(table.vocabulary, np.log((feature_mass + alpha) / denom))),
+        log_oov=np.log(alpha / denom),
         alpha=alpha,
     )
-
-
-def nb_joint_log_probs(model: NBModel, feature_count: Counter) -> np.ndarray:
-    scores = model.log_priors.copy()
-    for feat, c in feature_count.items():
-        row = model.log_likelihoods.get(feat)
-        if row is None:
-            row = model.log_oov
-        scores = scores + c * row
-    return scores
 
 
 def nb_predict_proba(model: NBModel, feature_count: Counter) -> float:
@@ -301,7 +306,9 @@ def nb_predict_proba(model: NBModel, feature_count: Counter) -> float:
     Clipped into [1e-6, 1 - 1e-6] like the logistic outputs, so extreme
     documents never produce an exact 0 or 1.
     """
-    scores = nb_joint_log_probs(model, feature_count)
+    scores = model.log_priors.copy()
+    for feat, c in feature_count.items():
+        scores = scores + c * model.log_likelihoods.get(feat, model.log_oov)
     scores = scores - scores.max()
     probs = np.exp(scores)
     probs /= probs.sum()

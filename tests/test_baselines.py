@@ -1,6 +1,12 @@
+import json
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from codecomp import baselines
 from codecomp.baselines import (
     EMConfig,
     document_features,
@@ -8,7 +14,18 @@ from codecomp.baselines import (
     nb_baseline_fit,
 )
 from codecomp.corpus import Document, NEGATIVE, POSITIVE
-from codecomp.learners import LearnerError, nb_predict_proba, train_nb
+from codecomp.learners import (
+    NB_CLASSES,
+    OOV,
+    FeatureCounts,
+    LearnerError,
+    NBModel,
+    _train_nb_weighted,
+    ngram_counts,
+    nb_predict_proba,
+    one_hot_labels,
+    train_nb,
+)
 from codecomp.synthetic import decomposable_corpus
 
 
@@ -76,14 +93,12 @@ class TestEM:
                              EMConfig(max_iterations=10,
                                       unlabeled_weight=1e-9,
                                       convergence_tolerance=0.0))
-        from codecomp.learners import _train_nb_weighted
-
-        labeled_feats = [document_features(d) for d in labeled]
+        labels = [d.gold_label for d in labeled]
         supervised = _train_nb_weighted(
-            labeled_feats + [document_features(d) for d in unlabeled],
-            [{d.gold_label: 1.0} for d in labeled]
-            + [{POSITIVE: 0.0, NEGATIVE: 0.0} for _ in unlabeled],
-            1.0, weighted.class_order)
+            FeatureCounts.from_multisets(
+                [document_features(d) for d in [*labeled, *unlabeled]]),
+            np.vstack([one_hot_labels(labels), np.zeros((len(unlabeled), 2))]),
+            1.0)
         np.testing.assert_allclose(weighted.log_priors, supervised.log_priors,
                                    atol=1e-7)
         for feat, row in supervised.log_likelihoods.items():
@@ -102,6 +117,9 @@ class TestEM:
             EMConfig(unlabeled_weight=0.0)
         with pytest.raises(LearnerError):
             EMConfig(unlabeled_weight=1.5)
+        with pytest.raises(LearnerError, match="convergence_tolerance"):
+            EMConfig(convergence_tolerance=-1.0)
+        assert EMConfig(convergence_tolerance=0.0).convergence_tolerance == 0.0
 
     def test_objective_includes_smoothing_prior(self):
         # on this input the likelihood alone falls by about 2.55 at some
@@ -112,3 +130,196 @@ class TestEM:
                           EMConfig(max_iterations=15, convergence_tolerance=0.0))
         assert len(trace) == 15
         assert np.all(np.diff(trace) >= -1e-9)
+
+
+class TestErrorPaths:
+    DOCS = [_doc(1, "sick with flu today", POSITIVE),
+            _doc(2, "flu shot clinic open", NEGATIVE)]
+
+    def test_reserved_feature_rejected(self):
+        with pytest.raises(LearnerError, match="reserved"):
+            train_nb([Counter({OOV: 1}), Counter({"a": 1})], [POSITIVE, NEGATIVE])
+        features = {d.id: document_features(d) for d in self.DOCS}
+        features["3"] = Counter({"flu": 1, OOV: 2})
+        with pytest.raises(LearnerError, match="reserved"):
+            em_fit(self.DOCS, [_doc(3, "unused", None)], features=features)
+
+    def test_labeled_document_needs_a_label(self):
+        docs = [*self.DOCS, _doc(3, "flu again", None)]
+        with pytest.raises(LearnerError, match="unknown class None"):
+            nb_baseline_fit(docs)
+        with pytest.raises(LearnerError, match="unknown class None"):
+            em_fit(docs, [_doc(4, "more flu", None)])
+
+    @pytest.mark.parametrize("label", [None, "maybe"])
+    def test_unknown_class_rejected(self, label):
+        # a Document cannot carry "maybe"; train_nb takes bare labels
+        with pytest.raises(LearnerError, match="unknown class"):
+            train_nb([Counter({"a": 1}), Counter({"b": 1}), Counter({"c": 1})],
+                     [POSITIVE, NEGATIVE, label])
+
+    def test_single_class_rejected(self):
+        docs = [_doc(1, "sick with flu", POSITIVE), _doc(2, "flu again", POSITIVE)]
+        with pytest.raises(LearnerError, match="both classes"):
+            nb_baseline_fit(docs)
+        with pytest.raises(LearnerError, match="both classes"):
+            em_fit(docs, [_doc(3, "flu shot", None)])
+
+    def test_weights_must_cover_every_document(self):
+        table = FeatureCounts.from_multisets([Counter({"a": 1}), Counter({"b": 1})])
+        with pytest.raises(LearnerError, match="equal-length"):
+            _train_nb_weighted(table, np.eye(3, 2), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dict-loop NB and EM that the count-table estimation replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_nb(feature_counts, class_weights, alpha):
+    """NB estimation feature by feature; ``class_weights[i]`` maps class
+    name -> weight of document i."""
+    class_index = {c: i for i, c in enumerate(NB_CLASSES)}
+    doc_mass = np.zeros(2)
+    token_totals = np.zeros(2)
+    table = {}
+    for counts, weights in zip(feature_counts, class_weights):
+        for feat in counts:
+            if feat not in table:
+                table[feat] = np.zeros(2)
+        for label, weight in weights.items():
+            if weight == 0.0:
+                continue
+            ci = class_index[label]
+            doc_mass[ci] += weight
+            for feat, c in counts.items():
+                table[feat][ci] += weight * c
+                token_totals[ci] += weight * c
+    denom = token_totals + alpha * (len(table) + 1)
+    return NBModel(
+        class_order=NB_CLASSES,
+        log_priors=np.log(doc_mass / doc_mass.sum()),
+        log_likelihoods={f: np.log((row + alpha) / denom) for f, row in table.items()},
+        log_oov=np.log(alpha / denom),
+        alpha=alpha,
+    )
+
+
+def _reference_joint(model, features):
+    scores = model.log_priors.copy()
+    for feat, c in features.items():
+        scores = scores + c * model.log_likelihoods[feat]
+    return scores
+
+
+def _reference_posteriors(model, features):
+    joint = _reference_joint(model, features)
+    p = np.exp(joint - joint.max())
+    return p / p.sum()
+
+
+def _reference_objective(model, labeled_feats, labels, unlabeled_feats, weight):
+    terms = [_reference_joint(model, feats)[NB_CLASSES.index(label)]
+             for feats, label in zip(labeled_feats, labels)]
+    for feats in unlabeled_feats:
+        joint = _reference_joint(model, feats)
+        m = joint.max()
+        terms.append(weight * (m + np.log(np.exp(joint - m).sum())))
+    prior = model.alpha * np.array([*model.log_likelihoods.values(), model.log_oov])
+    return math.fsum(terms + prior.ravel().tolist())
+
+
+def _reference_em(labeled_feats, labels, unlabeled_feats, em_config, alpha):
+    """EM one document at a time: (model, trace, number of M-steps)."""
+    feats = labeled_feats + unlabeled_feats
+    base = [{label: 1.0} for label in labels]
+    zero = [{c: 0.0 for c in NB_CLASSES} for _ in unlabeled_feats]
+    model = _reference_nb(feats, base + zero, alpha)
+    if not unlabeled_feats:
+        return model, [], 1
+    trace = []
+    previous = -np.inf
+    w = em_config.unlabeled_weight
+    for _ in range(em_config.max_iterations):
+        fractional = [
+            {c: w * float(p) for c, p in zip(NB_CLASSES, _reference_posteriors(model, f))}
+            for f in unlabeled_feats
+        ]
+        model = _reference_nb(feats, base + fractional, alpha)
+        objective = _reference_objective(model, labeled_feats, labels,
+                                         unlabeled_feats, w)
+        trace.append(objective)
+        if abs(objective - previous) < em_config.convergence_tolerance:
+            break
+        previous = objective
+    return model, trace, 1 + len(trace)
+
+
+_WORDS = ["i", "my", "flu", "sick", "shot", "got", "the", "clinic"]
+# token lists: empty documents and repeated tokens (so repeated unigrams
+# and bigrams) are both likely at this vocabulary size
+_token_lists = st.lists(st.sampled_from(_WORDS), max_size=7)
+
+
+@st.composite
+def _em_inputs(draw):
+    labeled = draw(st.lists(_token_lists, min_size=2, max_size=8))
+    labels = draw(st.lists(st.sampled_from(NB_CLASSES), min_size=len(labeled),
+                           max_size=len(labeled)))
+    labels[:2] = [POSITIVE, NEGATIVE]
+    unlabeled = draw(st.lists(_token_lists, max_size=8))
+    config = EMConfig(
+        max_iterations=draw(st.integers(1, 8)),
+        unlabeled_weight=draw(st.sampled_from([1.0, 0.5, 0.1, 1e-3])),
+        convergence_tolerance=draw(st.sampled_from([0.0, 1e-6])),
+    )
+    alpha = draw(st.sampled_from([1.0, 0.5, 0.05]))
+    return labeled, labels, unlabeled, config, alpha
+
+
+def _fixture_of(labeled, labels, unlabeled):
+    """Documents and the ``features`` map ``em_fit`` reads their counts from."""
+    tokens = labeled + unlabeled
+    docs = [_doc(i, " ".join(t), label)
+            for i, (t, label) in enumerate(zip(tokens, labels + [None] * len(unlabeled)))]
+    features = {d.id: ngram_counts(t) for d, t in zip(docs, tokens)}
+    return docs[:len(labeled)], docs[len(labeled):], features
+
+
+class TestMatchesDictLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(_em_inputs())
+    def test_nb_models_bitwise(self, case):
+        labeled, labels, unlabeled, _, alpha = case
+        docs, _, features = _fixture_of(labeled, labels, unlabeled)
+        multisets = [features[d.id] for d in docs]
+        expected = _reference_nb(multisets, [{y: 1.0} for y in labels], alpha)
+        for model in (train_nb(multisets, labels, alpha),
+                      nb_baseline_fit(docs, alpha, features=features)):
+            assert json.dumps(model.to_dict()) == json.dumps(expected.to_dict())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_em_inputs())
+    def test_em_traces_and_models(self, case):
+        labeled, labels, unlabeled, config, alpha = case
+        docs, pool, features = _fixture_of(labeled, labels, unlabeled)
+        ref_model, ref_trace, ref_steps = _reference_em(
+            [features[d.id] for d in docs], labels,
+            [features[d.id] for d in pool], config, alpha)
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            def counted(*args):
+                steps.append(args[2])
+                return _train_nb_weighted(*args)
+
+            mp.setattr(baselines, "_train_nb_weighted", counted)
+            model, trace = em_fit(docs, pool, config, alpha, features=features)
+        assert len(trace) == len(ref_trace)
+        assert len(steps) == ref_steps == 1 + len(trace)
+        assert steps == [alpha] * len(steps)
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=0)
+        assert list(model.log_likelihoods) == list(ref_model.log_likelihoods)
+        np.testing.assert_allclose(
+            [model.log_oov, *model.log_likelihoods.values()],
+            [ref_model.log_oov, *ref_model.log_likelihoods.values()], rtol=1e-12)
+        np.testing.assert_allclose(model.log_priors, ref_model.log_priors, rtol=1e-12)

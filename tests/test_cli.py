@@ -337,6 +337,21 @@ def test_evaluate_rejects_dev_fold_and_jobs_out_of_range(synth_setup, tmp_path,
     assert not (out / "report_nb.json").exists()
 
 
+@pytest.mark.parametrize("model, edit", [
+    ("em", lambda text: text + "\n[em]\nconvergence_tolerance = -1\n"),
+    ("codecomp", lambda text: text.replace("convergence_tolerance = 1e-6",
+                                           "convergence_tolerance = -1")),
+])
+def test_evaluate_rejects_negative_convergence_tolerance(synth_setup, tmp_path,
+                                                         capsys, model, edit):
+    config, out = synth_setup
+    negative = tmp_path / "negative.ini"
+    negative.write_text(edit(config.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["evaluate", "--config", str(negative), "--model", model]) == 2
+    assert "convergence_tolerance must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not (out / f"report_{model}.json").exists()
+
+
 def test_flag_overrides_config(synth_setup):
     config, out = synth_setup
     assert main(["evaluate", "--config", str(config), "--model", "nb",

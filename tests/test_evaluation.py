@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from codecomp import evaluation
+from codecomp import baselines, evaluation
 from codecomp.concepts import load_lexicons
 from codecomp.context import HashedWindowProvider
 from codecomp.corpus import NEGATIVE, POSITIVE, SampleSpec
@@ -52,6 +52,27 @@ def processed(monkeypatch, small_corpus):
         return real(doc, *args)
 
     monkeypatch.setattr(evaluation, "process_document", counted)
+    return calls
+
+
+@pytest.fixture()
+def featurised(monkeypatch, small_corpus):
+    """Ids passed to ``document_features``, at most one call per corpus
+    document, under the names evaluation and baselines call it by. Forked
+    pool workers inherit the list, as with ``processed``."""
+    limit = len(small_corpus[0])
+    calls = []
+    real = baselines.document_features
+
+    def counted(doc):
+        calls.append(doc.id)
+        if len(calls) > limit:
+            raise AssertionError(f"document_features call {len(calls)} "
+                                 f"for {limit} documents")
+        return real(doc)
+
+    monkeypatch.setattr(evaluation, "document_features", counted)
+    monkeypatch.setattr(baselines, "document_features", counted)
     return calls
 
 
@@ -246,6 +267,31 @@ class TestDriver:
                                    jobs=jobs)
         assert [n for n, _ in rows] == [20, 30, 40]
         assert len(processed) == len(docs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("spec", [NBSpec(), EMSpec()], ids=["nb", "em"])
+    def test_document_models_count_each_document_once(self, small_corpus,
+                                                       featurised, spec, jobs):
+        docs, _ = small_corpus
+        run_experiment(docs, spec, **self.KWARGS, jobs=jobs)
+        assert sorted(featurised) == sorted(d.id for d in docs)
+
+    @pytest.mark.parametrize("bad", [{"repetitions": 0}, {"dev_fold": 4},
+                                     {"jobs": 0}])
+    def test_bad_protocol_fails_before_processing(self, small_corpus,
+                                                  processed, bad):
+        docs, preset = small_corpus
+        spec = _codecomp_spec(preset)
+        kwargs = {"repetitions": 1, **bad}
+        entry_points = (
+            lambda: run_experiment(docs, spec, 4, SampleSpec(40, 3), **kwargs),
+            lambda: ablation_table(docs, spec, [2], 4, SampleSpec(40, 3), **kwargs),
+            lambda: training_size_sweep(docs, spec, [40], 4, 3, **kwargs),
+        )
+        for call in entry_points:
+            with pytest.raises(EvalError):
+                call()
+        assert processed == []
 
 
 class TestSweep:

@@ -42,6 +42,11 @@ class TestLogReg:
         with pytest.raises(LearnerError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
 
+    def test_negative_convergence_tolerance(self):
+        with pytest.raises(LearnerError, match="convergence_tolerance"):
+            TrainConfig(convergence_tolerance=-1.0)
+        assert TrainConfig(convergence_tolerance=0.0).convergence_tolerance == 0.0
+
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(50, 8))
