@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from . import baselines, evaluation
+from . import evaluation
+from .baselines import EMConfig
 from .concepts import load_lexicons, process_document
 from .context import HashedWindowProvider, load_precomputed, validate_kcs_gamma
 from .corpus import POSITIVE, SampleSpec, load_corpus, sample_labeled
@@ -44,12 +46,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse_value(section, key, raw, kind):
+    try:
+        if kind == "intlist":
+            return tuple(int(v) for v in raw.split(",") if v.strip())
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config field [{section}] {key} has invalid value {raw!r}")
+
+
 @dataclass
 class ExperimentConfig:
     task: str = ""
     corpus: str = ""
     output: str = "out"
-    corpus_format: str = "jsonl"
     k_folds: int = 10
     n_labeled: int = 100
     repetitions: int = 5
@@ -61,21 +71,14 @@ class ExperimentConfig:
     provider_path: str = ""
     window: int = 3
     dim: int = 64
-    iterations: int = 25
-    promotions_per_view: int = 1
-    confidence_floor: float = 0.7
-    neutral_prob: float = 0.5
+    cotrain: CoConfig = field(default_factory=CoConfig)
     # stronger than the library TrainConfig defaults: experiment-scale fits
     # on unit-norm hashed features need the larger step to converge
-    learning_rate: float = 1.0
-    epochs: int = 2000
-    l2_lambda: float = 1e-3
-    convergence_tolerance: float = 1e-6
+    learner: TrainConfig = field(default_factory=lambda: TrainConfig(
+        learning_rate=1.0, epochs=2000, convergence_tolerance=1e-6))
     nb_alpha: float = 1.0
     em_alpha: float = 1.0
-    em_max_iterations: int = 20
-    em_unlabeled_weight: float = 1.0
-    em_convergence_tolerance: float = 1e-6
+    em: EMConfig = field(default_factory=EMConfig)
     # no default threshold is assumed; set [gamma] threshold to warn
     gamma_threshold: float = float("inf")
     gamma_sample_pairs: int = 200
@@ -83,10 +86,12 @@ class ExperimentConfig:
     ablation_iterations: tuple = (13, 25, 50, 75)
     sweep_sizes: tuple = ()
 
+    # section -> key -> (attribute, type); a section named in _NESTED also
+    # takes the fields of the library config held in the attribute of that name
     _SCHEMA = {
         "experiment": {
             "task": ("task", str), "corpus": ("corpus", str),
-            "output": ("output", str), "corpus_format": ("corpus_format", str),
+            "output": ("output", str),
             "k_folds": ("k_folds", int), "n_labeled": ("n_labeled", int),
             "repetitions": ("repetitions", int),
             "master_seed": ("master_seed", int),
@@ -97,24 +102,10 @@ class ExperimentConfig:
             "kind": ("provider_kind", str), "path": ("provider_path", str),
             "window": ("window", int), "dim": ("dim", int),
         },
-        "cotrain": {
-            "iterations": ("iterations", int),
-            "promotions_per_view": ("promotions_per_view", int),
-            "confidence_floor": ("confidence_floor", float),
-            "neutral_prob": ("neutral_prob", float),
-        },
-        "learner": {
-            "learning_rate": ("learning_rate", float), "epochs": ("epochs", int),
-            "l2_lambda": ("l2_lambda", float),
-            "convergence_tolerance": ("convergence_tolerance", float),
-        },
+        "cotrain": {},
+        "learner": {},
         "nb": {"alpha": ("nb_alpha", float)},
-        "em": {
-            "alpha": ("em_alpha", float),
-            "max_iterations": ("em_max_iterations", int),
-            "unlabeled_weight": ("em_unlabeled_weight", float),
-            "convergence_tolerance": ("em_convergence_tolerance", float),
-        },
+        "em": {"alpha": ("em_alpha", float)},
         "gamma": {
             "threshold": ("gamma_threshold", float),
             "sample_pairs": ("gamma_sample_pairs", int),
@@ -123,6 +114,7 @@ class ExperimentConfig:
         "ablation": {"iterations": ("ablation_iterations", "intlist")},
         "sweep": {"sizes": ("sweep_sizes", "intlist")},
     }
+    _NESTED = ("cotrain", "learner", "em")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -133,42 +125,39 @@ class ExperimentConfig:
         for section in parser.sections():
             if section not in cls._SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
+            flat = cls._SCHEMA[section]
+            nested = getattr(cfg, section) if section in cls._NESTED else None
+            kinds = ({f.name: type(getattr(nested, f.name)) for f in fields(nested)}
+                     if nested is not None else {})
+            updates = {}
             for key, raw in parser[section].items():
-                if key not in cls._SCHEMA[section]:
+                if key in flat:
+                    attr, kind = flat[key]
+                    setattr(cfg, attr, _parse_value(section, key, raw, kind))
+                elif key in kinds:
+                    updates[key] = _parse_value(section, key, raw, kinds[key])
+                else:
                     raise ConfigError(f"unknown config key {key!r} in [{section}]")
-                attr, kind = cls._SCHEMA[section][key]
+            if nested is not None:
                 try:
-                    if kind == "intlist":
-                        value = tuple(int(v) for v in raw.split(",") if v.strip())
-                    else:
-                        value = kind(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"config field [{section}] {key} has invalid value {raw!r}"
-                    )
-                setattr(cfg, attr, value)
+                    setattr(cfg, section, replace(nested, **updates))
+                except ValueError as exc:
+                    raise ConfigError(f"config section [{section}]: {exc}") from None
         return cfg
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser()
         for section, keys in self._SCHEMA.items():
-            parser[section] = {}
-            for key, (attr, kind) in keys.items():
-                value = getattr(self, attr)
-                if value is None:
-                    continue
-                if kind == "intlist":
-                    parser[section][key] = ",".join(str(v) for v in value)
-                else:
-                    parser[section][key] = str(value)
-        buf = []
-
-        class _W:
-            def write(self, text):
-                buf.append(text)
-
-        parser.write(_W())
-        return "".join(buf)
+            values = {key: getattr(self, attr) for key, (attr, _) in keys.items()}
+            if section in self._NESTED:
+                values.update(asdict(getattr(self, section)))
+            parser[section] = {
+                key: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                for key, v in values.items() if v is not None
+            }
+        buf = io.StringIO()
+        parser.write(buf)
+        return buf.getvalue()
 
     def validate(self) -> None:
         if self.k_folds < 2:
@@ -189,45 +178,23 @@ class ExperimentConfig:
             return load_precomputed(self.provider_path)
         return HashedWindowProvider(window=self.window, dim=self.dim)
 
-    def co_config(self) -> CoConfig:
-        return CoConfig(
-            iterations=self.iterations,
-            promotions_per_view=self.promotions_per_view,
-            confidence_floor=self.confidence_floor,
-            neutral_prob=self.neutral_prob,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, epochs=self.epochs,
-            l2_lambda=self.l2_lambda,
-            convergence_tolerance=self.convergence_tolerance,
-        )
-
     def model_spec(self, name=None):
         name = name or self.model
         if name == "nb":
             return evaluation.NBSpec(alpha=self.nb_alpha)
         if name == "em":
-            return evaluation.EMSpec(
-                alpha=self.em_alpha,
-                em_config=baselines.EMConfig(
-                    max_iterations=self.em_max_iterations,
-                    unlabeled_weight=self.em_unlabeled_weight,
-                    convergence_tolerance=self.em_convergence_tolerance,
-                ),
-            )
+            return evaluation.EMSpec(alpha=self.em_alpha, em_config=self.em)
         return evaluation.CoDecompSpec(
             preset=resolve_preset(self.task),
             provider=self.provider(),
-            co_config=self.co_config(),
-            train_config=self.train_config(),
+            co_config=self.cotrain,
+            train_config=self.learner,
         )
 
 
 _FLAG_OVERRIDES = {
     "task": "task", "corpus": "corpus", "out": "output", "folds": "k_folds",
-    "n_labeled": "n_labeled", "reps": "repetitions", "iters": "iterations",
+    "n_labeled": "n_labeled", "reps": "repetitions",
     "seed": "master_seed", "model": "model", "jobs": "jobs",
     "provider": "provider_kind", "window": "window", "dim": "dim",
 }
@@ -239,6 +206,8 @@ def _load_config(args) -> ExperimentConfig:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, attr, value)
+    if getattr(args, "iters", None) is not None:
+        cfg.cotrain = replace(cfg.cotrain, iterations=args.iters)
     if getattr(args, "sizes", None):
         cfg.sweep_sizes = tuple(int(v) for v in args.sizes.split(","))
     cfg.validate()
@@ -252,10 +221,7 @@ def _out_dir(cfg) -> Path:
 
 
 def _load_documents(cfg):
-    fmt = cfg.corpus_format
-    if cfg.corpus.endswith(".tsv"):
-        fmt = "tsv"
-    return load_corpus(cfg.corpus, fmt)
+    return load_corpus(cfg.corpus, "tsv" if cfg.corpus.endswith(".tsv") else "jsonl")
 
 
 def _enriched_record(pdoc, preset) -> dict:
@@ -431,8 +397,8 @@ def cmd_train(args) -> int:
     unlabeled = build_examples(
         [process_document(d, preset, lexicons) for d in unlabeled_docs],
         provider, kcs_names)
-    model = cotrain_fit(labeled, unlabeled, len(kcs_names), cfg.co_config(),
-                        cfg.train_config(), kcs_names=kcs_names)
+    model = cotrain_fit(labeled, unlabeled, len(kcs_names), cfg.cotrain,
+                        cfg.learner, kcs_names=kcs_names)
     model.provider_spec = provider.spec()
     out = _out_dir(cfg)
     save_model(model, out / "model.json")

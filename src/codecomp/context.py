@@ -111,11 +111,11 @@ class PrecomputedProvider:
 def load_precomputed(path) -> PrecomputedProvider:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "dim":
-            raise ContextError(f"{path}: first line must be 'dim N'")
+        if len(header) != 2 or header[0] != "dim" or not header[1].isdecimal():
+            raise ContextError(f"{path}:1: first line must be 'dim N'")
         dim = int(header[1])
         if dim < 1:
-            raise ContextError(f"{path}: dimension must be positive")
+            raise ContextError(f"{path}:1: dimension must be positive")
         table = {}
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -126,14 +126,20 @@ def load_precomputed(path) -> PrecomputedProvider:
                     f"{path}:{line_no}: expected doc<TAB>kcs<TAB>occurrence<TAB>values"
                 )
             doc_id, kcs_name, occ_s, values_s = parts
-            values = np.array([float(v) for v in values_s.split()], dtype=float)
+            try:
+                key = (doc_id, kcs_name, int(occ_s))
+                values = np.array([float(v) for v in values_s.split()], dtype=float)
+            except ValueError as exc:
+                raise ContextError(f"{path}:{line_no}: {exc}") from None
+            if key in table:
+                raise ContextError(f"{path}:{line_no}: repeated record {key}")
             if values.shape[0] != dim:
                 raise ContextError(
                     f"{path}:{line_no}: {values.shape[0]} values under a dim {dim} header"
                 )
             if not np.all(np.isfinite(values)):
                 raise ContextError(f"{path}:{line_no}: non-finite vector entry")
-            table[(doc_id, kcs_name, int(occ_s))] = values
+            table[key] = values
     return PrecomputedProvider(dim=dim, table=table, path=path)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import types
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,11 @@ class Document:
     task: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise CorpusError(
+                f"document {self.id!r}: text must be a string, "
+                f"got {type(self.text).__name__}"
+            )
         if self.gold_label is not None and self.gold_label not in GOLD_LABELS:
             raise CorpusError(
                 f"document {self.id!r}: gold_label must be one of {GOLD_LABELS}, "
@@ -81,26 +86,24 @@ class SampleResult:
     """Labeled/unlabeled partition of a training split.
 
     Gold labels and spans of the unlabeled side are stripped from the
-    documents themselves and kept in ``sealed_gold``, a read-only table
-    meant for the evaluator only -- training code never sees it.
+    documents themselves, so training code never sees them.
     """
 
     labeled: list[Document]
     unlabeled: list[Document]
-    sealed_gold: types.MappingProxyType = field(default_factory=lambda: types.MappingProxyType({}))
 
     def __iter__(self):
         # allows `labeled, unlabeled = sample_labeled(...)`
         return iter((self.labeled, self.unlabeled))
 
 
-def _parse_spans(raw, line_no):
+def _parse_spans(raw):
     if raw is None:
         return ()
     try:
         return tuple((int(s), int(e)) for s, e in raw)
     except (TypeError, ValueError):
-        raise CorpusError(f"line {line_no}: positive_human_spans must be [start, end] pairs")
+        raise CorpusError("positive_human_spans must be [start, end] pairs")
 
 
 def load_corpus(path, fmt: str = "jsonl") -> list[Document]:
@@ -133,7 +136,7 @@ def load_corpus(path, fmt: str = "jsonl") -> list[Document]:
                         text=raw["text"],
                         gold_label=raw.get("gold_label"),
                         positive_human_spans=_parse_spans(
-                            raw.get("positive_human_spans"), line_no
+                            raw.get("positive_human_spans")
                         ),
                         task=raw.get("task", ""),
                     )
@@ -209,8 +212,8 @@ def hide_gold(doc: Document) -> Document:
 def sample_labeled(train_split: list[Document], spec: SampleSpec) -> SampleResult:
     """Draw a stratified labeled subset; the remainder becomes unlabeled.
 
-    The unlabeled documents have labels hidden; originals are retained in
-    the sealed table for oracle use. Deterministic per (split, spec).
+    The unlabeled documents have labels and spans hidden. Deterministic
+    per (split, spec).
     """
     if spec.n_labeled > len(train_split):
         raise CorpusError(
@@ -227,10 +230,5 @@ def sample_labeled(train_split: list[Document], spec: SampleSpec) -> SampleResul
         order = rng.permutation(len(ids))
         chosen.update(ids[i] for i in order[:n_take])
     labeled = [d for d in train_split if d.id in chosen]
-    rest = [d for d in train_split if d.id not in chosen]
-    sealed = types.MappingProxyType({d.id: d.gold_label for d in rest})
-    return SampleResult(
-        labeled=labeled,
-        unlabeled=[hide_gold(d) for d in rest],
-        sealed_gold=sealed,
-    )
+    unlabeled = [hide_gold(d) for d in train_split if d.id not in chosen]
+    return SampleResult(labeled=labeled, unlabeled=unlabeled)

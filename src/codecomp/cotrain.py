@@ -14,6 +14,7 @@ by the product rule: positive iff prod(P_j) >= prod(1 - P_j).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -150,7 +151,7 @@ def mil_example_score(instance_probs) -> tuple[float, int]:
     probs = np.asarray(instance_probs, dtype=float)
     if probs.size == 0:
         raise CotrainError("cannot score an empty instance list")
-    idx = int(np.argmax(probs))
+    idx = int(probs.argmax())
     return float(probs[idx]), idx
 
 
@@ -372,8 +373,9 @@ def score_example(model: CoDecompModel, example: Example) -> ExampleScore:
 def predict(model: CoDecompModel, example: Example):
     """Product-rule aggregation: positive iff prod(P) >= prod(1 - P)."""
     score = score_example(model, example)
-    probs = np.asarray(score.probs)
-    label = POSITIVE if np.prod(probs) >= np.prod(1.0 - probs) else NEGATIVE
+    # math.prod multiplies in view order, as predict_many's np.prod(axis=0)
+    positive = math.prod(score.probs) >= math.prod(1.0 - p for p in score.probs)
+    label = POSITIVE if positive else NEGATIVE
     return label, score
 
 

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .baselines import EMConfig, document_features, em_fit, nb_baseline_fit
 from .concepts import (
@@ -177,12 +177,7 @@ class EMSpec:
     name: str = "em"
 
     def describe(self) -> dict:
-        return {
-            "model": "em", "alpha": self.alpha,
-            "max_iterations": self.em_config.max_iterations,
-            "unlabeled_weight": self.em_config.unlabeled_weight,
-            "convergence_tolerance": self.em_config.convergence_tolerance,
-        }
+        return {"model": "em", "alpha": self.alpha, **asdict(self.em_config)}
 
 
 @dataclass(frozen=True)
@@ -195,8 +190,6 @@ class CoDecompSpec:
     name: str = "codecomp"
 
     def describe(self) -> dict:
-        from dataclasses import asdict
-
         return {
             "model": "codecomp",
             "task": self.preset.name,

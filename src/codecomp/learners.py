@@ -164,7 +164,8 @@ def predict_proba_batch(model: LogRegModel, X) -> np.ndarray:
     if X.shape[0] == 0:
         return np.empty(0)
     p = _sigmoid(np.vecdot(X, model.weights) + model.bias)
-    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    # np.minimum(np.maximum(...)) is np.clip without its dispatch overhead
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +307,13 @@ def nb_predict_proba(model: NBModel, feature_count: Counter) -> float:
     Clipped into [1e-6, 1 - 1e-6] like the logistic outputs, so extreme
     documents never produce an exact 0 or 1.
     """
-    scores = model.log_priors.copy()
+    # two float sums, not a new 2-vector per feature: the same float64 steps
+    s0, s1 = model.log_priors.tolist()
     for feat, c in feature_count.items():
-        scores = scores + c * model.log_likelihoods.get(feat, model.log_oov)
+        l0, l1 = model.log_likelihoods.get(feat, model.log_oov).tolist()
+        s0 += c * l0
+        s1 += c * l1
+    scores = np.array([s0, s1])
     scores = scores - scores.max()
     probs = np.exp(scores)
     probs /= probs.sum()

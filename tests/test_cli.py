@@ -3,9 +3,13 @@ import json
 
 import pytest
 
+from dataclasses import fields
+
 from codecomp import evaluation
+from codecomp.baselines import EMConfig
 from codecomp.cli import ConfigError, ExperimentConfig, main, resolve_preset
-from codecomp.learners import load_model
+from codecomp.cotrain import CoConfig
+from codecomp.learners import TrainConfig, load_model
 from codecomp.synthetic import decomposable_corpus
 
 
@@ -96,8 +100,20 @@ def phm_setup(tmp_path):
 
 class TestConfig:
     def test_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(task="phm-cancer", corpus="c.jsonl", k_folds=5,
-                               sweep_sizes=(10, 20))
+        cfg = ExperimentConfig(
+            task="phm-cancer", corpus="c.jsonl", k_folds=5, sweep_sizes=(10, 20),
+            cotrain=CoConfig(iterations=3, promotions_per_view=2,
+                             confidence_floor=0.8, neutral_prob=0.4),
+            learner=TrainConfig(learning_rate=2.5, epochs=300, l2_lambda=0.01,
+                                convergence_tolerance=1e-5),
+            em_alpha=0.5,
+            em=EMConfig(max_iterations=9, unlabeled_weight=0.3,
+                        convergence_tolerance=1e-3))
+        defaults = ExperimentConfig()
+        for name in ("cotrain", "learner", "em"):
+            for f in fields(getattr(cfg, name)):
+                assert (getattr(getattr(cfg, name), f.name)
+                        != getattr(getattr(defaults, name), f.name)), f.name
         path = tmp_path / "cfg.ini"
         path.write_text(cfg.to_ini(), encoding="utf-8")
         again = ExperimentConfig.from_file(path)
@@ -105,9 +121,10 @@ class TestConfig:
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "cfg.ini"
-        path.write_text("[experiment]\nbananas = 3\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="bananas"):
-            ExperimentConfig.from_file(path)
+        for section in ("experiment", "learner", "em"):
+            path.write_text(f"[{section}]\nbananas = 3\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"'bananas' in \\[{section}\\]"):
+                ExperimentConfig.from_file(path)
 
     def test_invalid_value_names_field(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -152,6 +169,17 @@ class TestPrepare:
         assert code == 0
         assert "prepared 0 documents" in capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == ""
+
+    def test_bad_cotrain_value_fails_when_config_is_read(self, phm_setup, tmp_path,
+                                                         capsys):
+        config = tmp_path / "floor.ini"
+        config.write_text("[cotrain]\nconfidence_floor = 0.3\n", encoding="utf-8")
+        code = main(["prepare", "--config", str(config), "--task", "phm-cancer",
+                     "--corpus", str(phm_setup), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("[cotrain]: confidence_floor must lie in (0.5, 1], got 0.3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_task_fails(self, phm_setup, tmp_path, capsys):
         code = main(["prepare", "--task", "nope", "--corpus", str(phm_setup),
@@ -350,6 +378,20 @@ def test_evaluate_rejects_negative_convergence_tolerance(synth_setup, tmp_path,
     assert main(["evaluate", "--config", str(negative), "--model", model]) == 2
     assert "convergence_tolerance must be >= 0, got -1.0" in capsys.readouterr().err
     assert not (out / f"report_{model}.json").exists()
+
+
+def test_tsv_corpus_loads_by_suffix(tmp_path):
+    docs, _ = decomposable_corpus(40, seed=9, positive_rate=0.4)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"{d.id}\t{d.gold_label}\t{d.text}\n" for d in docs),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--model", "nb", "--corpus", str(corpus),
+                 "--out", str(out), "--folds", "2", "--n-labeled", "10",
+                 "--reps", "1"]) == 0
+    report = json.loads((out / "report_nb.json").read_text(encoding="utf-8"))
+    assert sum(run[k] for run in report["runs"]
+               for k in ("tp", "fp", "fn", "tn")) == len(docs)
 
 
 def test_flag_overrides_config(synth_setup):

@@ -128,6 +128,19 @@ class TestPrecomputed:
         with pytest.raises(ContextError, match="non-finite"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("header, lines, where, message", [
+        ("dim 4", ["1\td\t0\t1 2 3 4", "1\td\tfirst\t1 2 3 4"], 3, "int"),
+        ("dim 4", ["1\td\t0\t1 2 three 4"], 2, "float"),
+        ("dim two", ["1\td\t0\t1 2 3 4"], 1, "dim N"),
+        ("dim 4", ["1\td\t0\t1 2 3 4", "2\td\t0\t0 0 0 0", "1\td\t0\t4 3 2 1"], 4,
+         "repeated record \\('1', 'd', 0\\)"),
+    ], ids=["occurrence", "value", "dim", "repeated-key"])
+    def test_bad_record_names_path_and_line(self, tmp_path, header, lines, where,
+                                            message):
+        path = _write_vectors(tmp_path, lines, header=header)
+        with pytest.raises(ContextError, match=f"vectors.txt:{where}: .*{message}"):
+            load_precomputed(path)
+
 
 class TestGamma:
     def _processed(self, texts, lexicons):

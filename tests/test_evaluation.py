@@ -330,3 +330,12 @@ def test_report_json_parses(small_corpus):
     assert payload["model"] == "nb"
     assert len(payload["runs"]) == 4
     assert payload["config_fingerprint"] == report.config_fingerprint
+
+
+def test_em_spec_describes_every_em_config_field():
+    spec = EMSpec(alpha=0.5, em_config=baselines.EMConfig(
+        max_iterations=7, unlabeled_weight=0.25, convergence_tolerance=1e-4))
+    assert spec.describe() == {
+        "model": "em", "alpha": 0.5, "max_iterations": 7,
+        "unlabeled_weight": 0.25, "convergence_tolerance": 1e-4,
+    }
