@@ -37,7 +37,7 @@ unlabeled = vectorize(unlabeled_docs)
 model = cotrain_fit(
     labeled, unlabeled, len(names),
     CoConfig(iterations=15, confidence_floor=0.7),
-    TrainConfig(learning_rate=4.0, epochs=800, convergence_tolerance=1e-6),
+    TrainConfig(),
     kcs_names=names,
 )
 

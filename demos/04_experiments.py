@@ -30,8 +30,7 @@ codecomp_spec = CoDecompSpec(
     preset=preset,
     provider=HashedWindowProvider(window=2, dim=64),
     co_config=CoConfig(iterations=15),
-    train_config=TrainConfig(learning_rate=4.0, epochs=800,
-                             convergence_tolerance=1e-6),
+    train_config=TrainConfig(),
     lexicons=load_lexicons(),
 )
 

@@ -72,10 +72,7 @@ class ExperimentConfig:
     window: int = 3
     dim: int = 64
     cotrain: CoConfig = field(default_factory=CoConfig)
-    # stronger than the library TrainConfig defaults: experiment-scale fits
-    # on unit-norm hashed features need the larger step to converge
-    learner: TrainConfig = field(default_factory=lambda: TrainConfig(
-        learning_rate=1.0, epochs=2000, convergence_tolerance=1e-6))
+    learner: TrainConfig = field(default_factory=TrainConfig)
     nb_alpha: float = 1.0
     em_alpha: float = 1.0
     em: EMConfig = field(default_factory=EMConfig)

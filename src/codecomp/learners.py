@@ -1,8 +1,8 @@
 """Per-view binary learners.
 
-Two classifiers live here: an L2-regularized logistic regression trained by
-full-batch gradient descent over context vectors (the per-concept learner),
-and a multinomial naive Bayes over unigram+bigram counts (the document-level
+Two classifiers live here: an L2-regularized logistic regression fitted by
+damped Newton steps over context vectors (the per-concept learner), and a
+multinomial naive Bayes over unigram+bigram counts (the document-level
 baseline). Both are deterministic and serialize to JSON at full precision.
 """
 
@@ -24,6 +24,11 @@ class LearnerError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of ``train_logreg``. ``epochs`` caps its Newton steps and
+    ``convergence_tolerance`` bounds half the Newton decrement at which it
+    stops. ``learning_rate`` is still checked but no longer read: configs
+    and model files written for the former gradient-descent fit carry it."""
+
     learning_rate: float = 0.1
     epochs: int = 500
     l2_lambda: float = 1e-3
@@ -52,7 +57,8 @@ class LogRegModel:
     bias: float
     config: TrainConfig
     final_loss: float = math.nan
-    epochs_run: int = 0
+    epochs_run: int = 0      # Newton steps taken
+    converged: bool = False  # the fit stopped on its tolerance, not its cap
 
     def to_dict(self) -> dict:
         return {
@@ -63,6 +69,7 @@ class LogRegModel:
             "config": asdict(self.config),
             "final_loss": self.final_loss,
             "epochs_run": self.epochs_run,
+            "converged": self.converged,
         }
 
     @classmethod
@@ -75,6 +82,8 @@ class LogRegModel:
             config=TrainConfig.from_dict(raw["config"]),
             final_loss=float(raw["final_loss"]),
             epochs_run=int(raw["epochs_run"]),
+            # model files written by the gradient-descent learner carry no flag
+            converged=bool(raw.get("converged", False)),
         )
 
 
@@ -84,18 +93,12 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def _loss_and_grad(w, b, X, y, l2_lambda):
-    n = len(y)
-    z = X @ w + b
+def _log_loss(z, y, w, l2_lambda) -> float:
     # mean softplus(z) - y*z is the log-loss without intermediate probabilities,
     # so it stays finite and exactly differentiable for any |z|
     # add.reduce / n is what np.mean computes, without its Python-level wrapper
-    loss = (float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / n)
+    return (float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / len(y))
             + 0.5 * l2_lambda * float(w @ w))
-    residual = _sigmoid(z) - y
-    grad_w = X.T @ residual / n + l2_lambda * w
-    grad_b = float(np.add.reduce(residual) / n)
-    return loss, grad_w, grad_b
 
 
 def loss_gradient(model: LogRegModel, X, y) -> tuple[float, np.ndarray]:
@@ -110,18 +113,46 @@ def loss_gradient(model: LogRegModel, X, y) -> tuple[float, np.ndarray]:
         raise LearnerError(
             f"dimension mismatch: model has {model.weights.shape[0]}, data has {X.shape[1]}"
         )
-    loss, grad_w, grad_b = _loss_and_grad(
-        model.weights, model.bias, X, y, model.config.l2_lambda
-    )
-    return loss, np.append(grad_w, grad_b)
+    w, lam = model.weights, model.config.l2_lambda
+    z = X @ w + model.bias
+    residual = _sigmoid(z) - y
+    grad_w = X.T @ residual / len(y) + lam * w
+    return _log_loss(z, y, w, lam), np.append(grad_w, np.add.reduce(residual) / len(y))
+
+
+ARMIJO_FRACTION = 1e-4  # share of the predicted decrease a step must achieve
+MAX_HALVINGS = 60       # backtracking steps before a line search gives up
+SOLVE_RESIDUAL = 1e-6   # max |H d + g| / max |g| of an accepted Newton solve
+
+
+def _newton_direction(hess, grad):
+    """-H^-1 g, or None where the solve is singular, inaccurate (a nearly
+    singular H) or not a descent direction."""
+    try:
+        direction = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(direction)):
+        return None
+    if np.abs(hess @ direction + grad).max() > SOLVE_RESIDUAL * np.abs(grad).max():
+        return None
+    if grad @ direction > 0.0:
+        return None
+    return direction
 
 
 def train_logreg(X, y, cfg: TrainConfig, allow_single_class: bool = False) -> LogRegModel:
-    """Fit logistic regression by full-batch gradient descent.
+    """Fit logistic regression by damped Newton steps.
 
     Minimizes mean log-loss plus (l2_lambda/2)*||w||^2 (bias unpenalized)
-    from a zero start, stopping early once the loss improvement drops below
-    the configured tolerance. Deterministic for fixed inputs.
+    from a zero start. Each step solves the (d+1)-square Hessian system and
+    backtracks along the solution until the Armijo condition holds; where
+    the solve fails or gives no descent direction it steps along the
+    negative gradient instead. The fit stops, ``converged``, once half the
+    Newton decrement g'H^-1 g is below ``cfg.convergence_tolerance``; it
+    also stops after ``cfg.epochs`` steps, or where a line search finds no
+    decrease. ``cfg.learning_rate`` is not read. Deterministic for fixed
+    inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -129,21 +160,44 @@ def train_logreg(X, y, cfg: TrainConfig, allow_single_class: bool = False) -> Lo
         raise LearnerError(f"bad training shapes: X {X.shape}, y {y.shape}")
     if not allow_single_class and len(np.unique(y)) < 2:
         raise LearnerError("training data contains a single class")
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    prev = math.inf
-    loss = math.nan
-    epochs_run = 0
-    for _ in range(cfg.epochs):
-        loss, grad_w, grad_b = _loss_and_grad(w, b, X, y, cfg.l2_lambda)
-        if abs(prev - loss) < cfg.convergence_tolerance:
-            break
-        w -= cfg.learning_rate * grad_w
-        b -= cfg.learning_rate * grad_b
-        prev = loss
-        epochs_run += 1
-    loss, _, _ = _loss_and_grad(w, b, X, y, cfg.l2_lambda)
-    return LogRegModel(weights=w, bias=b, config=cfg, final_loss=loss, epochs_run=epochs_run)
+    n, d = X.shape
+    design = np.column_stack([X, np.ones(n)])  # the bias is the last coefficient
+    penalty = np.append(np.full(d, cfg.l2_lambda), 0.0)
+    theta = np.zeros(d + 1)
+    z = np.zeros(n)
+    loss = _log_loss(z, y, theta[:d], cfg.l2_lambda)
+    steps = 0
+    converged = False
+    # a saturated sigmoid's tail may round to zero: that underflow is exact
+    # enough and is not reported, while overflow and NaN still are
+    with np.errstate(under="ignore"):
+        while steps < cfg.epochs:
+            p = _sigmoid(z)
+            grad = design.T @ (p - y) / n + penalty * theta
+            hess = (design.T * (p * (1.0 - p))) @ design / n
+            hess.flat[::d + 2] += penalty
+            direction = _newton_direction(hess, grad)
+            newton = direction is not None
+            if not newton:
+                direction = -grad
+            slope = float(grad @ direction)  # minus the Newton decrement
+            if newton and -slope / 2 < cfg.convergence_tolerance:
+                converged = True
+                break
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                trial = theta + t * direction
+                trial_z = design @ trial
+                trial_loss = _log_loss(trial_z, y, trial[:d], cfg.l2_lambda)
+                if trial_loss <= loss + ARMIJO_FRACTION * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break
+            theta, z, loss = trial, trial_z, trial_loss
+            steps += 1
+    return LogRegModel(weights=theta[:d].copy(), bias=float(theta[d]), config=cfg,
+                       final_loss=loss, epochs_run=steps, converged=converged)
 
 
 def predict_proba(model: LogRegModel, x) -> float:

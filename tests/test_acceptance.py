@@ -226,7 +226,7 @@ def _vectorized_pools(n_docs, n_labeled, seed):
 
 def test_criterion_07_cotrain_bookkeeping():
     start = time.perf_counter()
-    cfg = TrainConfig(learning_rate=4.0, epochs=400, convergence_tolerance=1e-6)
+    cfg = TrainConfig(epochs=400, convergence_tolerance=1e-6)
     labeled, unlabeled, examples, names = _vectorized_pools(500, 60, seed=70)
     total = len(labeled) + len(unlabeled)
 

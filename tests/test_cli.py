@@ -278,6 +278,19 @@ def test_train_writes_model_and_log(synth_setup, capsys):
     assert first["iteration"] == 1
 
 
+def test_train_reads_gradient_descent_learner_keys(synth_setup):
+    # [learner] learning_rate and epochs, from configs written for the
+    # gradient-descent learner: the fit ignores the first and caps its
+    # Newton steps at the second
+    config, out = synth_setup
+    assert "learning_rate = 4.0\nepochs = 200\n" in config.read_text(encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 0
+    model = load_model(out / "model.json")
+    assert model.train_config == TrainConfig(learning_rate=4.0, epochs=200,
+                                             convergence_tolerance=1e-6)
+    assert all(c.converged and c.epochs_run < 200 for c in model.classifiers)
+
+
 def test_evaluate_nb_reproducible(synth_setup):
     config, out = synth_setup
     assert main(["evaluate", "--config", str(config), "--model", "nb"]) == 0

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestAggregation:
 def _simple_examples():
     """Two labeled examples, one clearly-positive and one clearly-negative
     unlabeled example, all in one dimension per view."""
-    cfg = TrainConfig(learning_rate=1.0, epochs=300, convergence_tolerance=0.0)
+    cfg = TrainConfig(epochs=300, convergence_tolerance=0.0)
     labeled = [
         Example("L1", [ViewInstances(np.array([[1.0]]), [POSITIVE]),
                        ViewInstances(np.array([[1.0]]), [POSITIVE])]),
@@ -202,19 +203,26 @@ class TestCotrainFit:
 
 def test_duplicate_documents_score_alike_and_tie_to_lower_doc_id():
     # Two copies of one bag at pool rows 5 and 32 of 33, where a BLAS
-    # ``X @ w`` rounds them differently (OpenBLAS gemv). The two views are
+    # ``X @ w`` may round them differently (OpenBLAS gemv). The two views are
     # identical, so view 0 must take the lower doc id and view 1 the other
     # copy at the same confidence.
     rng = np.random.default_rng(0)
     dim = 48
     X = rng.normal(size=(30, dim))
     y = (X[:, 0] > 0).astype(float)
-    cfg = TrainConfig(learning_rate=1.0, epochs=50)
-    clf = train_logreg(X, y, cfg)
-    # large entries that cancel to w.v + b = 2, away from the clip
-    v = 30.0 * rng.normal(size=dim)
-    v += (2.0 - clf.bias - clf.weights @ v) / (clf.weights @ clf.weights) * clf.weights
-    rows = list(0.1 * rng.normal(size=(33, dim)))
+    cfg = TrainConfig()
+    clf = train_logreg(X, y, cfg)  # what cotrain_fit retrains on the same pool
+
+    def scored(row, score):
+        """``row`` moved along the weights until w.row + b = ``score``."""
+        return row + (score - clf.bias - clf.weights @ row) / (
+            clf.weights @ clf.weights) * clf.weights
+
+    # the copies: large entries that cancel to a score of 2, away from the
+    # clip; every other row scores at most 1, so the copies lead both views
+    v = scored(30.0 * rng.normal(size=dim), 2.0)
+    rows = [scored(0.1 * row, score) for row, score
+            in zip(rng.normal(size=(33, dim)), rng.uniform(-1.0, 1.0, size=33))]
     rows[5] = rows[32] = v
 
     def example(doc_id, row, label):
@@ -315,7 +323,7 @@ def _synthetic_pools(n_docs=150, n_labeled=40, seed=5):
 
 
 class TestCotrainBookkeeping:
-    CFG = TrainConfig(learning_rate=4.0, epochs=400, convergence_tolerance=1e-6)
+    CFG = TrainConfig(epochs=400, convergence_tolerance=1e-6)
 
     def test_pool_conservation_and_move_limit(self):
         labeled, unlabeled, _, names = _synthetic_pools()
@@ -534,7 +542,7 @@ def _cotrain_pools(draw):
 @given(_cotrain_pools())
 def test_labeled_pools_match_the_rebuilding_loop(pools):
     labeled, unlabeled, n_views, co_config, snapshot_at = pools
-    cfg = TrainConfig(learning_rate=1.0, epochs=40, convergence_tolerance=0.0)
+    cfg = TrainConfig(epochs=40, convergence_tolerance=0.0)
     stripped = [Example(ex.doc_id, [ViewInstances(v.vectors, [UNLABELED] * v.size)
                                     for v in ex.views]) for ex in unlabeled]
     expected = _reference_cotrain_fit(labeled, stripped, n_views, co_config, cfg,
@@ -546,7 +554,7 @@ def test_labeled_pools_match_the_rebuilding_loop(pools):
 
 
 class TestAblationVariants:
-    CFG = TrainConfig(learning_rate=4.0, epochs=300, convergence_tolerance=1e-6)
+    CFG = TrainConfig(epochs=300, convergence_tolerance=1e-6)
 
     def test_structure_and_combined_identity(self):
         labeled, unlabeled, examples, names = _synthetic_pools(n_docs=100,
@@ -639,6 +647,29 @@ def test_model_with_legacy_seed_loads():
     again = CoDecompModel.from_dict(blob)
     assert again.train_config == model.train_config
     assert [c.config for c in again.classifiers] == [c.config for c in model.classifiers]
+
+
+def test_model_from_the_gradient_descent_learner_loads():
+    # a model.json as the gradient-descent learner wrote it: its configs
+    # carry learning_rate and epochs, its fits epochs_run but no converged
+    config = {"learning_rate": 4.0, "epochs": 1500, "l2_lambda": 1e-3,
+              "convergence_tolerance": 1e-6}
+    blob = {
+        "kind": "codecomp", "version": 1, "kcs_names": ["alpha", "beta"],
+        "classifiers": [
+            {"kind": "logreg", "version": 1, "weights": [0.5, -1.25],
+             "bias": 0.125, "config": config, "final_loss": 0.25,
+             "epochs_run": 321}
+            for _ in range(2)],
+        "co_config": asdict(CoConfig()), "train_config": config,
+        "provider_spec": {"kind": "hashed", "window": 2, "dim": 2},
+    }
+    model = CoDecompModel.from_dict(blob)
+    assert model.train_config == TrainConfig(**config)
+    for clf in model.classifiers:
+        np.testing.assert_array_equal(clf.weights, [0.5, -1.25])
+        assert (clf.bias, clf.epochs_run, clf.converged) == (0.125, 321, False)
+    assert model.to_dict()["classifiers"][0]["converged"] is False
 
 
 def test_score_example_winning_instance():

@@ -1,9 +1,8 @@
-"""Smoke test: demos 01-03 run to completion.
+"""Smoke test: the demos run to completion.
 
 Each demo runs in its own interpreter with the package's ``src`` directory on
 ``PYTHONPATH``; the test checks only that it exits 0. Demo 04 (model
-comparison, ablation and sweep) takes about 40 s and stays a manual check:
-``python demos/04_experiments.py``.
+comparison, ablation and sweep) is the slowest.
 """
 
 import os
@@ -14,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["01_mentions_and_bags.py", "02_corpus_protocol.py", "03_train_and_classify.py"]
+DEMOS = ["01_mentions_and_bags.py", "02_corpus_protocol.py", "03_train_and_classify.py",
+         "04_experiments.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

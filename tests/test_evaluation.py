@@ -25,7 +25,7 @@ from codecomp.evaluation import (
 from codecomp.learners import TrainConfig
 from codecomp.synthetic import decomposable_corpus
 
-FAST_TRAIN = TrainConfig(learning_rate=4.0, epochs=300, convergence_tolerance=1e-6)
+FAST_TRAIN = TrainConfig(epochs=300, convergence_tolerance=1e-6)
 
 
 @pytest.fixture(scope="module")

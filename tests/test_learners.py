@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codecomp.learners import (
     LearnerError,
@@ -58,15 +59,14 @@ class TestLogReg:
         assert model.final_loss <= initial_loss
 
     def test_loss_monotone_over_epoch_budgets(self):
-        # fixed fixture, step below the stability bound: more epochs never
-        # ends at a higher loss
+        # every step passes the Armijo test: a larger step cap never ends
+        # at a higher loss
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 5))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         y = (rng.random(30) < 0.4).astype(float)
         losses = [
-            train_logreg(X, y, TrainConfig(learning_rate=0.5, epochs=k,
-                                           convergence_tolerance=0.0)).final_loss
+            train_logreg(X, y, TrainConfig(epochs=k, convergence_tolerance=0.0)).final_loss
             for k in range(1, 40)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -192,50 +192,6 @@ class TestLogReg:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    def test_fit_matches_np_mean_reference_loop(self):
-        # reference: the gradient-descent loop with the loss and the bias
-        # gradient written as np.mean; the fit must agree bit for bit
-        def reference_fit(X, y, cfg):
-            def loss_and_grad(w, b):
-                z = X @ w + b
-                loss = (float(np.mean(np.logaddexp(0.0, z) - y * z))
-                        + 0.5 * cfg.l2_lambda * float(w @ w))
-                residual = _sigmoid(z) - y
-                grad_w = X.T @ residual / len(y) + cfg.l2_lambda * w
-                return loss, grad_w, float(np.mean(residual))
-
-            w, b, prev, epochs_run = np.zeros(X.shape[1]), 0.0, np.inf, 0
-            for _ in range(cfg.epochs):
-                loss, grad_w, grad_b = loss_and_grad(w, b)
-                if abs(prev - loss) < cfg.convergence_tolerance:
-                    break
-                w -= cfg.learning_rate * grad_w
-                b -= cfg.learning_rate * grad_b
-                prev = loss
-                epochs_run += 1
-            return w, b, loss_and_grad(w, b)[0], epochs_run
-
-        rng = np.random.default_rng(30)
-        cases = []
-        for n, dim in [(60, 64), (163, 64), (300, 64), (7, 3)]:
-            X = rng.normal(size=(n, dim))
-            y = (rng.random(n) < 0.4).astype(float)
-            y[:2] = [0.0, 1.0]
-            cases.append((X, y, TrainConfig(learning_rate=4.0, epochs=300), False))
-        cases.append((rng.normal(size=(1, 5)), np.ones(1), TrainConfig(), True))
-        X = rng.normal(size=(40, 8))
-        separable = (X[:, 0] > 0).astype(float)
-        cases.append((X, separable, TrainConfig(l2_lambda=0.0, epochs=400), False))
-        cases.append((X, np.ones(40), TrainConfig(epochs=200), True))
-        cases.append((X, np.zeros(40), TrainConfig(l2_lambda=0.0, epochs=200), True))
-        for X, y, cfg, single in cases:
-            got = train_logreg(X, y, cfg, allow_single_class=single)
-            w, b, final_loss, epochs_run = reference_fit(X, y, cfg)
-            assert got.weights.tobytes() == w.tobytes()
-            assert np.float64(got.bias).tobytes() == np.float64(b).tobytes()
-            assert np.float64(got.final_loss).tobytes() == np.float64(final_loss).tobytes()
-            assert got.epochs_run == epochs_run
-
     def test_serialization_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 4))
@@ -247,6 +203,127 @@ class TestLogReg:
         np.testing.assert_array_equal(again.weights, model.weights)
         assert again.bias == model.bias
         assert again.config == model.config
+        assert (again.epochs_run, again.converged) == (model.epochs_run, True)
+
+    def test_step_cap_reports_no_convergence(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(50, 6))
+        y = (X[:, 0] + rng.normal(size=50) > 0).astype(float)
+        capped = train_logreg(X, y, TrainConfig(epochs=1))
+        assert (capped.epochs_run, capped.converged) == (1, False)
+        full = train_logreg(X, y, TrainConfig())
+        assert full.converged and 1 < full.epochs_run < TrainConfig().epochs
+        assert full.final_loss < capped.final_loss
+
+
+def _finite_fit(X, y, cfg, allow_single_class=False):
+    """Fit with every numpy floating-point warning raised; the weights, bias
+    and loss must come back finite."""
+    with np.errstate(all="raise"):
+        model = train_logreg(X, y, cfg, allow_single_class=allow_single_class)
+    assert np.all(np.isfinite(model.weights))
+    assert np.isfinite(model.bias) and np.isfinite(model.final_loss)
+    return model
+
+
+# the default tolerance, and tolerance 0, which runs every capped fit to its
+# cap or a failed line search, deep into the saturated sigmoid tail
+EDGE_CONFIGS = [TrainConfig(l2_lambda=0.0),
+                TrainConfig(l2_lambda=0.0, epochs=1000, convergence_tolerance=0.0)]
+
+
+class TestLogRegEdgeCases:
+    @pytest.mark.parametrize("cfg", EDGE_CONFIGS)
+    def test_separable_without_penalty(self, cfg):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 8))
+        y = (X[:, 0] > 0).astype(float)
+        model = _finite_fit(X, y, cfg)
+        scores = X @ model.weights + model.bias
+        assert np.all((scores > 0) == (y == 1))
+
+    @pytest.mark.parametrize("cfg", EDGE_CONFIGS + [TrainConfig()])
+    @pytest.mark.parametrize("rows, target", [(40, 1.0), (40, 0.0), (1, 1.0)])
+    def test_single_class_allowed(self, cfg, rows, target):
+        X = np.random.default_rng(13).normal(size=(rows, 5))
+        model = _finite_fit(X, np.full(rows, target), cfg, allow_single_class=True)
+        assert (predict_proba(model, X[0]) > 0.5) == (target == 1.0)
+
+    @pytest.mark.parametrize("singular", ["zero column", "duplicated columns"])
+    def test_singular_hessian(self, singular):
+        # both designs reach exactly the margins of the design without the
+        # extra columns, so at l2_lambda=0 the two fits share their optimum
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(40, 6))
+        y = (X[:, 0] + rng.normal(size=40) > 0).astype(float)
+        extra = np.zeros((40, 1)) if singular == "zero column" else X[:, :2]
+        cfg = TrainConfig(l2_lambda=0.0)
+        model = _finite_fit(np.column_stack([X, extra]), y, cfg)
+        assert model.final_loss <= train_logreg(X, y, cfg).final_loss + 1e-6
+
+
+def _gradient_descent(X, y, l2_lambda, learning_rate, epochs, tolerance):
+    """The learner's former fit, kept as the reference: full-batch gradient
+    descent from zero that stops once an epoch improves the loss by less
+    than ``tolerance``. Returns the loss it ends at."""
+    def loss_and_grad(w, b):
+        z = X @ w + b
+        loss = (float(np.mean(np.logaddexp(0.0, z) - y * z))
+                + 0.5 * l2_lambda * float(w @ w))
+        residual = _sigmoid(z) - y
+        return loss, X.T @ residual / len(y) + l2_lambda * w, float(np.mean(residual))
+
+    w, b, prev = np.zeros(X.shape[1]), 0.0, np.inf
+    for _ in range(epochs):
+        loss, grad_w, grad_b = loss_and_grad(w, b)
+        if abs(prev - loss) < tolerance:
+            break
+        w -= learning_rate * grad_w
+        b -= learning_rate * grad_b
+        prev = loss
+    return loss_and_grad(w, b)[0]
+
+
+@st.composite
+def _overlapping_classes(draw):
+    """Unit-norm rows with noisy linear labels, plus a copy of the first row
+    under the other label so that no hyperplane separates the classes; and
+    an ``l2_lambda`` > 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 80))
+    dim = draw(st.integers(1, 16))
+    X = rng.normal(size=(n, dim))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    noise = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    y = (X @ rng.normal(size=dim) + noise * rng.normal(size=n) > 0).astype(float)
+    return (np.vstack([X, X[:1]]), np.append(y, 1.0 - y[0]),
+            draw(st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1])))
+
+
+# Rows [x, 1] with |x| = 1 bound the Hessian by (2/4 + l2_lambda) I <= 0.6 I,
+# so a fit that stops on g'H^-1 g / 2 < 1e-7 (the default tolerance) has
+# |g|^2 < 0.6 * 2e-7, that is |g| < 3.5e-4.
+GRADIENT_BOUND = 3.5e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(_overlapping_classes())
+def test_newton_gradient_at_fit_below_bound(data):
+    X, y, l2_lambda = data
+    model = train_logreg(X, y, TrainConfig(l2_lambda=l2_lambda))
+    assert model.converged
+    _, grad = loss_gradient(model, X, y)
+    assert np.abs(grad).max() < GRADIENT_BOUND
+
+
+@settings(max_examples=60, deadline=None)
+@given(_overlapping_classes())
+def test_newton_loss_never_above_gradient_descent(data):
+    # gradient descent as the experiments ran it: step 1.0, 2000 epochs,
+    # stopping at an improvement below 1e-6
+    X, y, l2_lambda = data
+    newton = train_logreg(X, y, TrainConfig(l2_lambda=l2_lambda))
+    assert newton.final_loss <= _gradient_descent(X, y, l2_lambda, 1.0, 2000, 1e-6)
 
 
 # brute-force Bayes oracle: plain-float joint probabilities, recomputed from
