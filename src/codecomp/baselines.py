@@ -65,7 +65,7 @@ def _e_step(model: NBModel, table: FeatureCounts, labeled_weights, unlabeled_wei
     log-likelihood, unseen slot included; class priors are unsmoothed).
     ``math.fsum`` sums it exactly: near convergence successive values differ
     by less than a running sum's rounding error."""
-    likelihoods = np.array(list(model.log_likelihoods.values())).reshape(-1, 2)
+    likelihoods = model.log_likelihoods.rows
     joint = model.log_priors + table.per_class_sums(
         table.rows, likelihoods[table.cols], table.n_docs)
     n_labeled = len(labeled_weights)

@@ -465,6 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="codecomp",
         description="Concept-decomposed co-training for short-text event detection",
     )
+    parser.add_argument("--traceback", action="store_true",
+                        help="on error, raise with the full traceback instead of "
+                             "printing a one-line message")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -519,6 +522,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single operator-facing exit path
+        if args.traceback:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

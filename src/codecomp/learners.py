@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -125,17 +126,28 @@ MAX_HALVINGS = 60       # backtracking steps before a line search gives up
 SOLVE_RESIDUAL = 1e-6   # max |H d + g| / max |g| of an accepted Newton solve
 
 
+def _solves(hess, grad, direction) -> bool:
+    return bool(np.all(np.isfinite(direction))
+                and np.abs(hess @ direction + grad).max() <= SOLVE_RESIDUAL * np.abs(grad).max())
+
+
 def _newton_direction(hess, grad):
-    """-H^-1 g, or None where the solve is singular, inaccurate (a nearly
-    singular H) or not a descent direction."""
+    """-H^-1 g; where H is singular or the solve inaccurate (a nearly
+    singular H), the least-squares solution of H d = -g, which is the
+    Newton step in the span of H (a zero column of the design at
+    ``l2_lambda=0`` leaves H a zero row and g a zero there). None where
+    neither solves the system or the result is not a descent direction."""
     try:
         direction = np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(direction)):
-        return None
-    if np.abs(hess @ direction + grad).max() > SOLVE_RESIDUAL * np.abs(grad).max():
-        return None
+        direction = None
+    if direction is None or not _solves(hess, grad, direction):
+        try:
+            direction = np.linalg.lstsq(hess, -grad)[0]
+        except np.linalg.LinAlgError:
+            return None
+        if not _solves(hess, grad, direction):
+            return None
     if grad @ direction > 0.0:
         return None
     return direction
@@ -147,7 +159,8 @@ def train_logreg(X, y, cfg: TrainConfig, allow_single_class: bool = False) -> Lo
     Minimizes mean log-loss plus (l2_lambda/2)*||w||^2 (bias unpenalized)
     from a zero start. Each step solves the (d+1)-square Hessian system and
     backtracks along the solution until the Armijo condition holds; where
-    the solve fails or gives no descent direction it steps along the
+    the solve fails it takes the system's least-squares solution, and where
+    that fails too or gives no descent direction it steps along the
     negative gradient instead. The fit stops, ``converged``, once half the
     Newton decrement g'H^-1 g is below ``cfg.convergence_tolerance``; it
     also stops after ``cfg.epochs`` steps, or where a line search finds no
@@ -243,11 +256,12 @@ def ngram_counts(tokens) -> Counter:
 
 @dataclass(frozen=True)
 class FeatureCounts:
-    """Sparse document x feature count table: document ``rows[k]`` holds
-    feature ``vocabulary[cols[k]]`` ``counts[k]`` times. Entries run document
-    by document; the vocabulary is in first-seen order."""
+    """Sparse document x feature count table: document ``rows[k]`` holds the
+    feature of column ``cols[k]`` ``counts[k]`` times. ``index`` maps each
+    feature to its column, in first-seen order; entries run document by
+    document."""
 
-    vocabulary: list
+    index: dict
     rows: np.ndarray
     cols: np.ndarray
     counts: np.ndarray
@@ -263,7 +277,7 @@ class FeatureCounts:
             rows.extend([i] * len(multiset))
             cols.extend(index.setdefault(f, len(index)) for f in multiset)
             counts.extend(multiset.values())
-        return cls(list(index), np.array(rows, dtype=np.intp),
+        return cls(index, np.array(rows, dtype=np.intp),
                    np.array(cols, dtype=np.intp), np.array(counts, dtype=float),
                    len(feature_counts))
 
@@ -283,11 +297,50 @@ def one_hot_labels(labels) -> np.ndarray:
                     dtype=float).reshape(-1, 2)
 
 
+class LogLikelihoods(Mapping):
+    """Read-only feature -> per-class log P(feature | class) over one (V, 2)
+    array: ``index`` maps each feature to its row of ``rows``, in vocabulary
+    order. ``values()`` is ``rows`` itself, so iterating it yields the rows
+    in that order."""
+
+    __slots__ = ("index", "rows")
+
+    def __init__(self, index: dict, rows: np.ndarray):
+        rows = rows.view()
+        rows.flags.writeable = False
+        self.index = index
+        self.rows = rows
+
+    def __getitem__(self, feat):
+        return self.rows[self.index[feat]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+    def values(self):
+        return self.rows
+
+
+def _class_pair(values, what) -> np.ndarray:
+    """``values`` as one float per class of ``NB_CLASSES``, or LearnerError."""
+    try:
+        pair = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        pair = None
+    if pair is None or pair.shape != (2,):
+        raise LearnerError(f"{what} must hold one number per class of {NB_CLASSES}, "
+                           f"got {values!r}")
+    return pair
+
+
 @dataclass
 class NBModel:
     class_order: tuple[str, str]
     log_priors: np.ndarray            # aligned with class_order
-    log_likelihoods: dict             # feature -> per-class log P(feature | class)
+    log_likelihoods: LogLikelihoods   # feature -> per-class log P(feature | class)
     log_oov: np.ndarray               # per-class log mass of any unseen feature
     alpha: float
 
@@ -306,13 +359,17 @@ class NBModel:
     def from_dict(cls, raw: dict) -> "NBModel":
         if raw.get("kind") != "nb":
             raise LearnerError(f"not an nb record: kind={raw.get('kind')!r}")
+        if tuple(raw["class_order"]) != NB_CLASSES:
+            raise LearnerError(f"class_order must be {list(NB_CLASSES)}, "
+                               f"got {raw['class_order']!r}")
+        likelihoods = raw["log_likelihoods"]
+        rows = [_class_pair(v, f"log_likelihoods[{f!r}]") for f, v in likelihoods.items()]
         return cls(
-            class_order=tuple(raw["class_order"]),
-            log_priors=np.asarray(raw["log_priors"], dtype=float),
-            log_likelihoods={
-                f: np.asarray(v, dtype=float) for f, v in raw["log_likelihoods"].items()
-            },
-            log_oov=np.asarray(raw["log_oov"], dtype=float),
+            class_order=NB_CLASSES,
+            log_priors=_class_pair(raw["log_priors"], "log_priors"),
+            log_likelihoods=LogLikelihoods({f: i for i, f in enumerate(likelihoods)},
+                                           np.array(rows).reshape(-1, 2)),
+            log_oov=_class_pair(raw["log_oov"], "log_oov"),
             alpha=float(raw["alpha"]),
         )
 
@@ -343,13 +400,13 @@ def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
     doc_mass = class_weights.sum(axis=0)
     if np.any(doc_mass == 0):
         raise LearnerError("both classes must be present in the training data")
-    vocab_size = len(table.vocabulary)
+    vocab_size = len(table.index)
     feature_mass = table.per_class_sums(table.cols, class_weights[table.rows], vocab_size)
     denom = feature_mass.sum(axis=0) + alpha * (vocab_size + 1)  # +1: the unseen slot
     return NBModel(
         class_order=NB_CLASSES,
         log_priors=np.log(doc_mass / doc_mass.sum()),
-        log_likelihoods=dict(zip(table.vocabulary, np.log((feature_mass + alpha) / denom))),
+        log_likelihoods=LogLikelihoods(table.index, np.log((feature_mass + alpha) / denom)),
         log_oov=np.log(alpha / denom),
         alpha=alpha,
     )
@@ -361,12 +418,21 @@ def nb_predict_proba(model: NBModel, feature_count: Counter) -> float:
     Clipped into [1e-6, 1 - 1e-6] like the logistic outputs, so extreme
     documents never produce an exact 0 or 1.
     """
-    # two float sums, not a new 2-vector per feature: the same float64 steps
+    # two float sums, not a new 2-vector per feature: the same float64 steps.
+    # The index and one memoryview per class column are read directly: the
+    # Mapping's lookups, or a numpy row per feature, cost more than the sums
     s0, s1 = model.log_priors.tolist()
+    index, rows = model.log_likelihoods.index, model.log_likelihoods.rows
+    col0, col1 = memoryview(rows[:, 0]), memoryview(rows[:, 1])
+    oov0, oov1 = model.log_oov.tolist()
     for feat, c in feature_count.items():
-        l0, l1 = model.log_likelihoods.get(feat, model.log_oov).tolist()
-        s0 += c * l0
-        s1 += c * l1
+        i = index.get(feat)
+        if i is None:
+            s0 += c * oov0
+            s1 += c * oov1
+        else:
+            s0 += c * col0[i]
+            s1 += c * col1[i]
     scores = np.array([s0, s1])
     scores = scores - scores.max()
     probs = np.exp(scores)

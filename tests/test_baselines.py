@@ -19,6 +19,7 @@ from codecomp.learners import (
     OOV,
     FeatureCounts,
     LearnerError,
+    LogLikelihoods,
     NBModel,
     _train_nb_weighted,
     ngram_counts,
@@ -196,10 +197,12 @@ def _reference_nb(feature_counts, class_weights, alpha):
                 table[feat][ci] += weight * c
                 token_totals[ci] += weight * c
     denom = token_totals + alpha * (len(table) + 1)
+    rows = [np.log((row + alpha) / denom) for row in table.values()]
     return NBModel(
         class_order=NB_CLASSES,
         log_priors=np.log(doc_mass / doc_mass.sum()),
-        log_likelihoods={f: np.log((row + alpha) / denom) for f, row in table.items()},
+        log_likelihoods=LogLikelihoods({f: i for i, f in enumerate(table)},
+                                       np.array(rows).reshape(-1, 2)),
         log_oov=np.log(alpha / denom),
         alpha=alpha,
     )
@@ -218,13 +221,19 @@ def _reference_posteriors(model, features):
     return p / p.sum()
 
 
-def _reference_objective(model, labeled_feats, labels, unlabeled_feats, weight):
+def _reference_data_terms(model, labeled_feats, labels, unlabeled_feats, weight):
+    """The EM objective's terms other than the smoothing's log-prior."""
     terms = [_reference_joint(model, feats)[NB_CLASSES.index(label)]
              for feats, label in zip(labeled_feats, labels)]
     for feats in unlabeled_feats:
         joint = _reference_joint(model, feats)
         m = joint.max()
         terms.append(weight * (m + np.log(np.exp(joint - m).sum())))
+    return terms
+
+
+def _reference_objective(model, labeled_feats, labels, unlabeled_feats, weight):
+    terms = _reference_data_terms(model, labeled_feats, labels, unlabeled_feats, weight)
     prior = model.alpha * np.array([*model.log_likelihoods.values(), model.log_oov])
     return math.fsum(terms + prior.ravel().tolist())
 
@@ -323,3 +332,110 @@ class TestMatchesDictLoop:
             [model.log_oov, *model.log_likelihoods.values()],
             [ref_model.log_oov, *ref_model.log_likelihoods.values()], rtol=1e-12)
         np.testing.assert_allclose(model.log_priors, ref_model.log_priors, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the EM loop that kept the likelihoods as a feature -> row dict,
+# building it from the M-step's array and stacking it back in every E-step
+# ---------------------------------------------------------------------------
+
+
+def _dict_per_class_sums(table, index, values, minlength):
+    weighted = table.counts[:, None] * values
+    return np.stack([np.bincount(index, weights=weighted[:, c], minlength=minlength)
+                     for c in range(2)], axis=1)
+
+
+def _dict_m_step(table, class_weights, alpha):
+    """(log_priors, feature -> row dict, log_oov)."""
+    vocabulary = list(table.index)
+    doc_mass = class_weights.sum(axis=0)
+    vocab_size = len(vocabulary)
+    feature_mass = _dict_per_class_sums(table, table.cols, class_weights[table.rows],
+                                        vocab_size)
+    denom = feature_mass.sum(axis=0) + alpha * (vocab_size + 1)
+    return (np.log(doc_mass / doc_mass.sum()),
+            dict(zip(vocabulary, np.log((feature_mass + alpha) / denom))),
+            np.log(alpha / denom))
+
+
+def _dict_e_step(model, alpha, table, labeled_weights, unlabeled_weight):
+    log_priors, log_likelihoods, log_oov = model
+    likelihoods = np.array(list(log_likelihoods.values())).reshape(-1, 2)
+    joint = log_priors + _dict_per_class_sums(
+        table, table.rows, likelihoods[table.cols], table.n_docs)
+    n_labeled = len(labeled_weights)
+    unlabeled = joint[n_labeled:]
+    peak = unlabeled.max(axis=1, keepdims=True)
+    mass = np.exp(unlabeled - peak)
+    total = mass.sum(axis=1, keepdims=True)
+    terms = (joint[:n_labeled][labeled_weights > 0],
+             unlabeled_weight * (peak + np.log(total)).ravel(),
+             alpha * likelihoods.ravel(), alpha * log_oov)
+    return mass / total, math.fsum(np.concatenate(terms).tolist())
+
+
+def _dict_em(labeled_feats, labels, unlabeled_feats, em_config, alpha):
+    table = FeatureCounts.from_multisets(labeled_feats + unlabeled_feats)
+    labeled_weights = one_hot_labels(labels)
+    model = _dict_m_step(
+        table, np.vstack([labeled_weights, np.zeros((len(unlabeled_feats), 2))]), alpha)
+    if not unlabeled_feats:
+        return model, []
+    w = em_config.unlabeled_weight
+    posteriors, _ = _dict_e_step(model, alpha, table, labeled_weights, w)
+    trace = []
+    previous = -np.inf
+    for _ in range(em_config.max_iterations):
+        model = _dict_m_step(table, np.vstack([labeled_weights, w * posteriors]), alpha)
+        posteriors, objective = _dict_e_step(model, alpha, table, labeled_weights, w)
+        trace.append(objective)
+        if abs(objective - previous) < em_config.convergence_tolerance:
+            break
+        previous = objective
+    return model, trace
+
+
+class TestArrayModel:
+    @settings(max_examples=60, deadline=None)
+    @given(_em_inputs())
+    def test_em_bitwise_equal_to_the_dict_loop(self, case):
+        labeled, labels, unlabeled, config, alpha = case
+        docs, pool, features = _fixture_of(labeled, labels, unlabeled)
+        (log_priors, rows, log_oov), ref_trace = _dict_em(
+            [features[d.id] for d in docs], labels,
+            [features[d.id] for d in pool], config, alpha)
+        model, trace = em_fit(docs, pool, config, alpha, features=features)
+        assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
+        assert model.log_priors.tobytes() == log_priors.tobytes()
+        assert model.log_oov.tobytes() == log_oov.tobytes()
+        assert list(model.log_likelihoods) == list(rows)
+        for feat, row in rows.items():
+            assert model.log_likelihoods[feat].tobytes() == row.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_em_inputs())
+    def test_m_step_rows_give_the_objective_prior(self, case):
+        # the benchmark reads each M-step's log-prior through values(): it
+        # must yield every feature's 2-row in vocabulary order, and alpha
+        # times their sum plus log_oov's must be the objective's prior term
+        labeled, labels, unlabeled, config, alpha = case
+        multisets = [ngram_counts(t) for t in labeled + unlabeled]
+        table = FeatureCounts.from_multisets(multisets)
+        labeled_weights = one_hot_labels(labels)
+        w = config.unlabeled_weight
+        model = _train_nb_weighted(
+            table, np.vstack([labeled_weights, np.full((len(unlabeled), 2), w / 2)]), alpha)
+        vocabulary = list(dict.fromkeys(f for m in multisets for f in m))
+        assert list(model.log_likelihoods) == vocabulary
+        rows = list(model.log_likelihoods.values())
+        assert len(rows) == len(vocabulary)
+        for feat, row in zip(vocabulary, rows):
+            assert row.shape == (2,)
+            assert row.tobytes() == model.log_likelihoods[feat].tobytes()
+        flat = np.fromiter((v for row in model.log_likelihoods.values() for v in row), float)
+        prior = alpha * (float(flat.sum()) + float(model.log_oov.sum()))
+        _, objective = baselines._e_step(model, table, labeled_weights, w)
+        data = math.fsum(_reference_data_terms(model, multisets[:len(labeled)], labels,
+                                               multisets[len(labeled):], w))
+        assert objective - data == pytest.approx(prior, rel=1e-12, abs=1e-9)

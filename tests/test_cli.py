@@ -185,7 +185,15 @@ class TestPrepare:
         code = main(["prepare", "--task", "nope", "--corpus", str(phm_setup),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "available presets" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "available presets" in err
+        assert "Traceback" not in err
+
+    def test_traceback_flag_reraises(self, phm_setup, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="available presets"):
+            main(["--traceback", "prepare", "--task", "nope", "--corpus", str(phm_setup),
+                  "--out", str(tmp_path / "o")])
+        assert "error: " not in capsys.readouterr().err
 
 
 class TestAnnotate:

@@ -252,13 +252,15 @@ class TestLogRegEdgeCases:
     @pytest.mark.parametrize("singular", ["zero column", "duplicated columns"])
     def test_singular_hessian(self, singular):
         # both designs reach exactly the margins of the design without the
-        # extra columns, so at l2_lambda=0 the two fits share their optimum
+        # extra columns, so at l2_lambda=0 the two fits share their optimum;
+        # the least-squares Newton step gets there in as few steps
         rng = np.random.default_rng(14)
         X = rng.normal(size=(40, 6))
         y = (X[:, 0] + rng.normal(size=40) > 0).astype(float)
         extra = np.zeros((40, 1)) if singular == "zero column" else X[:, :2]
         cfg = TrainConfig(l2_lambda=0.0)
         model = _finite_fit(np.column_stack([X, extra]), y, cfg)
+        assert model.converged and model.epochs_run < 10
         assert model.final_loss <= train_logreg(X, y, cfg).final_loss + 1e-6
 
 
@@ -440,8 +442,39 @@ class TestNaiveBayes:
         save_model(model, path)
         again = load_model(path)
         assert isinstance(again, NBModel)
+        # save_model sorts the features; each row loads back bit for bit
+        assert sorted(again.log_likelihoods) == sorted(model.log_likelihoods)
+        for feat, row in model.log_likelihoods.items():
+            assert again.log_likelihoods[feat].tobytes() == row.tobytes()
         query = ngram_counts(["sick", "never"])
         assert nb_predict_proba(again, query) == nb_predict_proba(model, query)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("class_order", ["positive", "negative"], "class_order"),
+        ("log_priors", [-0.7, -0.7, -0.7], "log_priors"),
+        ("log_oov", [-3.0], "log_oov"),
+        ("log_likelihoods", {"flu": [-1.0, -2.0], "sick": [-1.0, -2.0, -3.0]},
+         "log_likelihoods\\['sick'\\]"),
+        ("log_likelihoods", {"flu": "ab"}, "log_likelihoods\\['flu'\\]"),
+    ], ids=["class-order", "prior", "oov", "3-wide-row", "non-numeric-row"])
+    def test_load_rejects_rows_not_one_per_class(self, field, value, message):
+        raw = train_nb([Counter({"flu": 1}), Counter({"sick": 1})],
+                       ["positive", "negative"]).to_dict()
+        raw[field] = value
+        with pytest.raises(LearnerError, match=message):
+            NBModel.from_dict(raw)
+
+    def test_likelihoods_are_a_read_only_mapping(self):
+        docs = [ngram_counts(["sick", "flu"]), ngram_counts(["flu", "shot"])]
+        model = train_nb(docs, ["positive", "negative"])
+        likelihoods = model.log_likelihoods
+        assert list(likelihoods) == ["sick", "flu", "sick flu", "shot", "flu shot"]
+        assert likelihoods.get("never") is None and "never" not in likelihoods
+        np.testing.assert_array_equal(likelihoods["flu"], likelihoods.values()[1])
+        with pytest.raises(TypeError):
+            likelihoods["flu"] = np.zeros(2)
+        with pytest.raises(ValueError, match="read-only"):
+            likelihoods["flu"][0] = 0.0
 
 
 def test_ngram_counts_unigrams_and_bigrams():
