@@ -43,7 +43,7 @@ for spec in (NBSpec(), EMSpec(), codecomp_spec):
           f"R={m['recall']:.3f}")
 
 print("\nablation (what each stage adds):")
-table = ablation_table(docs, codecomp_spec, iteration_settings=[5, 15],
+table = ablation_table(docs, codecomp_spec, iteration_settings=[1, 5, 15],
                        k_folds=5, sample_spec=sample, repetitions=2)
 for name, mean in table.items():
     print(f"  {name:9s} F1={mean['f1']:.3f} P={mean['precision']:.3f} "

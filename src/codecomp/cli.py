@@ -302,6 +302,9 @@ def _prompt_for_span(record, human_bag, stdin, stdout):
         if any(p < 0 or p >= len(explicit) for p in picks):
             stdout.write(f"index out of range (0..{len(explicit) - 1})\n")
             continue
+        if len(set(picks)) < len(picks):
+            stdout.write("each mention index may appear once\n")
+            continue
         spans = []
         for p in picks:
             _, inst = explicit[p]

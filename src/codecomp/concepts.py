@@ -391,6 +391,13 @@ class ProcessedDocument:
                 return b
         raise KeyError(kcs_name)
 
+    def masked_instances(self, kcs_name: str) -> list[tuple[Mention, str]]:
+        """One view's (mention, label) pairs in bag order, each mention's
+        token range shifted into ``masked_tokens``."""
+        ranges = self.masked_ranges[kcs_name]
+        return [(replace(mention, token_range=tuple(ranges[occ])), label)
+                for occ, (mention, label) in enumerate(self.bag(kcs_name).instances)]
+
 
 def _span_overlap(tokens, token_range, spans) -> bool:
     s, e = token_range

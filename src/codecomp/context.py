@@ -209,16 +209,11 @@ def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
     """
     if sample_pairs < 1:
         raise ContextError(f"sample_pairs must be >= 1, got {sample_pairs}")
-    occurrences = []
-    for pdoc in processed_docs:
-        bag = pdoc.bag(kcs_name)
-        for occ, (mention, _) in enumerate(bag.instances):
-            shifted = Mention(
-                doc_id=mention.doc_id, kcs_name=mention.kcs_name,
-                token_range=tuple(pdoc.masked_ranges[kcs_name][occ]),
-                surface=mention.surface, synthetic=mention.synthetic,
-            )
-            occurrences.append((pdoc.masked_tokens, shifted, occ))
+    occurrences = [
+        (pdoc.masked_tokens, mention, occ)
+        for pdoc in processed_docs
+        for occ, (mention, _) in enumerate(pdoc.masked_instances(kcs_name))
+    ]
     if len(occurrences) < 2:
         raise ContextError(
             f"view {kcs_name!r} has {len(occurrences)} mention(s); need at least 2"

@@ -1,9 +1,9 @@
 """Iterative co-training over concept views with bag-level selection.
 
 Training alternates between the per-view classifiers: each iteration
-retrains every view on the current labeled pool, scores the unlabeled
-documents through the most-confident-instance rule, and promotes the top
-positive and top negative documents of every view into the labeled pool.
+scores the unlabeled documents through the most-confident-instance rule,
+promotes the top positive and top negative documents of every view into
+the labeled pool, and retrains every view on the grown pool.
 A promoted positive contributes its winning instance plus the most probable
 counterpart instance in every other view; a promoted negative must look
 confidently negative to all views at once and contributes every instance.
@@ -93,19 +93,23 @@ class CoDecompModel:
     co_config: CoConfig
     train_config: TrainConfig
     provider_spec: dict | None = None
-    snapshots: dict = field(default_factory=dict)  # iteration -> classifiers
+    snapshots: list = field(default_factory=list)  # k -> classifiers after k promotions
     iteration_log: list = field(default_factory=list)
 
     @property
     def n_views(self) -> int:
         return len(self.kcs_names)
 
-    def with_classifiers(self, classifiers) -> "CoDecompModel":
-        return CoDecompModel(
-            kcs_names=self.kcs_names, classifiers=classifiers,
-            co_config=self.co_config, train_config=self.train_config,
-            provider_spec=self.provider_spec,
-        )
+    def after(self, k: int) -> "CoDecompModel":
+        """The model that a run configured with ``k`` iterations returns:
+        ``snapshots[min(k, len(snapshots) - 1)]``. Past the last iteration
+        that promoted, only a run that stopped early knows the answer."""
+        if k >= len(self.snapshots) > len(self.iteration_log):
+            raise CotrainError(f"this run did not stop; it cannot tell the model after {k}")
+        snapshots = self.snapshots[:k + 1]
+        return replace(self, classifiers=snapshots[-1], snapshots=snapshots,
+                       co_config=replace(self.co_config, iterations=k),
+                       iteration_log=self.iteration_log[:k])
 
     def to_dict(self) -> dict:
         return {
@@ -168,13 +172,10 @@ def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
             kcs_names = tuple(b.kcs_name for b in pdoc.bags)
         views = []
         for name in kcs_names:
-            bag = pdoc.bag(name)
             rows = []
             labels = []
-            for occ, (mention, label) in enumerate(bag.instances):
-                shifted = replace(mention,
-                                  token_range=tuple(pdoc.masked_ranges[name][occ]))
-                rows.append(context_of(provider, pdoc.masked_tokens, shifted, occ))
+            for occ, (mention, label) in enumerate(pdoc.masked_instances(name)):
+                rows.append(context_of(provider, pdoc.masked_tokens, mention, occ))
                 labels.append(label)
             vectors = (np.vstack(rows) if rows
                        else np.empty((0, provider.dimension)))
@@ -245,18 +246,15 @@ class _StackedBags:
 
 
 def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
-                train_config: TrainConfig, kcs_names=None,
-                snapshot_at=()) -> CoDecompModel:
+                train_config: TrainConfig, kcs_names=None) -> CoDecompModel:
     """Fit one classifier per view, then co-train them over the unlabeled pool.
 
-    Each iteration retrains the views on the labeled pool, scores unlabeled
-    documents, and promotes each view's most confident positive and negative
-    documents (those clearing the confidence floor) into the pool. Stops
-    early once nothing qualifies. With ``iterations=0`` the result is just
-    the independently trained per-view classifiers.
-
-    ``snapshot_at`` captures, per listed iteration count k, the exact
-    classifiers a run configured with k iterations would have returned.
+    Each iteration scores the unlabeled documents, promotes each view's most
+    confident positive and negative documents (those clearing the confidence
+    floor) into the labeled pool, and retrains the views on it. Stops early
+    once nothing qualifies. With ``iterations=0`` the result is just the
+    independently trained per-view classifiers. ``snapshots`` keeps the
+    classifiers of every step, so ``after(k)`` gives each shorter run.
     """
     for ex in list(labeled) + list(unlabeled):
         if len(ex.views) != n_views:
@@ -268,33 +266,23 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
 
     # One labeled pool per view, read once; promotion appends to it.
     pools = [_labeled_rows(labeled, j) for j in range(n_views)]
-    classifiers = _train_views(pools, train_config)
-    snapshots = {}
-    if 0 in snapshot_at:
-        snapshots[0] = classifiers
+    snapshots = [_train_views(pools, train_config)]
 
     # Documents with an empty bag in any view never qualify for promotion;
     # they stay unlabeled and fall back to the neutral score at test time.
     # The rest are stacked once; promotion clears their ``alive`` flag. The
     # instance labels of unlabeled documents are never read.
     promotable = [ex for ex in unlabeled if all(v.size > 0 for v in ex.views)]
-    bags = [_StackedBags(promotable, j, classifiers[j].weights.shape[0])
+    bags = [_StackedBags(promotable, j, snapshots[0][j].weights.shape[0])
             for j in range(n_views)]
     alive = np.ones(len(promotable), dtype=bool)
     id_rank = np.argsort(sorted(range(len(promotable)),
                                 key=lambda p: promotable[p].doc_id))
     log = []
     floor = co_config.confidence_floor
-    last_iteration = 0
 
     for iteration in range(1, co_config.iterations + 1):
-        if iteration > 1:
-            classifiers = _train_views(pools, train_config)
-        if iteration in snapshot_at:
-            snapshots[iteration] = classifiers
-        last_iteration = iteration
-
-        scored = [bags[j].score(classifiers[j], co_config.neutral_prob)
+        scored = [bags[j].score(snapshots[-1][j], co_config.neutral_prob)
                   for j in range(n_views)]
         maxes = np.vstack([s[0] for s in scored])           # (J, n_promotable)
         confidently_negative = alive & np.all(maxes < 1.0 - floor, axis=0)
@@ -339,14 +327,11 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
         ))
         if not promotions:
             break
-
-    for k in snapshot_at:
-        if k > last_iteration:
-            snapshots[k] = classifiers
+        snapshots.append(_train_views(pools, train_config))
 
     return CoDecompModel(
         kcs_names=tuple(kcs_names),
-        classifiers=classifiers,
+        classifiers=snapshots[-1],
         co_config=co_config,
         train_config=train_config,
         snapshots=snapshots,
@@ -417,8 +402,8 @@ def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
     max_k = max(iteration_counts) if iteration_counts else 0
     model = cotrain_fit(labeled, unlabeled, n_views,
                         replace(co_config, iterations=max_k), train_config,
-                        kcs_names=kcs_names, snapshot_at=(0, *iteration_counts))
-    base = model.with_classifiers(model.snapshots[0])
+                        kcs_names=kcs_names)
+    base = model.after(0)
 
     variants = {}
     for j, name in enumerate(model.kcs_names):
@@ -426,8 +411,7 @@ def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
             base.classifiers[j], j, test_examples, co_config.neutral_prob)
     variants["combined"] = predict_many(base, test_examples)
     for k in iteration_counts:
-        variants[f"+{k}-itr"] = predict_many(
-            model.with_classifiers(model.snapshots[k]), test_examples)
+        variants[f"+{k}-itr"] = predict_many(model.after(k), test_examples)
     return variants
 
 

@@ -379,8 +379,7 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     combination, then one entry per co-training iteration setting.
     """
     _check_protocol(k_folds, repetitions, dev_fold, jobs)
-    iteration_settings = sorted(set(int(k) for k in iteration_settings))
-    runner = _CoDecompRunner(corpus, spec, iteration_settings)
+    runner = _CoDecompRunner(corpus, spec, tuple(iteration_settings))
     variant_rows: dict = {}
     for variant, rep, fold, m in _fold_runs(corpus, runner, k_folds, sample_spec,
                                              repetitions, dev_fold, jobs):

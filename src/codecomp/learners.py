@@ -153,7 +153,7 @@ def _newton_direction(hess, grad):
     return direction
 
 
-def train_logreg(X, y, cfg: TrainConfig, allow_single_class: bool = False) -> LogRegModel:
+def train_logreg(X, y, cfg: TrainConfig) -> LogRegModel:
     """Fit logistic regression by damped Newton steps.
 
     Minimizes mean log-loss plus (l2_lambda/2)*||w||^2 (bias unpenalized)
@@ -171,7 +171,7 @@ def train_logreg(X, y, cfg: TrainConfig, allow_single_class: bool = False) -> Lo
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise LearnerError(f"bad training shapes: X {X.shape}, y {y.shape}")
-    if not allow_single_class and len(np.unique(y)) < 2:
+    if len(np.unique(y)) < 2:
         raise LearnerError("training data contains a single class")
     n, d = X.shape
     design = np.column_stack([X, np.ones(n)])  # the bias is the last coefficient

@@ -71,7 +71,8 @@ def load_preset_file(path, name: str | None = None) -> TaskPreset:
     """Read a preset from an INI file: one section per view.
 
     Keys: kind (human|keyword), keywords (comma-separated) or
-    keywords_file (lexicon-format file), mask_token (optional).
+    keywords_file (lexicon-format file), mask_token (optional). Any other
+    key, or both keyword keys in one section, is an error.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path, encoding="utf-8")
@@ -80,6 +81,12 @@ def load_preset_file(path, name: str | None = None) -> TaskPreset:
     views = []
     for section in parser.sections():
         opts = parser[section]
+        where = f"preset file {path}, [{section}]"
+        unknown = sorted(set(opts) - {"kind", "keywords", "keywords_file", "mask_token"})
+        if unknown:
+            raise ConceptError(f"{where}: unknown key {unknown[0]!r}")
+        if "keywords" in opts and "keywords_file" in opts:
+            raise ConceptError(f"{where}: give keywords or keywords_file, not both")
         kind = opts.get("kind", "keyword")
         keywords: tuple[str, ...] = ()
         if "keywords_file" in opts:

@@ -8,6 +8,7 @@ from dataclasses import fields
 from codecomp import evaluation
 from codecomp.baselines import EMConfig
 from codecomp.cli import ConfigError, ExperimentConfig, main, resolve_preset
+from codecomp.corpus import load_corpus
 from codecomp.cotrain import CoConfig
 from codecomp.learners import TrainConfig, load_model
 from codecomp.synthetic import decomposable_corpus
@@ -243,6 +244,22 @@ class TestAnnotate:
         records = {json.loads(l)["id"]: json.loads(l)
                    for l in open(out, encoding="utf-8")}
         assert records["2"]["positive_human_spans"] == []
+
+    def test_repeated_index_reprompts(self, phm_setup, tmp_path):
+        from codecomp.cli import cmd_annotate
+
+        enriched = self._prepare(phm_setup, tmp_path)
+        out = tmp_path / "annotated.jsonl"
+
+        class Args:
+            enriched_in = str(enriched)
+            enriched_out = str(out)
+
+        stdout = io.StringIO()
+        cmd_annotate(Args(), stdin=io.StringIO("0,0\n0\n"), stdout=stdout)
+        assert "each mention index may appear once" in stdout.getvalue()
+        spans = {d.id: d.positive_human_spans for d in load_corpus(out)}
+        assert len(spans["2"]) == 1
 
     def test_resumable(self, phm_setup, tmp_path):
         from codecomp.cli import cmd_annotate

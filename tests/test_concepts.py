@@ -26,7 +26,7 @@ from codecomp.concepts import (
     tokenize,
 )
 from codecomp.corpus import Document
-from codecomp.presets import DRUG_TOK, HUM_TOK, task_preset
+from codecomp.presets import DRUG_TOK, HUM_TOK, load_preset_file, task_preset
 
 
 class TestTokenize:
@@ -444,6 +444,10 @@ def test_masked_ranges_follow_collapse(lexicons):
     assert masked == ["HUM_TOK", "HUM_TOK", "took", DRUG_TOK, "and", DRUG_TOK]
     drug_ranges = pdoc.masked_ranges["drug"]
     assert [masked[s:e] for s, e in drug_ranges] == [[DRUG_TOK], [DRUG_TOK]]
+    shifted = pdoc.masked_instances("drug")
+    assert [m.token_range for m, _ in shifted] == [tuple(r) for r in drug_ranges]
+    assert [(m.surface, label) for m, label in shifted] == [
+        (m.surface, label) for m, label in pdoc.bag("drug").instances]
 
 
 def test_wordlists_are_lowercase_and_unique(lexicons):
@@ -472,3 +476,28 @@ def test_kcs_validation():
         KeyConceptSet(name="d", kind="keyword")
     with pytest.raises(ConceptError, match="kind"):
         KeyConceptSet(name="d", kind="verb")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("[human]\nkind = human\nmask = HUM_TOK\n", "mask"),
+    ("[drug]\nkind = keyword\nkeywords_fil = drugs.txt\n", "keywords_fil"),
+], ids=["mask", "keywords_fil"])
+def test_preset_file_rejects_an_unknown_key(tmp_path, section, key):
+    path = tmp_path / "preset.ini"
+    path.write_text(section, encoding="utf-8")
+    view = section[1:section.index("]")]
+    with pytest.raises(ConceptError,
+                       match=rf"preset\.ini, \[{view}\]: unknown key '{key}'"):
+        load_preset_file(path)
+
+
+def test_preset_file_rejects_keywords_next_to_a_keywords_file(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("flu\n", encoding="utf-8")
+    path = tmp_path / "preset.ini"
+    path.write_text(f"[disease]\nkeywords = cancer\nkeywords_file = {words}\n",
+                    encoding="utf-8")
+    with pytest.raises(ConceptError,
+                       match=r"preset\.ini, \[disease\]: give keywords or "
+                             "keywords_file, not both"):
+        load_preset_file(path)

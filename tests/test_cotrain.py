@@ -1,5 +1,4 @@
-import copy
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from codecomp.concepts import NEGATIVE, POSITIVE, UNLABELED, load_lexicons, process_document
 from codecomp.context import HashedWindowProvider, load_precomputed
+from codecomp.corpus import SampleSpec, sample_labeled
 from codecomp.cotrain import (
     CoConfig,
     CoDecompModel,
@@ -351,15 +351,46 @@ class TestCotrainBookkeeping:
             np.testing.assert_array_equal(ca.weights, cb.weights)
 
     def test_snapshots_match_independent_runs(self):
-        labeled, unlabeled, examples, names = _synthetic_pools()
-        full = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=6),
-                           self.CFG, kcs_names=names, snapshot_at=(0, 2, 4, 6))
-        for k in (0, 2, 4, 6):
-            solo = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=k),
-                               self.CFG, kcs_names=names)
-            for snap, ref in zip(full.snapshots[k], solo.classifiers):
-                np.testing.assert_array_equal(snap.weights, ref.weights)
-                assert snap.bias == ref.bias
+        labeled, unlabeled, _, names = _synthetic_pools(n_docs=60, n_labeled=20)
+        co_config = CoConfig(iterations=20, confidence_floor=0.9)
+        full = cotrain_fit(labeled, unlabeled, 2, co_config, self.CFG,
+                           kcs_names=names)
+        stop = len(full.iteration_log)
+        assert stop < 20 and not full.iteration_log[-1].promotions
+        assert len(full.snapshots) == stop and full.classifiers is full.snapshots[-1]
+        for k in (0, 1, 2, stop - 1, stop, stop + 3):
+            solo = cotrain_fit(labeled, unlabeled, 2,
+                               replace(co_config, iterations=k), self.CFG,
+                               kcs_names=names)
+            _assert_same_fit(full.after(k), solo)
+            assert full.after(k).co_config == solo.co_config
+
+    def test_after_rejects_iterations_the_run_did_not_make(self):
+        labeled, unlabeled, _, names = _synthetic_pools()
+        model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=2),
+                            self.CFG, kcs_names=names)
+        assert all(r.promotions for r in model.iteration_log)
+        assert model.after(2).classifiers is model.classifiers
+        with pytest.raises(CotrainError, match="cannot tell the model after 3"):
+            model.after(3)
+
+    def test_last_promotions_reach_the_classifiers(self):
+        # the promotions of a run's last iteration are trained on: one
+        # iteration that promoted changes the classifiers
+        docs, preset = decomposable_corpus(200, seed=3)
+        sample = sample_labeled(docs, SampleSpec(40, 3))
+        provider = HashedWindowProvider(window=2, dim=64)
+        names = tuple(k.name for k in preset.kcs_list)
+        lexicons = load_lexicons()
+        labeled, unlabeled = (
+            build_examples([process_document(d, preset, lexicons) for d in part],
+                           provider, names)
+            for part in (sample.labeled, sample.unlabeled))
+        runs = [cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=k),
+                            TrainConfig(), kcs_names=names) for k in (0, 1)]
+        assert len(runs[1].iteration_log[0].promotions) == 4
+        assert any(a.weights.tobytes() != b.weights.tobytes()
+                   for a, b in zip(runs[0].classifiers, runs[1].classifiers))
 
     def test_confidence_floor_respected(self):
         labeled, unlabeled, _, names = _synthetic_pools()
@@ -383,9 +414,9 @@ def _assert_same_fit(a, b):
             assert np.float64(x.bias).tobytes() == np.float64(y.bias).tobytes()
 
     same(a.classifiers, b.classifiers)
-    assert sorted(a.snapshots) == sorted(b.snapshots)
-    for k in a.snapshots:
-        same(a.snapshots[k], b.snapshots[k])
+    assert len(a.snapshots) == len(b.snapshots)
+    for x, y in zip(a.snapshots, b.snapshots):
+        same(x, y)
     assert iteration_log_lines(a.iteration_log) == iteration_log_lines(b.iteration_log)
 
 
@@ -403,7 +434,8 @@ def test_gold_labels_of_unlabeled_examples_are_never_read():
 
 # the co-training loop before each view kept one labeled pool: examples
 # copied, promoted instance labels rewritten in place, and every view's
-# training matrix rebuilt from all labeled documents in every iteration
+# training matrix rebuilt from all labeled documents after every iteration
+# that promoted
 def _labeled_matrix(examples, view):
     rows, targets = [], []
     for ex in examples:
@@ -420,8 +452,7 @@ def _labeled_matrix(examples, view):
     return np.vstack(rows), np.asarray(targets)
 
 
-def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config,
-                           snapshot_at=()):
+def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config):
     def train_views(examples):
         return [train_logreg(*_labeled_matrix(examples, j), train_config)
                 for j in range(n_views)]
@@ -433,7 +464,7 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config,
     kcs_names = tuple(f"view{j}" for j in range(n_views))
     pool_l = [working_copy(ex) for ex in labeled]
     classifiers = train_views(pool_l)
-    snapshots = {0: copy.deepcopy(classifiers)} if 0 in snapshot_at else {}
+    snapshots = [classifiers]
     promotable = [working_copy(ex) for ex in unlabeled
                   if all(v.size > 0 for v in ex.views)]
     bags = [_StackedBags(promotable, j, classifiers[j].weights.shape[0])
@@ -443,13 +474,7 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config,
                                 key=lambda p: promotable[p].doc_id))
     log = []
     floor = co_config.confidence_floor
-    last_iteration = 0
     for iteration in range(1, co_config.iterations + 1):
-        if iteration > 1:
-            classifiers = train_views(pool_l)
-        if iteration in snapshot_at:
-            snapshots[iteration] = copy.deepcopy(classifiers)
-        last_iteration = iteration
         scored = [bags[j].score(classifiers[j], co_config.neutral_prob)
                   for j in range(n_views)]
         maxes = np.vstack([s[0] for s in scored])
@@ -483,9 +508,8 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config,
             unlabeled_examples=len(unlabeled) - int(np.count_nonzero(~alive))))
         if not promotions:
             break
-    for k in snapshot_at:
-        if k > last_iteration:
-            snapshots[k] = copy.deepcopy(classifiers)
+        classifiers = train_views(pool_l)
+        snapshots.append(classifiers)
     return CoDecompModel(kcs_names=kcs_names, classifiers=classifiers,
                          co_config=co_config, train_config=train_config,
                          snapshots=snapshots, iteration_log=log)
@@ -534,23 +558,30 @@ def _cotrain_pools(draw):
     co_config = CoConfig(iterations=draw(st.integers(0, 5)),
                          promotions_per_view=draw(st.integers(1, 3)),
                          confidence_floor=draw(st.sampled_from([0.55, 0.7, 0.9])))
-    snapshot_at = tuple(draw(st.sets(st.integers(0, 6))))
-    return labeled, unlabeled, n_views, co_config, snapshot_at
+    ks = sorted(draw(st.sets(st.integers(0, co_config.iterations + 1))))
+    return labeled, unlabeled, n_views, co_config, ks
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_cotrain_pools())
 def test_labeled_pools_match_the_rebuilding_loop(pools):
-    labeled, unlabeled, n_views, co_config, snapshot_at = pools
+    labeled, unlabeled, n_views, co_config, ks = pools
     cfg = TrainConfig(epochs=40, convergence_tolerance=0.0)
     stripped = [Example(ex.doc_id, [ViewInstances(v.vectors, [UNLABELED] * v.size)
                                     for v in ex.views]) for ex in unlabeled]
-    expected = _reference_cotrain_fit(labeled, stripped, n_views, co_config, cfg,
-                                      snapshot_at)
+    model = cotrain_fit(labeled, unlabeled, n_views, co_config, cfg)
     _assert_same_fit(
-        cotrain_fit(labeled, unlabeled, n_views, co_config, cfg,
-                    snapshot_at=snapshot_at),
-        expected)
+        model, _reference_cotrain_fit(labeled, stripped, n_views, co_config, cfg))
+    # every shorter run is a prefix of this one; a longer run is one too,
+    # where this run stopped early
+    stopped = bool(model.iteration_log) and not model.iteration_log[-1].promotions
+    for k in ks:
+        if k > co_config.iterations and not stopped:
+            with pytest.raises(CotrainError, match="cannot tell"):
+                model.after(k)
+            continue
+        _assert_same_fit(model.after(k), cotrain_fit(
+            labeled, unlabeled, n_views, replace(co_config, iterations=k), cfg))
 
 
 class TestAblationVariants:

@@ -231,6 +231,17 @@ class TestAblation:
         for key in ("precision", "recall", "f1"):
             assert table["combined"][key] == pytest.approx(k0.mean[key])
 
+    def test_k_itr_equals_k_iteration_experiment(self, small_corpus):
+        docs, preset = small_corpus
+        table = ablation_table(docs, _codecomp_spec(preset), [2, 1],
+                               k_folds=4, sample_spec=SampleSpec(40, 3),
+                               repetitions=1)
+        assert list(table)[-2:] == ["+1-itr", "+2-itr"]
+        for k in (1, 2):
+            run = run_experiment(docs, _codecomp_spec(preset, iterations=k), 4,
+                                 SampleSpec(40, 3), repetitions=1)
+            assert table[f"+{k}-itr"] == run.mean
+
 
 class TestDriver:
     """run_experiment, ablation_table and the sweep share one fold driver

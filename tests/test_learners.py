@@ -73,10 +73,9 @@ class TestLogReg:
 
     def test_single_class_needs_flag(self):
         X = np.ones((3, 2))
-        with pytest.raises(LearnerError, match="single class"):
-            train_logreg(X, [1, 1, 1], TrainConfig())
-        model = train_logreg(X, [1, 1, 1], TrainConfig(), allow_single_class=True)
-        assert predict_proba(model, np.ones(2)) > 0.5
+        for y in ([1, 1, 1], [0, 0, 0]):
+            with pytest.raises(LearnerError, match="single class"):
+                train_logreg(X, y, TrainConfig())
 
     def test_gradient_closed_form_at_zero_weights(self):
         x = np.array([0.5, -2.0, 1.0])
@@ -216,11 +215,11 @@ class TestLogReg:
         assert full.final_loss < capped.final_loss
 
 
-def _finite_fit(X, y, cfg, allow_single_class=False):
+def _finite_fit(X, y, cfg):
     """Fit with every numpy floating-point warning raised; the weights, bias
     and loss must come back finite."""
     with np.errstate(all="raise"):
-        model = train_logreg(X, y, cfg, allow_single_class=allow_single_class)
+        model = train_logreg(X, y, cfg)
     assert np.all(np.isfinite(model.weights))
     assert np.isfinite(model.bias) and np.isfinite(model.final_loss)
     return model
@@ -245,9 +244,10 @@ class TestLogRegEdgeCases:
     @pytest.mark.parametrize("cfg", EDGE_CONFIGS + [TrainConfig()])
     @pytest.mark.parametrize("rows, target", [(40, 1.0), (40, 0.0), (1, 1.0)])
     def test_single_class_allowed(self, cfg, rows, target):
+        # a one-class pool is rejected before any step, whatever the config
         X = np.random.default_rng(13).normal(size=(rows, 5))
-        model = _finite_fit(X, np.full(rows, target), cfg, allow_single_class=True)
-        assert (predict_proba(model, X[0]) > 0.5) == (target == 1.0)
+        with pytest.raises(LearnerError, match="single class"):
+            _finite_fit(X, np.full(rows, target), cfg)
 
     @pytest.mark.parametrize("singular", ["zero column", "duplicated columns"])
     def test_singular_hessian(self, singular):
