@@ -29,7 +29,6 @@ from .context import (
     HashedWindowProvider,
     PrecomputedProvider,
     context_of,
-    hashed_window_context,
     load_precomputed,
     validate_kcs_gamma,
 )

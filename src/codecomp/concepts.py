@@ -395,8 +395,9 @@ class ProcessedDocument:
         """One view's (mention, label) pairs in bag order, each mention's
         token range shifted into ``masked_tokens``."""
         ranges = self.masked_ranges[kcs_name]
-        return [(replace(mention, token_range=tuple(ranges[occ])), label)
-                for occ, (mention, label) in enumerate(self.bag(kcs_name).instances)]
+        return [(Mention(m.doc_id, m.kcs_name, tuple(ranges[occ]), m.surface,
+                         m.synthetic), label)
+                for occ, (m, label) in enumerate(self.bag(kcs_name).instances)]
 
 
 def _span_overlap(tokens, token_range, spans) -> bool:

@@ -1,10 +1,13 @@
 """Context vectors for mention occurrences.
 
-A provider turns one mention occurrence into a fixed-dimension real vector.
-Two providers ship here: a hashed window-of-words provider that needs no
-external resources, and a loader for vectors computed elsewhere (e.g. by a
-contextual encoder) keyed by (doc_id, view, occurrence). Both are read-only
-after construction and safe to query concurrently.
+A provider has a ``dimension``, a ``spec()`` for the model file, and
+``vectors(occurrences)``, which turns a batch of m mention occurrences into
+one (m, dimension) matrix; an occurrence is ``(masked_tokens, mention,
+occurrence_index)``. Two providers ship here: a hashed window-of-words
+provider that needs no external resources, and a loader for vectors
+computed elsewhere (e.g. by a contextual encoder) keyed by (doc_id, view,
+occurrence). Both are read-only after construction and safe to query
+concurrently.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import Mention
-
 
 class ContextError(ValueError):
     pass
@@ -25,31 +26,6 @@ class ContextError(ValueError):
 def _bucket(side: str, surface: str, dim: int) -> int:
     digest = hashlib.blake2b(f"{side}\x00{surface}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dim
-
-
-def hashed_window_context(tokens, position_range, window: int, dim: int) -> np.ndarray:
-    """Hashed bag of the tokens within `window` positions of a mention.
-
-    Mention tokens themselves are excluded; left and right neighbors hash
-    into distinct buckets. Counts are L2-normalized; a mention with no
-    neighbors in range yields the zero vector.
-    """
-    if window < 1:
-        raise ContextError(f"window must be >= 1, got {window}")
-    if dim < 2:
-        raise ContextError(f"dim must be >= 2, got {dim}")
-    s, e = position_range
-    if not (0 <= s < e <= len(tokens)):
-        raise ContextError(f"mention range [{s}, {e}) outside token list")
-    vec = np.zeros(dim)
-    for i in range(max(0, s - window), s):
-        vec[_bucket("L", tokens[i].surface, dim)] += 1.0
-    for i in range(e, min(len(tokens), e + window)):
-        vec[_bucket("R", tokens[i].surface, dim)] += 1.0
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
 
 
 class HashedWindowProvider:
@@ -65,9 +41,36 @@ class HashedWindowProvider:
     def dimension(self) -> int:
         return self.dim
 
-    def vector(self, masked_tokens, mention: Mention, occurrence: int | None = None):
-        return hashed_window_context(masked_tokens, mention.token_range,
-                                     self.window, self.dim)
+    def vectors(self, occurrences) -> np.ndarray:
+        """Hashed bags of the tokens within ``window`` positions of each
+        mention, one row per occurrence.
+
+        Mention tokens themselves are excluded; left and right neighbors
+        hash into distinct buckets. Each row's counts are L2-normalized; a
+        mention with no neighbors in range yields the zero row. Each
+        distinct (side, surface) is hashed once per call.
+        """
+        buckets = {}
+        rows, cols = [], []
+        for row, (tokens, mention, _) in enumerate(occurrences):
+            s, e = mention.token_range
+            if not 0 <= s < e <= len(tokens):
+                raise ContextError(f"mention range [{s}, {e}) outside token list")
+            for side, lo, hi in (("L", max(0, s - self.window), s),
+                                 ("R", e, min(len(tokens), e + self.window))):
+                for token in tokens[lo:hi]:
+                    key = (side, token.surface)
+                    col = buckets.get(key)
+                    if col is None:
+                        col = buckets[key] = _bucket(side, token.surface, self.dim)
+                    rows.append(row)
+                    cols.append(col)
+        counts = np.zeros((len(occurrences), self.dim))
+        np.add.at(counts, (np.array(rows, dtype=np.intp),
+                           np.array(cols, dtype=np.intp)), 1.0)
+        norms = np.linalg.norm(counts, axis=1, keepdims=True)
+        np.divide(counts, norms, out=counts, where=norms > 0)
+        return counts
 
     def spec(self) -> dict:
         return {"kind": "hashed", "window": self.window, "dim": self.dim}
@@ -89,17 +92,18 @@ class PrecomputedProvider:
     def dimension(self) -> int:
         return self.dim
 
-    def vector(self, masked_tokens, mention: Mention, occurrence: int | None = None):
-        if occurrence is None:
-            raise ContextError("precomputed lookup needs the occurrence index")
-        key = (mention.doc_id, mention.kcs_name, occurrence)
-        try:
-            return self._table[key]
-        except KeyError:
-            raise ContextError(
-                f"no precomputed vector for doc={key[0]!r} kcs={key[1]!r} "
-                f"occurrence={key[2]}"
-            )
+    def vectors(self, occurrences) -> np.ndarray:
+        rows = []
+        for _, mention, occurrence in occurrences:
+            key = (mention.doc_id, mention.kcs_name, occurrence)
+            try:
+                rows.append(self._table[key])
+            except KeyError:
+                raise ContextError(
+                    f"no precomputed vector for doc={key[0]!r} kcs={key[1]!r} "
+                    f"occurrence={key[2]}"
+                ) from None
+        return np.vstack(rows) if rows else np.empty((0, self.dim))
 
     def __len__(self) -> int:
         return len(self._table)
@@ -143,21 +147,21 @@ def load_precomputed(path) -> PrecomputedProvider:
     return PrecomputedProvider(dim=dim, table=table, path=path)
 
 
-def context_of(provider, masked_tokens, mention: Mention,
-               occurrence: int | None = None) -> np.ndarray:
-    """The context vector of one mention occurrence.
+def context_of(provider, occurrences) -> np.ndarray:
+    """The context vectors of many mention occurrences, one row each.
 
-    Mask tokens in the surrounding text are ordinary vocabulary items.
-    Deterministic per (provider, tokens, mention).
+    An occurrence is ``(masked_tokens, mention, occurrence_index)``. Mask
+    tokens in the surrounding text are ordinary vocabulary items. Row i
+    depends only on occurrence i; deterministic per (provider, occurrence).
     """
-    vec = np.asarray(provider.vector(masked_tokens, mention, occurrence), dtype=float)
-    if vec.shape != (provider.dimension,):
-        raise ContextError(
-            f"provider returned shape {vec.shape}, declared dimension {provider.dimension}"
-        )
-    if not np.all(np.isfinite(vec)):
+    matrix = np.asarray(provider.vectors(occurrences), dtype=float)
+    want = (len(occurrences), provider.dimension)
+    if matrix.shape != want:
+        raise ContextError(f"provider returned shape {matrix.shape} for {want[0]} "
+                           f"occurrences, declared dimension {want[1]}")
+    if not np.all(np.isfinite(matrix)):
         raise ContextError("provider returned a non-finite vector")
-    return vec
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -218,22 +222,19 @@ def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
         raise ContextError(
             f"view {kcs_name!r} has {len(occurrences)} mention(s); need at least 2"
         )
-    vectors = [None] * len(occurrences)
-
-    def vec(i):
-        if vectors[i] is None:
-            toks, mention, occ = occurrences[i]
-            vectors[i] = context_of(provider, toks, mention, occ)
-        return vectors[i]
-
     rng = np.random.default_rng(seed)
-    distances = np.empty(sample_pairs)
-    for k in range(sample_pairs):
+    pairs = []
+    for _ in range(sample_pairs):
         i = int(rng.integers(len(occurrences)))
         j = int(rng.integers(len(occurrences) - 1))
         if j >= i:
             j += 1
-        distances[k] = _pair_distance(vec(i), vec(j), metric)
+        pairs.append((i, j))
+    sampled = sorted({i for pair in pairs for i in pair})
+    row = {i: r for r, i in enumerate(sampled)}
+    matrix = context_of(provider, [occurrences[i] for i in sampled])
+    distances = np.array([_pair_distance(matrix[row[i]], matrix[row[j]], metric)
+                          for i, j in pairs])
     return GammaReport(
         kcs_name=kcs_name,
         gamma=gamma,

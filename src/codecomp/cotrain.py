@@ -162,26 +162,29 @@ def mil_example_score(instance_probs) -> tuple[float, int]:
 def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
     """Vectorize processed documents into per-view instance matrices.
 
-    Context vectors come from the fully masked token list; instance order
-    follows the bags, so occurrence indices line up with precomputed-vector
-    keys.
+    Each view's occurrences across the whole batch go to the provider in
+    one ``context_of`` call, and each document's rows are a slice of that
+    read-only matrix. Context vectors come from the fully masked token
+    list; instance order follows the bags, so occurrence indices line up
+    with precomputed-vector keys.
     """
-    examples = []
-    for pdoc in processed_docs:
-        if kcs_names is None:
-            kcs_names = tuple(b.kcs_name for b in pdoc.bags)
-        views = []
-        for name in kcs_names:
-            rows = []
-            labels = []
+    processed_docs = list(processed_docs)
+    if kcs_names is None and processed_docs:
+        kcs_names = tuple(b.kcs_name for b in processed_docs[0].bags)
+    per_view = []
+    for name in kcs_names or ():
+        occurrences, labels, bounds = [], [], [0]
+        for pdoc in processed_docs:
             for occ, (mention, label) in enumerate(pdoc.masked_instances(name)):
-                rows.append(context_of(provider, pdoc.masked_tokens, mention, occ))
+                occurrences.append((pdoc.masked_tokens, mention, occ))
                 labels.append(label)
-            vectors = (np.vstack(rows) if rows
-                       else np.empty((0, provider.dimension)))
-            views.append(ViewInstances(vectors=vectors, labels=labels))
-        examples.append(Example(doc_id=pdoc.document.id, views=views))
-    return examples
+            bounds.append(len(occurrences))
+        matrix = context_of(provider, occurrences)
+        matrix.flags.writeable = False
+        per_view.append([ViewInstances(vectors=matrix[a:b], labels=labels[a:b])
+                         for a, b in zip(bounds, bounds[1:])])
+    return [Example(doc_id=pdoc.document.id, views=[bags[i] for bags in per_view])
+            for i, pdoc in enumerate(processed_docs)]
 
 
 def _labeled_rows(examples, view: int):

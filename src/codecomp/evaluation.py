@@ -221,12 +221,17 @@ class _DocumentRunner:
         }}
 
 
+# documents processed and vectorized together; a larger chunk keeps more
+# processed documents alive at once for little further gain
+_CHUNK = 100
+
+
 class _CoDecompRunner:
     """Caches per-document mention extraction and context vectors.
 
-    Documents are processed and vectorized once per corpus, and every fold
-    passes the cached examples as they are: co-training reads instance
-    labels only from a fold's labeled documents.
+    Documents are processed and vectorized once per corpus, ``_CHUNK`` at a
+    time, and every fold passes the cached examples as they are:
+    co-training reads instance labels only from a fold's labeled documents.
     Given iteration settings, a fold yields every ablation variant instead
     of the single co-trained model.
     """
@@ -237,10 +242,11 @@ class _CoDecompRunner:
         lexicons = spec.lexicons if spec.lexicons is not None else load_lexicons()
         self.kcs_names = tuple(k.name for k in spec.preset.kcs_list)
         self.examples = {}
-        for doc in corpus:
-            pdoc = process_document(doc, spec.preset, lexicons)
-            self.examples[doc.id] = build_examples(
-                [pdoc], spec.provider, self.kcs_names)[0]
+        for start in range(0, len(corpus), _CHUNK):
+            pdocs = [process_document(doc, spec.preset, lexicons)
+                     for doc in corpus[start:start + _CHUNK]]
+            for example in build_examples(pdocs, spec.provider, self.kcs_names):
+                self.examples[example.doc_id] = example
 
     def predictions(self, labeled, unlabeled, test):
         pools = (
@@ -379,7 +385,11 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     combination, then one entry per co-training iteration setting.
     """
     _check_protocol(k_folds, repetitions, dev_fold, jobs)
-    runner = _CoDecompRunner(corpus, spec, tuple(iteration_settings))
+    iteration_settings = tuple(iteration_settings)
+    if any(k < 1 for k in iteration_settings):
+        raise EvalError(
+            f"iteration settings must be >= 1, got {list(iteration_settings)}")
+    runner = _CoDecompRunner(corpus, spec, iteration_settings)
     variant_rows: dict = {}
     for variant, rep, fold, m in _fold_runs(corpus, runner, k_folds, sample_spec,
                                              repetitions, dev_fold, jobs):

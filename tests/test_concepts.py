@@ -1,5 +1,6 @@
 import logging
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,6 +449,9 @@ def test_masked_ranges_follow_collapse(lexicons):
     assert [m.token_range for m, _ in shifted] == [tuple(r) for r in drug_ranges]
     assert [(m.surface, label) for m, label in shifted] == [
         (m.surface, label) for m, label in pdoc.bag("drug").instances]
+    assert [m for m, _ in shifted] == [
+        replace(m, token_range=tuple(r))
+        for (m, _), r in zip(pdoc.bag("drug").instances, drug_ranges)]
 
 
 def test_wordlists_are_lowercase_and_unique(lexicons):

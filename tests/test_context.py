@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codecomp.concepts import Mention, Token, process_document
 from codecomp.context import (
     ContextError,
     GammaReport,
     HashedWindowProvider,
+    _bucket,
     context_of,
-    hashed_window_context,
     load_precomputed,
     validate_kcs_gamma,
 )
@@ -19,25 +20,51 @@ def _toks(*surfaces):
     return [Token(s, i, i + 1) for i, s in enumerate(surfaces)]
 
 
+def _occurrence(tokens, position_range, occurrence=0, doc_id="1", kcs_name="d"):
+    mention = Mention(doc_id=doc_id, kcs_name=kcs_name, token_range=position_range,
+                      surface="x")
+    return tokens, mention, occurrence
+
+
+def _reference_hashed_window(tokens, position_range, window, dim):
+    """One occurrence's hashed window vector, built by the plain loop that
+    ``HashedWindowProvider.vectors`` batches."""
+    s, e = position_range
+    vec = np.zeros(dim)
+    for i in range(max(0, s - window), s):
+        vec[_bucket("L", tokens[i].surface, dim)] += 1.0
+    for i in range(e, min(len(tokens), e + window)):
+        vec[_bucket("R", tokens[i].surface, dim)] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def _hashed(tokens, position_range, window, dim):
+    provider = HashedWindowProvider(window=window, dim=dim)
+    return context_of(provider, [_occurrence(tokens, position_range)])[0]
+
+
 class TestHashedWindow:
     def test_deterministic(self):
         tokens = _toks("a", "x", "b")
-        v1 = hashed_window_context(tokens, (1, 2), window=3, dim=16)
-        v2 = hashed_window_context(tokens, (1, 2), window=3, dim=16)
+        v1 = _hashed(tokens, (1, 2), window=3, dim=16)
+        v2 = _hashed(tokens, (1, 2), window=3, dim=16)
         np.testing.assert_array_equal(v1, v2)
 
     def test_identical_windows_identical_vectors(self):
-        a = hashed_window_context(_toks("a", "x", "b"), (1, 2), 1, 16)
-        b = hashed_window_context(_toks("pre", "a", "x", "b", "post"), (2, 3), 1, 16)
+        a = _hashed(_toks("a", "x", "b"), (1, 2), 1, 16)
+        b = _hashed(_toks("pre", "a", "x", "b", "post"), (2, 3), 1, 16)
         np.testing.assert_array_equal(a, b)
 
     def test_left_boundary_truncation(self):
-        vec = hashed_window_context(_toks("x", "right"), (0, 1), 3, 8)
+        vec = _hashed(_toks("x", "right"), (0, 1), 3, 8)
         assert vec.shape == (8,)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_single_token_document_zero_vector(self):
-        vec = hashed_window_context(_toks("x"), (0, 1), 4, 8)
+        vec = _hashed(_toks("x"), (0, 1), 4, 8)
         np.testing.assert_array_equal(vec, np.zeros(8))
 
     def test_norm_zero_or_one_property(self):
@@ -46,31 +73,84 @@ class TestHashedWindow:
             n = int(rng.integers(1, 12))
             tokens = _toks(*(f"t{rng.integers(5)}" for _ in range(n)))
             s = int(rng.integers(n))
-            vec = hashed_window_context(tokens, (s, s + 1),
-                                        window=int(rng.integers(1, 4)),
-                                        dim=int(rng.integers(2, 32)))
+            vec = _hashed(tokens, (s, s + 1), window=int(rng.integers(1, 4)),
+                          dim=int(rng.integers(2, 32)))
             norm = np.linalg.norm(vec)
             assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0)
 
     def test_translation_invariance_outside_window(self):
         base = _toks("l2", "l1", "x", "r1", "r2")
         shifted = _toks("far1", "far2", "far3", "l2", "l1", "x", "r1", "r2")
-        a = hashed_window_context(base, (2, 3), 2, 16)
-        b = hashed_window_context(shifted, (5, 6), 2, 16)
+        a = _hashed(base, (2, 3), 2, 16)
+        b = _hashed(shifted, (5, 6), 2, 16)
         np.testing.assert_array_equal(a, b)
 
     def test_side_distinguishes_tokens(self):
-        left = hashed_window_context(_toks("w", "x"), (1, 2), 1, 64)
-        right = hashed_window_context(_toks("x", "w"), (0, 1), 1, 64)
+        left = _hashed(_toks("w", "x"), (1, 2), 1, 64)
+        right = _hashed(_toks("x", "w"), (0, 1), 1, 64)
         assert not np.array_equal(left, right)
 
     def test_validation(self):
         with pytest.raises(ContextError):
-            hashed_window_context(_toks("a"), (0, 1), window=0, dim=8)
+            HashedWindowProvider(window=0, dim=8)
         with pytest.raises(ContextError):
-            hashed_window_context(_toks("a"), (0, 1), window=1, dim=1)
-        with pytest.raises(ContextError):
-            hashed_window_context(_toks("a"), (0, 2), window=1, dim=8)
+            HashedWindowProvider(window=1, dim=1)
+        with pytest.raises(ContextError, match="outside token list"):
+            _hashed(_toks("a"), (0, 2), window=1, dim=8)
+
+    def test_out_of_range_mention_fails_the_batch(self):
+        provider = HashedWindowProvider(window=2, dim=8)
+        good = _occurrence(_toks("a", "b"), (0, 1))
+        for bad in ((1, 1), (-1, 1), (2, 3)):
+            with pytest.raises(ContextError, match=f"\\[{bad[0]}, {bad[1]}\\)"):
+                context_of(provider, [good, _occurrence(_toks("a", "b"), bad)])
+
+
+def _assert_matches_reference(occurrences, window, dim):
+    got = context_of(HashedWindowProvider(window=window, dim=dim), occurrences)
+    want = np.array([_reference_hashed_window(t, m.token_range, window, dim)
+                     for t, m, _ in occurrences]).reshape(len(occurrences), dim)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _hashed_batches(draw):
+    """Occurrences over a few short documents drawn from a tiny vocabulary,
+    so surfaces repeat on both sides of a mention and across documents."""
+    window = draw(st.integers(1, 10))
+    dim = draw(st.integers(2, 128))
+    occurrences = []
+    for _ in range(draw(st.integers(0, 4))):
+        tokens = _toks(*draw(st.lists(st.sampled_from("abcde"), min_size=1,
+                                      max_size=8)))
+        for occ in range(draw(st.integers(0, 4))):
+            s = draw(st.integers(0, len(tokens) - 1))
+            e = draw(st.integers(s + 1, len(tokens)))
+            occurrences.append(_occurrence(tokens, (s, e), occ))
+    return occurrences, window, dim
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_hashed_batches())
+def test_batched_hashed_vectors_match_the_per_occurrence_loop(batch):
+    _assert_matches_reference(*batch)
+
+
+@pytest.mark.parametrize("window, dim, occurrences", [
+    (2, 16, [_occurrence(_toks("x", "a", "b", "c"), (0, 1)),
+             _occurrence(_toks("a", "b", "c", "x"), (3, 4))]),
+    (9, 8, [_occurrence(_toks("a", "x", "b"), (1, 2))]),
+    (3, 2, [_occurrence(_toks("a", "a", "x", "a", "a"), (2, 3))]),
+    (3, 32, [_occurrence(_toks("x"), (0, 1)),
+             _occurrence(_toks("a", "x", "b"), (0, 3)),
+             _occurrence(_toks("a", "x"), (1, 2))]),
+    (1, 128, [_occurrence(_toks("a", "x", "b"), (1, 2))]),
+    (4, 5, []),
+], ids=["both-ends", "wide-window", "repeated-surface", "zero-neighbours",
+        "dim-128", "empty-batch"])
+def test_hashed_vector_edge_cases(window, dim, occurrences):
+    _assert_matches_reference(occurrences, window, dim)
 
 
 def _write_vectors(tmp_path, lines, header="dim 4"):
@@ -95,10 +175,11 @@ class TestPrecomputed:
         provider = load_precomputed(_write_vectors(tmp_path, lines))
         assert provider.dimension == 4
         assert len(provider) == 3
-        for (d, k, o), vec in rows.items():
-            mention = Mention(doc_id=d, kcs_name=k, token_range=(0, 1), surface="x")
-            got = context_of(provider, _toks("x"), mention, occurrence=o)
-            np.testing.assert_array_equal(got, np.asarray(vec))
+        occurrences = [_occurrence(_toks("x"), (0, 1), o, doc_id=d, kcs_name=k)
+                       for d, k, o in rows]
+        got = context_of(provider, occurrences)
+        np.testing.assert_array_equal(got, np.array(list(rows.values())))
+        assert context_of(provider, []).shape == (0, 4)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = _write_vectors(tmp_path, ["1\td\t0\t1 2 3 4 5"])
@@ -107,15 +188,14 @@ class TestPrecomputed:
 
     def test_missing_key_names_key(self, tmp_path):
         provider = load_precomputed(_write_vectors(tmp_path, ["1\td\t0\t1 2 3 4"]))
-        mention = Mention(doc_id="9", kcs_name="d", token_range=(0, 1), surface="x")
         with pytest.raises(ContextError, match="doc='9'.*occurrence=3"):
-            context_of(provider, _toks("x"), mention, occurrence=3)
+            context_of(provider, [_occurrence(_toks("x"), (0, 1), 0, doc_id="1"),
+                                  _occurrence(_toks("x"), (0, 1), 3, doc_id="9")])
 
     def test_occurrence_required(self, tmp_path):
         provider = load_precomputed(_write_vectors(tmp_path, ["1\td\t0\t1 2 3 4"]))
-        mention = Mention(doc_id="1", kcs_name="d", token_range=(0, 1), surface="x")
-        with pytest.raises(ContextError, match="occurrence"):
-            context_of(provider, _toks("x"), mention)
+        with pytest.raises(ContextError, match="occurrence=None"):
+            context_of(provider, [_occurrence(_toks("x"), (0, 1), None)])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -200,13 +280,26 @@ class TestGamma:
         assert report.to_dict()["satisfied"] is True
 
 
+class _Broken:
+    """A provider returning whatever matrix it was built with."""
+
+    dimension = 4
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def vectors(self, occurrences):
+        return self.matrix
+
+
 def test_context_of_validates_shape_and_finiteness():
-    class Broken:
-        dimension = 4
-
-        def vector(self, tokens, mention, occurrence=None):
-            return np.array([1.0, 2.0])
-
-    mention = Mention(doc_id="1", kcs_name="d", token_range=(0, 1), surface="x")
-    with pytest.raises(ContextError, match="shape"):
-        context_of(Broken(), _toks("x"), mention)
+    occurrences = [_occurrence(_toks("x"), (0, 1), o) for o in range(2)]
+    for matrix, message in [
+        (np.ones((2, 2)), "shape \\(2, 2\\) for 2 occurrences, declared dimension 4"),
+        (np.ones((1, 4)), "shape \\(1, 4\\) for 2 occurrences"),
+        (np.ones(4), "shape \\(4,\\)"),
+        (np.array([[1.0, 2.0, np.nan, 4.0], [0.0] * 4]), "non-finite"),
+        (np.array([[0.0] * 4, [np.inf, 0.0, 0.0, 0.0]]), "non-finite"),
+    ]:
+        with pytest.raises(ContextError, match=message):
+            context_of(_Broken(matrix), occurrences)

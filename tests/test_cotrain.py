@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from codecomp.concepts import NEGATIVE, POSITIVE, UNLABELED, load_lexicons, process_document
 from codecomp.context import HashedWindowProvider, load_precomputed
-from codecomp.corpus import SampleSpec, sample_labeled
+from codecomp.corpus import Document, SampleSpec, sample_labeled
 from codecomp.cotrain import (
     CoConfig,
     CoDecompModel,
@@ -637,6 +637,38 @@ def test_build_examples_against_precomputed_keys(tmp_path, lexicons):
                 np.testing.assert_array_equal(
                     example.views[j].vectors[occ],
                     stored[(pdoc.document.id, name, occ)])
+
+
+def test_build_examples_batch_equals_one_document_at_a_time(lexicons):
+    docs, preset = decomposable_corpus(40, seed=2)
+    docs.insert(7, Document(id="no-mentions", text="plain words only"))
+    pdocs = [process_document(d, preset, lexicons) for d in docs]
+    provider = HashedWindowProvider(window=2, dim=16)
+    batch = build_examples(pdocs, provider)
+    single = [build_examples([pdoc], provider)[0] for pdoc in pdocs]
+    assert [ex.doc_id for ex in batch] == [ex.doc_id for ex in single]
+    assert any(v.size == 0 for ex in batch for v in ex.views)
+    for a, b in zip(batch, single):
+        assert len(a.views) == len(b.views) == len(preset.kcs_list)
+        for va, vb in zip(a.views, b.views):
+            assert va.vectors.shape == vb.vectors.shape
+            assert va.vectors.tobytes() == vb.vectors.tobytes()
+            assert va.labels == vb.labels
+    assert build_examples([], provider) == []
+
+
+def test_build_examples_vectors_are_read_only(lexicons):
+    docs, preset = decomposable_corpus(6, seed=2)
+    pdocs = [process_document(d, preset, lexicons) for d in docs]
+    examples = build_examples(pdocs, HashedWindowProvider(window=2, dim=8))
+    first = next(v for ex in examples for v in ex.views if v.size)
+    before = [v.vectors.copy() for ex in examples for v in ex.views]
+    with pytest.raises(ValueError, match="read-only"):
+        first.vectors[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.vectors *= 2.0
+    after = [v.vectors for ex in examples for v in ex.views]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_model_serialization_roundtrip(tmp_path):

@@ -298,6 +298,8 @@ class TestDriver:
             lambda: run_experiment(docs, spec, 4, SampleSpec(40, 3), **kwargs),
             lambda: ablation_table(docs, spec, [2], 4, SampleSpec(40, 3), **kwargs),
             lambda: training_size_sweep(docs, spec, [40], 4, 3, **kwargs),
+            lambda: ablation_table(docs, spec, [3, 0], 4, SampleSpec(40, 3),
+                                   repetitions=1),
         )
         for call in entry_points:
             with pytest.raises(EvalError):
