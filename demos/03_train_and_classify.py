@@ -51,9 +51,9 @@ for record in model.iteration_log[:5]:
 correct = 0
 test_examples = vectorize(held_out)
 for doc, example in zip(held_out[:5], test_examples[:5]):
-    label, score = predict(model, example)
-    probs = " ".join(f"{name}={p:.2f}" for name, p in zip(names, score.probs))
-    print(f"{doc.id}: {probs} -> {label} (gold {doc.gold_label})")
+    label, probs = predict(model, example)
+    shown = " ".join(f"{name}={p:.2f}" for name, p in zip(names, probs))
+    print(f"{doc.id}: {shown} -> {label} (gold {doc.gold_label})")
 correct = sum(predict(model, e)[0] == d.gold_label
               for d, e in zip(held_out, test_examples))
 print(f"\nheld-out accuracy: {correct}/{len(held_out)}")

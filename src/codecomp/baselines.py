@@ -28,11 +28,14 @@ from .learners import (
 
 @dataclass(frozen=True)
 class EMConfig:
+    alpha: float = 1.0                  # Laplace smoothing of every M-step
     max_iterations: int = 20
     unlabeled_weight: float = 1.0
     convergence_tolerance: float = 1e-6
 
     def __post_init__(self):
+        if self.alpha <= 0:
+            raise LearnerError(f"alpha must be > 0, got {self.alpha}")
         if self.max_iterations < 1:
             raise LearnerError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0.0 < self.unlabeled_weight <= 1.0):
@@ -79,8 +82,8 @@ def _e_step(model: NBModel, table: FeatureCounts, labeled_weights, unlabeled_wei
     return mass / total, math.fsum(np.concatenate(terms).tolist())
 
 
-def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(),
-           alpha: float = 1.0, *, features=None):
+def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(), *,
+           features=None):
     """Semi-supervised NB: E-steps assign fractional labels, M-steps refit.
 
     Unlabeled contributions are damped by ``unlabeled_weight``. Returns the
@@ -95,6 +98,7 @@ def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(),
     table = FeatureCounts.from_multisets(
         _multisets([*labeled_docs, *unlabeled_docs], features))
     labeled_weights = one_hot_labels([d.gold_label for d in labeled_docs])
+    alpha = em_config.alpha
     # the first M-step sees the labeled documents only, but estimates share
     # one vocabulary across labeled and unlabeled text from the start
     model = _train_nb_weighted(

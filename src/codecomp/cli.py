@@ -20,7 +20,12 @@ from pathlib import Path
 from . import evaluation
 from .baselines import EMConfig
 from .concepts import load_lexicons, process_document
-from .context import HashedWindowProvider, load_precomputed, validate_kcs_gamma
+from .context import (
+    DISTANCES,
+    HashedWindowProvider,
+    load_precomputed,
+    validate_kcs_gamma,
+)
 from .corpus import POSITIVE, SampleSpec, load_corpus, sample_labeled
 from .cotrain import CoConfig, build_examples, cotrain_fit, iteration_log_lines
 from .learners import TrainConfig, save_model
@@ -46,17 +51,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(section, key, raw, kind):
-    try:
-        if kind == "intlist":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config field [{section}] {key} has invalid value {raw!r}")
+# the parser of a config value, by the annotation of its dataclass field
+_PARSERS = {
+    "str": str, "int": int, "float": float, "int | None": int,
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+}
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class RunConfig:
     task: str = ""
     corpus: str = ""
     output: str = "out"
@@ -67,158 +70,149 @@ class ExperimentConfig:
     dev_fold: int | None = None
     jobs: int = 1
     model: str = "codecomp"
-    provider_kind: str = "hashed"
-    provider_path: str = ""
+
+    def __post_init__(self):
+        if self.k_folds < 2:
+            raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
+        if self.n_labeled < 1:
+            raise ConfigError(f"n_labeled must be >= 1, got {self.n_labeled}")
+        if self.repetitions < 1:
+            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.model not in ("codecomp", "nb", "em"):
+            raise ConfigError(f"model must be codecomp, nb or em, got {self.model!r}")
+
+
+@dataclass(frozen=True)
+class ProviderConfig:
+    """The ``[provider]`` section: ``path`` is read for precomputed vectors,
+    ``window`` and ``dim`` for hashed ones."""
+
+    kind: str = "hashed"
+    path: str = ""
     window: int = 3
     dim: int = 64
-    cotrain: CoConfig = field(default_factory=CoConfig)
-    learner: TrainConfig = field(default_factory=TrainConfig)
-    nb_alpha: float = 1.0
-    em_alpha: float = 1.0
-    em: EMConfig = field(default_factory=EMConfig)
-    # no default threshold is assumed; set [gamma] threshold to warn
-    gamma_threshold: float = float("inf")
-    gamma_sample_pairs: int = 200
-    gamma_metric: str = "euclidean"
-    ablation_iterations: tuple = (13, 25, 50, 75)
-    sweep_sizes: tuple = ()
 
-    # section -> key -> (attribute, type); a section named in _NESTED also
-    # takes the fields of the library config held in the attribute of that name
-    _SCHEMA = {
-        "experiment": {
-            "task": ("task", str), "corpus": ("corpus", str),
-            "output": ("output", str),
-            "k_folds": ("k_folds", int), "n_labeled": ("n_labeled", int),
-            "repetitions": ("repetitions", int),
-            "master_seed": ("master_seed", int),
-            "dev_fold": ("dev_fold", int), "jobs": ("jobs", int),
-            "model": ("model", str),
-        },
-        "provider": {
-            "kind": ("provider_kind", str), "path": ("provider_path", str),
-            "window": ("window", int), "dim": ("dim", int),
-        },
-        "cotrain": {},
-        "learner": {},
-        "nb": {"alpha": ("nb_alpha", float)},
-        "em": {"alpha": ("em_alpha", float)},
-        "gamma": {
-            "threshold": ("gamma_threshold", float),
-            "sample_pairs": ("gamma_sample_pairs", int),
-            "metric": ("gamma_metric", str),
-        },
-        "ablation": {"iterations": ("ablation_iterations", "intlist")},
-        "sweep": {"sizes": ("sweep_sizes", "intlist")},
-    }
-    _NESTED = ("cotrain", "learner", "em")
+    def __post_init__(self):
+        if self.kind not in ("hashed", "precomputed"):
+            raise ConfigError(f"kind must be hashed or precomputed, got {self.kind!r}")
+        if self.kind == "precomputed" and not self.path:
+            raise ConfigError("path is required for precomputed vectors")
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"config file not found: {path}")
-        cfg = cls()
-        for section in parser.sections():
-            if section not in cls._SCHEMA:
-                raise ConfigError(f"unknown config section [{section}]")
-            flat = cls._SCHEMA[section]
-            nested = getattr(cfg, section) if section in cls._NESTED else None
-            kinds = ({f.name: type(getattr(nested, f.name)) for f in fields(nested)}
-                     if nested is not None else {})
-            updates = {}
-            for key, raw in parser[section].items():
-                if key in flat:
-                    attr, kind = flat[key]
-                    setattr(cfg, attr, _parse_value(section, key, raw, kind))
-                elif key in kinds:
-                    updates[key] = _parse_value(section, key, raw, kinds[key])
-                else:
-                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            if nested is not None:
-                try:
-                    setattr(cfg, section, replace(nested, **updates))
-                except ValueError as exc:
-                    raise ConfigError(f"config section [{section}]: {exc}") from None
-        return cfg
-
-    def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
-        for section, keys in self._SCHEMA.items():
-            values = {key: getattr(self, attr) for key, (attr, _) in keys.items()}
-            if section in self._NESTED:
-                values.update(asdict(getattr(self, section)))
-            parser[section] = {
-                key: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
-                for key, v in values.items() if v is not None
-            }
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
-
-    def validate(self) -> None:
-        if self.k_folds < 2:
-            raise ConfigError("config field k_folds must be >= 2")
-        if self.n_labeled < 1:
-            raise ConfigError("config field n_labeled must be >= 1")
-        if self.repetitions < 1:
-            raise ConfigError("config field repetitions must be >= 1")
-        if self.provider_kind not in ("hashed", "precomputed"):
-            raise ConfigError("config field provider.kind must be hashed or precomputed")
-        if self.provider_kind == "precomputed" and not self.provider_path:
-            raise ConfigError("config field provider.path required for precomputed vectors")
-        if self.model not in ("codecomp", "nb", "em"):
-            raise ConfigError("config field model must be codecomp, nb, or em")
-
-    def provider(self):
-        if self.provider_kind == "precomputed":
-            return load_precomputed(self.provider_path)
+    def build(self):
+        if self.kind == "precomputed":
+            return load_precomputed(self.path)
         return HashedWindowProvider(window=self.window, dim=self.dim)
 
+
+@dataclass(frozen=True)
+class GammaConfig:
+    threshold: float = float("inf")     # validate-kcs warns above it, if set
+    sample_pairs: int = 200
+    metric: str = "euclidean"
+
+    def __post_init__(self):
+        if self.sample_pairs < 1:
+            raise ConfigError(f"sample_pairs must be >= 1, got {self.sample_pairs}")
+        if self.metric not in DISTANCES:
+            raise ConfigError(f"metric must be one of {', '.join(DISTANCES)}, "
+                              f"got {self.metric!r}")
+
+
+@dataclass(frozen=True)
+class AblationConfig:
+    iterations: tuple[int, ...] = (13, 25, 50, 75)  # co-training iterations to report
+
+    def __post_init__(self):
+        if any(k < 1 for k in self.iterations):
+            raise ConfigError(f"iterations must be >= 1, got {list(self.iterations)}")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    sizes: tuple[int, ...] = ()     # labeled-set sizes, ascending
+
+    def __post_init__(self):
+        if any(n < 1 for n in self.sizes):
+            raise ConfigError(f"sizes must be >= 1, got {list(self.sizes)}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The whole config: one field per INI section, named as the section,
+    whose dataclass declares the section's keys and checks their values."""
+
+    experiment: RunConfig = field(default_factory=RunConfig)
+    provider: ProviderConfig = field(default_factory=ProviderConfig)
+    cotrain: CoConfig = field(default_factory=CoConfig)
+    learner: TrainConfig = field(default_factory=TrainConfig)
+    nb: evaluation.NBSpec = field(default_factory=evaluation.NBSpec)
+    em: EMConfig = field(default_factory=EMConfig)
+    gamma: GammaConfig = field(default_factory=GammaConfig)
+    ablation: AblationConfig = field(default_factory=AblationConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+
+    @classmethod
+    def from_file(cls, path=None, overrides=()) -> "ExperimentConfig":
+        """The INI file at ``path`` (if any) with each ``(section, key,
+        value)`` of ``overrides`` in place of the file's value, every value
+        parsed by its field's type and checked by its section's dataclass."""
+        parser = configparser.ConfigParser()
+        if path is not None and not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        for section, key, value in overrides:
+            # a flag's value is taken as given: '%' starts no interpolation
+            parser.read_dict({section: {key: value.replace("%", "%%")}})
+        cfg = cls()
+        sections = {}
+        for section in parser.sections():
+            if section not in cls.__dataclass_fields__:
+                raise ConfigError(f"unknown config section [{section}]")
+            values = getattr(cfg, section)
+            kinds = {f.name: f.type for f in fields(values)}
+            updates = {}
+            for key, raw in parser[section].items():
+                if key not in kinds:
+                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                try:
+                    updates[key] = _PARSERS[kinds[key]](raw)
+                except ValueError:
+                    raise ConfigError(f"config field [{section}] {key} has invalid "
+                                      f"value {raw!r}") from None
+            try:
+                sections[section] = replace(values, **updates)
+            except ValueError as exc:
+                raise ConfigError(f"config section [{section}]: {exc}") from None
+        return replace(cfg, **sections)
+
     def model_spec(self, name=None):
-        name = name or self.model
+        name = name or self.experiment.model
         if name == "nb":
-            return evaluation.NBSpec(alpha=self.nb_alpha)
+            return self.nb
         if name == "em":
-            return evaluation.EMSpec(alpha=self.em_alpha, em_config=self.em)
+            return evaluation.EMSpec(em_config=self.em)
         return evaluation.CoDecompSpec(
-            preset=resolve_preset(self.task),
-            provider=self.provider(),
+            preset=resolve_preset(self.experiment.task),
+            provider=self.provider.build(),
             co_config=self.cotrain,
             train_config=self.learner,
         )
 
 
-_FLAG_OVERRIDES = {
-    "task": "task", "corpus": "corpus", "out": "output", "folds": "k_folds",
-    "n_labeled": "n_labeled", "reps": "repetitions",
-    "seed": "master_seed", "model": "model", "jobs": "jobs",
-    "provider": "provider_kind", "window": "window", "dim": "dim",
-}
-
-
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    for flag, attr in _FLAG_OVERRIDES.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "iters", None) is not None:
-        cfg.cotrain = replace(cfg.cotrain, iterations=args.iters)
-    if getattr(args, "sizes", None):
-        cfg.sweep_sizes = tuple(int(v) for v in args.sizes.split(","))
-    cfg.validate()
-    return cfg
+    overrides = [(*dest.split("."), value) for dest, value in vars(args).items()
+                 if "." in dest and value is not None]
+    return ExperimentConfig.from_file(args.config, overrides)
 
 
 def _out_dir(cfg) -> Path:
-    path = Path(cfg.output)
+    path = Path(cfg.experiment.output)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _load_documents(cfg):
-    return load_corpus(cfg.corpus, "tsv" if cfg.corpus.endswith(".tsv") else "jsonl")
+    path = cfg.experiment.corpus
+    return load_corpus(path, "tsv" if path.endswith(".tsv") else "jsonl")
 
 
 def _enriched_record(pdoc, preset) -> dict:
@@ -253,7 +247,7 @@ def _enriched_record(pdoc, preset) -> dict:
 
 def cmd_prepare(args) -> int:
     cfg = _load_config(args)
-    preset = resolve_preset(cfg.task)
+    preset = resolve_preset(cfg.experiment.task)
     lexicons = load_lexicons()
     docs = _load_documents(cfg)
     out = Path(args.enriched_out or _out_dir(cfg) / "enriched.jsonl")
@@ -349,18 +343,18 @@ def cmd_annotate(args, stdin=None, stdout=None) -> int:
 
 def cmd_validate_kcs(args) -> int:
     cfg = _load_config(args)
-    preset = resolve_preset(cfg.task)
+    preset = resolve_preset(cfg.experiment.task)
     lexicons = load_lexicons()
-    provider = cfg.provider()
+    provider = cfg.provider.build()
     docs = _load_documents(cfg)
     pdocs = [process_document(d, preset, lexicons) for d in docs]
     reports = []
     for kcs in preset.kcs_list:
         report = validate_kcs_gamma(
-            provider, pdocs, kcs.name, cfg.gamma_threshold,
-            cfg.gamma_sample_pairs, cfg.master_seed, metric=cfg.gamma_metric)
+            provider, pdocs, kcs.name, cfg.gamma.threshold, cfg.gamma.sample_pairs,
+            cfg.experiment.master_seed, metric=cfg.gamma.metric)
         reports.append(report)
-        if cfg.gamma_threshold == float("inf"):
+        if cfg.gamma.threshold == float("inf"):
             flag = "report only"
         else:
             flag = "ok" if report.satisfied else "WARNING: above threshold"
@@ -373,11 +367,11 @@ def cmd_validate_kcs(args) -> int:
     return EXIT_OK
 
 
-def _training_pools(cfg, docs):
+def _training_pools(run, docs):
     labeled = [d for d in docs if d.gold_label is not None]
     unlabeled = [d for d in docs if d.gold_label is None]
-    if cfg.n_labeled < len(labeled):
-        sample = sample_labeled(labeled, SampleSpec(cfg.n_labeled, cfg.master_seed))
+    if run.n_labeled < len(labeled):
+        sample = sample_labeled(labeled, SampleSpec(run.n_labeled, run.master_seed))
         labeled = sample.labeled
         unlabeled = unlabeled + sample.unlabeled
     return labeled, unlabeled
@@ -385,11 +379,11 @@ def _training_pools(cfg, docs):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    preset = resolve_preset(cfg.task)
+    preset = resolve_preset(cfg.experiment.task)
     lexicons = load_lexicons()
-    provider = cfg.provider()
+    provider = cfg.provider.build()
     docs = _load_documents(cfg)
-    labeled_docs, unlabeled_docs = _training_pools(cfg, docs)
+    labeled_docs, unlabeled_docs = _training_pools(cfg.experiment, docs)
     kcs_names = tuple(k.name for k in preset.kcs_list)
     labeled = build_examples(
         [process_document(d, preset, lexicons) for d in labeled_docs],
@@ -416,10 +410,11 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     docs = _load_documents(cfg)
     spec = cfg.model_spec()
+    run = cfg.experiment
     report = evaluation.run_experiment(
-        docs, spec, cfg.k_folds,
-        SampleSpec(cfg.n_labeled, cfg.master_seed),
-        repetitions=cfg.repetitions, dev_fold=cfg.dev_fold, jobs=cfg.jobs)
+        docs, spec, run.k_folds,
+        SampleSpec(run.n_labeled, run.master_seed),
+        repetitions=run.repetitions, dev_fold=run.dev_fold, jobs=run.jobs)
     out = _out_dir(cfg)
     (out / f"report_{spec.name}.json").write_text(report.to_json(), encoding="utf-8")
     (out / f"report_{spec.name}.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -433,10 +428,11 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     docs = _load_documents(cfg)
     spec = cfg.model_spec("codecomp")
+    run = cfg.experiment
     table = evaluation.ablation_table(
-        docs, spec, cfg.ablation_iterations, cfg.k_folds,
-        SampleSpec(cfg.n_labeled, cfg.master_seed),
-        repetitions=cfg.repetitions, dev_fold=cfg.dev_fold, jobs=cfg.jobs)
+        docs, spec, cfg.ablation.iterations, run.k_folds,
+        SampleSpec(run.n_labeled, run.master_seed),
+        repetitions=run.repetitions, dev_fold=run.dev_fold, jobs=run.jobs)
     out = _out_dir(cfg)
     (out / "ablation.csv").write_text(evaluation.ablation_csv(table), encoding="utf-8")
     for name, mean in table.items():
@@ -448,13 +444,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if not cfg.sweep_sizes:
+    if not cfg.sweep.sizes:
         raise ConfigError("config field sweep.sizes (or --sizes) is required")
     docs = _load_documents(cfg)
     spec = cfg.model_spec()
+    run = cfg.experiment
     rows = evaluation.training_size_sweep(
-        docs, spec, cfg.sweep_sizes, cfg.k_folds, cfg.master_seed,
-        repetitions=cfg.repetitions, dev_fold=cfg.dev_fold, jobs=cfg.jobs)
+        docs, spec, cfg.sweep.sizes, run.k_folds, run.master_seed,
+        repetitions=run.repetitions, dev_fold=run.dev_fold, jobs=run.jobs)
     out = _out_dir(cfg)
     (out / "sweep.csv").write_text(evaluation.sweep_csv(rows), encoding="utf-8")
     for n, report in rows:
@@ -475,20 +472,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--task", help=f"task preset ({', '.join(preset_names())})")
-        p.add_argument("--corpus", help="corpus file (jsonl or tsv)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--folds", type=int, help="cross-validation folds")
-        p.add_argument("--n-labeled", dest="n_labeled", type=int,
-                       help="labeled training examples per fold")
-        p.add_argument("--reps", type=int, help="experiment repetitions")
-        p.add_argument("--iters", type=int, help="co-training iterations")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--model", choices=["codecomp", "nb", "em"])
-        p.add_argument("--jobs", type=int, help="max parallel workers")
-        p.add_argument("--provider", choices=["hashed", "precomputed"])
-        p.add_argument("--window", type=int, help="hashed provider window")
-        p.add_argument("--dim", type=int, help="hashed provider dimension")
+        # each flag sets one config value; its dest names it as section.key
+        for flag, dest, text in (
+                ("--task", "experiment.task",
+                 f"task preset ({', '.join(preset_names())})"),
+                ("--corpus", "experiment.corpus", "corpus file (jsonl or tsv)"),
+                ("--out", "experiment.output", "output directory"),
+                ("--folds", "experiment.k_folds", "cross-validation folds"),
+                ("--n-labeled", "experiment.n_labeled", "labeled examples per fold"),
+                ("--reps", "experiment.repetitions", "experiment repetitions"),
+                ("--iters", "cotrain.iterations", "co-training iterations"),
+                ("--seed", "experiment.master_seed", "master seed"),
+                ("--model", "experiment.model", "codecomp, nb or em"),
+                ("--jobs", "experiment.jobs", "max parallel workers"),
+                ("--provider", "provider.kind", "hashed or precomputed"),
+                ("--window", "provider.window", "hashed provider window"),
+                ("--dim", "provider.dim", "hashed provider dimension")):
+            p.add_argument(flag, dest=dest, help=text)
         return p
 
     p = common(sub.add_parser("prepare", help="extract mentions and write enriched jsonl"))
@@ -513,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = common(sub.add_parser("sweep", help="training-size sweep"))
-    p.add_argument("--sizes", help="comma-separated labeled-set sizes")
+    p.add_argument("--sizes", dest="sweep.sizes",
+                   help="comma-separated labeled-set sizes")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -194,12 +194,14 @@ class GammaReport:
 def _pair_distance(u, v, metric: str) -> float:
     if metric == "euclidean":
         return float(np.linalg.norm(u - v))
-    if metric == "cosine":
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu == 0 or nv == 0:
-            return 1.0
-        return float(1.0 - (u @ v) / (nu * nv))
-    raise ContextError(f"unknown distance metric {metric!r}")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)  # cosine
+    if nu == 0 or nv == 0:
+        return 1.0
+    return float(1.0 - (u @ v) / (nu * nv))
+
+
+# the ``metric`` names that validate_kcs_gamma takes
+DISTANCES = ("euclidean", "cosine")
 
 
 def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
@@ -213,6 +215,9 @@ def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
     """
     if sample_pairs < 1:
         raise ContextError(f"sample_pairs must be >= 1, got {sample_pairs}")
+    if metric not in DISTANCES:
+        raise ContextError(f"metric must be one of {', '.join(DISTANCES)}, "
+                           f"got {metric!r}")
     occurrences = [
         (pdoc.masked_tokens, mention, occ)
         for pdoc in processed_docs

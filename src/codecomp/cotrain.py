@@ -71,13 +71,6 @@ class Example:
     views: list
 
 
-@dataclass(frozen=True)
-class ExampleScore:
-    doc_id: str
-    probs: tuple            # per-view positive probability (neutral for empty views)
-    winning_instance: tuple  # per-view argmax index, None for empty views
-
-
 @dataclass
 class IterationRecord:
     iteration: int
@@ -342,29 +335,16 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     )
 
 
-def score_example(model: CoDecompModel, example: Example) -> ExampleScore:
-    """Per-view bag probabilities of one document; empty views score neutral."""
-    probs = []
-    winners = []
-    for j, view in enumerate(example.views):
-        if view.size == 0:
-            probs.append(model.co_config.neutral_prob)
-            winners.append(None)
-            continue
-        p, idx = mil_example_score(predict_proba_batch(model.classifiers[j], view.vectors))
-        probs.append(p)
-        winners.append(idx)
-    return ExampleScore(doc_id=example.doc_id, probs=tuple(probs),
-                        winning_instance=tuple(winners))
-
-
 def predict(model: CoDecompModel, example: Example):
-    """Product-rule aggregation: positive iff prod(P) >= prod(1 - P)."""
-    score = score_example(model, example)
+    """Product-rule label of one document and its per-view bag probabilities
+    (neutral for an empty view): positive iff prod(P) >= prod(1 - P)."""
+    probs = tuple(
+        mil_example_score(predict_proba_batch(clf, view.vectors))[0] if view.size
+        else model.co_config.neutral_prob
+        for clf, view in zip(model.classifiers, example.views, strict=True))
     # math.prod multiplies in view order, as predict_many's np.prod(axis=0)
-    positive = math.prod(score.probs) >= math.prod(1.0 - p for p in score.probs)
-    label = POSITIVE if positive else NEGATIVE
-    return label, score
+    positive = math.prod(probs) >= math.prod(1.0 - p for p in probs)
+    return (POSITIVE if positive else NEGATIVE), probs
 
 
 def predict_many(model: CoDecompModel, examples) -> dict:

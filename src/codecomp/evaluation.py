@@ -163,8 +163,15 @@ class RunReport:
 
 @dataclass(frozen=True)
 class NBSpec:
+    """Supervised NB; its fields are the CLI's ``[nb]`` keys. As in every
+    spec, ``name`` is a class constant, not a field."""
+
     alpha: float = 1.0
-    name: str = "nb"
+    name = "nb"
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise EvalError(f"alpha must be > 0, got {self.alpha}")
 
     def describe(self) -> dict:
         return {"model": "nb", "alpha": self.alpha}
@@ -172,12 +179,11 @@ class NBSpec:
 
 @dataclass(frozen=True)
 class EMSpec:
-    alpha: float = 1.0
     em_config: EMConfig = field(default_factory=EMConfig)
-    name: str = "em"
+    name = "em"
 
     def describe(self) -> dict:
-        return {"model": "em", "alpha": self.alpha, **asdict(self.em_config)}
+        return {"model": "em", **asdict(self.em_config)}
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,7 @@ class CoDecompSpec:
     co_config: CoConfig = field(default_factory=CoConfig)
     train_config: TrainConfig = field(default_factory=TrainConfig)
     lexicons: Lexicons | None = None
-    name: str = "codecomp"
+    name = "codecomp"
 
     def describe(self) -> dict:
         return {
@@ -210,7 +216,7 @@ class _DocumentRunner:
     def predictions(self, labeled, unlabeled, test):
         if isinstance(self.spec, EMSpec):
             model, _ = em_fit(labeled, unlabeled, self.spec.em_config,
-                              alpha=self.spec.alpha, features=self.features)
+                              features=self.features)
         else:
             model = nb_baseline_fit(labeled, alpha=self.spec.alpha,
                                     features=self.features)
@@ -292,8 +298,11 @@ def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
             yield variant, rep, fold, compute_metrics(predictions, gold)
 
 
-def _check_protocol(k_folds, repetitions, dev_fold, jobs) -> None:
-    """Reject bad protocol values before any runner processes the corpus."""
+def _check_protocol(k_folds, repetitions, dev_fold, jobs, sizes) -> None:
+    """Reject bad protocol values, ``sizes`` being the labeled-set sizes to
+    run, before any runner processes the corpus."""
+    if any(n < 1 for n in sizes):
+        raise EvalError(f"n_labeled must be >= 1, got {list(sizes)}")
     if repetitions < 1:
         raise EvalError(f"repetitions must be >= 1, got {repetitions}")
     if dev_fold is not None and not 0 <= dev_fold < k_folds:
@@ -370,7 +379,7 @@ def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
     repetition), trains the model spec on the labeled/unlabeled split of
     every training partition, and scores the held-out fold.
     """
-    _check_protocol(k_folds, repetitions, dev_fold, jobs)
+    _check_protocol(k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
     return _report(corpus, _make_runner(corpus, model_spec), k_folds,
                    sample_spec, repetitions, dev_fold, jobs)
 
@@ -384,7 +393,7 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     Returns an ordered mapping: each single view, the no-promotion
     combination, then one entry per co-training iteration setting.
     """
-    _check_protocol(k_folds, repetitions, dev_fold, jobs)
+    _check_protocol(k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
     iteration_settings = tuple(iteration_settings)
     if any(k < 1 for k in iteration_settings):
         raise EvalError(
@@ -414,7 +423,7 @@ def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise EvalError("sizes must be ascending")
-    _check_protocol(k_folds, repetitions, dev_fold, jobs)
+    _check_protocol(k_folds, repetitions, dev_fold, jobs, sizes)
     runner = _make_runner(corpus, model_spec)  # shared by every size
     return [
         (n, _report(corpus, runner, k_folds, SampleSpec(n, master_seed),

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,8 @@ class TestEM:
             EMConfig(unlabeled_weight=1.5)
         with pytest.raises(LearnerError, match="convergence_tolerance"):
             EMConfig(convergence_tolerance=-1.0)
+        with pytest.raises(LearnerError, match="alpha must be > 0, got 0"):
+            EMConfig(alpha=0)
         assert EMConfig(convergence_tolerance=0.0).convergence_tolerance == 0.0
 
     def test_objective_includes_smoothing_prior(self):
@@ -322,7 +325,8 @@ class TestMatchesDictLoop:
                 return _train_nb_weighted(*args)
 
             mp.setattr(baselines, "_train_nb_weighted", counted)
-            model, trace = em_fit(docs, pool, config, alpha, features=features)
+            model, trace = em_fit(docs, pool, replace(config, alpha=alpha),
+                                  features=features)
         assert len(trace) == len(ref_trace)
         assert len(steps) == ref_steps == 1 + len(trace)
         assert steps == [alpha] * len(steps)
@@ -405,7 +409,8 @@ class TestArrayModel:
         (log_priors, rows, log_oov), ref_trace = _dict_em(
             [features[d.id] for d in docs], labels,
             [features[d.id] for d in pool], config, alpha)
-        model, trace = em_fit(docs, pool, config, alpha, features=features)
+        model, trace = em_fit(docs, pool, replace(config, alpha=alpha),
+                              features=features)
         assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
         assert model.log_priors.tobytes() == log_priors.tobytes()
         assert model.log_oov.tobytes() == log_oov.tobytes()

@@ -1,13 +1,24 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
-from codecomp import evaluation
+from codecomp import baselines, cli, evaluation
 from codecomp.baselines import EMConfig
-from codecomp.cli import ConfigError, ExperimentConfig, main, resolve_preset
+from codecomp.cli import (
+    AblationConfig,
+    ConfigError,
+    ExperimentConfig,
+    GammaConfig,
+    ProviderConfig,
+    RunConfig,
+    SweepConfig,
+    main,
+    resolve_preset,
+)
 from codecomp.corpus import load_corpus
 from codecomp.cotrain import CoConfig
 from codecomp.learners import TrainConfig, load_model
@@ -102,30 +113,46 @@ def phm_setup(tmp_path):
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(
-            task="phm-cancer", corpus="c.jsonl", k_folds=5, sweep_sizes=(10, 20),
+            experiment=RunConfig(task="phm-cancer", corpus="c.jsonl", output="o",
+                                 k_folds=5, n_labeled=30, repetitions=2,
+                                 master_seed=3, dev_fold=1, jobs=2, model="em"),
+            provider=ProviderConfig(kind="precomputed", path="v.txt", window=2,
+                                    dim=16),
             cotrain=CoConfig(iterations=3, promotions_per_view=2,
                              confidence_floor=0.8, neutral_prob=0.4),
             learner=TrainConfig(learning_rate=2.5, epochs=300, l2_lambda=0.01,
                                 convergence_tolerance=1e-5),
-            em_alpha=0.5,
-            em=EMConfig(max_iterations=9, unlabeled_weight=0.3,
-                        convergence_tolerance=1e-3))
+            nb=evaluation.NBSpec(alpha=0.25),
+            em=EMConfig(alpha=0.5, max_iterations=9, unlabeled_weight=0.3,
+                        convergence_tolerance=1e-3),
+            gamma=GammaConfig(threshold=0.8, sample_pairs=50, metric="cosine"),
+            ablation=AblationConfig(iterations=(2, 4)),
+            sweep=SweepConfig(sizes=(10, 20)))
         defaults = ExperimentConfig()
-        for name in ("cotrain", "learner", "em"):
-            for f in fields(getattr(cfg, name)):
-                assert (getattr(getattr(cfg, name), f.name)
-                        != getattr(getattr(defaults, name), f.name)), f.name
+        settable = 0
+        for section in fields(cfg):
+            for f in fields(getattr(cfg, section.name)):
+                settable += 1
+                assert (getattr(getattr(cfg, section.name), f.name)
+                        != getattr(getattr(defaults, section.name), f.name)), f.name
+        assert settable == 32
         path = tmp_path / "cfg.ini"
-        path.write_text(cfg.to_ini(), encoding="utf-8")
-        again = ExperimentConfig.from_file(path)
-        assert again == cfg
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(
+                f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                for key, v in values.items())
+            for section, values in asdict(cfg).items()), encoding="utf-8")
+        assert ExperimentConfig.from_file(path) == cfg
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "cfg.ini"
-        for section in ("experiment", "learner", "em"):
+        for section in ("experiment", "learner", "em", "nb", "gamma"):
             path.write_text(f"[{section}]\nbananas = 3\n", encoding="utf-8")
             with pytest.raises(ConfigError, match=f"'bananas' in \\[{section}\\]"):
                 ExperimentConfig.from_file(path)
+        path.write_text("[nb]\nname = nb\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="'name' in \\[nb\\]"):
+            ExperimentConfig.from_file(path)
 
     def test_invalid_value_names_field(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -134,9 +161,41 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
     def test_validation_bounds(self):
-        cfg = ExperimentConfig(task="phm-cancer", corpus="c", k_folds=1)
         with pytest.raises(ConfigError, match="k_folds"):
-            cfg.validate()
+            RunConfig(task="phm-cancer", corpus="c", k_folds=1)
+
+    def test_flags_parse_as_file_values(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[experiment]\nk_folds = 4\n[sweep]\nsizes = 5\n",
+                        encoding="utf-8")
+        cfg = ExperimentConfig.from_file(path, [
+            ("experiment", "k_folds", "3"), ("sweep", "sizes", "10, 20"),
+            ("cotrain", "iterations", "0"), ("experiment", "output", "run%1/")])
+        assert (cfg.experiment.k_folds, cfg.sweep.sizes) == (3, (10, 20))
+        assert (cfg.cotrain.iterations, cfg.experiment.output) == (0, "run%1/")
+        with pytest.raises(ConfigError, match=r"\[experiment\] k_folds has invalid"):
+            ExperimentConfig.from_file(path, [("experiment", "k_folds", "x")])
+
+    def test_readme_example_gives_its_documented_values(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        example = readme.split("A working example")[1].split("```ini\n")[1]
+        path = tmp_path / "readme.ini"
+        path.write_text(example.split("```")[0], encoding="utf-8")
+        assert ExperimentConfig.from_file(path) == ExperimentConfig(
+            experiment=RunConfig(task="phm-cancer", corpus="tweets.jsonl",
+                                 output="run/", k_folds=10, n_labeled=100,
+                                 repetitions=5, master_seed=7),
+            provider=ProviderConfig(kind="hashed", window=3, dim=64),
+            cotrain=CoConfig(iterations=25, promotions_per_view=1,
+                             confidence_floor=0.7),
+            learner=TrainConfig(l2_lambda=1e-3, convergence_tolerance=1e-7),
+            nb=evaluation.NBSpec(alpha=1.0),
+            em=EMConfig(alpha=1.0, max_iterations=20, unlabeled_weight=1.0,
+                        convergence_tolerance=1e-6),
+            gamma=GammaConfig(threshold=0.8, sample_pairs=200, metric="euclidean"),
+            ablation=AblationConfig(iterations=(13, 25, 50, 75)),
+            sweep=SweepConfig(sizes=(100, 200, 400)))
 
     def test_unknown_task_lists_presets(self):
         with pytest.raises(ConfigError, match="phm-cancer"):
@@ -416,6 +475,34 @@ def test_evaluate_rejects_negative_convergence_tolerance(synth_setup, tmp_path,
     assert main(["evaluate", "--config", str(negative), "--model", model]) == 2
     assert "convergence_tolerance must be >= 0, got -1.0" in capsys.readouterr().err
     assert not (out / f"report_{model}.json").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("validate-kcs", "gamma", "metric", "manhattan"),
+    ("validate-kcs", "gamma", "sample_pairs", "0"),
+    ("sweep", "sweep", "sizes", "0,30"),
+    ("evaluate --model nb", "nb", "alpha", "0"),
+    ("evaluate --model em", "em", "alpha", "0"),
+])
+def test_bad_value_fails_before_any_document_is_read(synth_setup, tmp_path, capsys,
+                                                     monkeypatch, command, section,
+                                                     key, value):
+    config, out = synth_setup
+    calls = []
+    for module, name in ((cli, "process_document"), (evaluation, "process_document"),
+                         (evaluation, "document_features"),
+                         (baselines, "document_features")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real: calls.append(a) or real(*a))
+    text = config.read_text(encoding="utf-8").replace("[sweep]\nsizes = 20,30\n", "")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"{text}\n[{section}]\n{key} = {value}\n", encoding="utf-8")
+    assert main([*command.split(), "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and key in err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_tsv_corpus_loads_by_suffix(tmp_path):

@@ -273,6 +273,24 @@ class TestGamma:
                                 metric="cosine")
         assert eu.max_distance != co.max_distance
 
+    def test_unknown_metric_fails_before_vectorizing(self, lexicons):
+        pdocs, _ = self._processed(["a b cancer c d", "e f cancer g h"], lexicons)
+        calls = []
+
+        class Counting(HashedWindowProvider):
+            def vectors(self, occurrences):
+                calls.append(len(occurrences))
+                return super().vectors(occurrences)
+
+        provider = Counting(window=2, dim=16)
+        with pytest.raises(ContextError, match="metric must be one of euclidean, "
+                                               "cosine, got 'manhattan'"):
+            validate_kcs_gamma(provider, pdocs, "disease", 1.0, 10, seed=0,
+                               metric="manhattan")
+        assert calls == []
+        validate_kcs_gamma(provider, pdocs, "disease", 1.0, 10, seed=0)
+        assert calls == [2]
+
     def test_report_serializes(self):
         report = GammaReport(kcs_name="d", gamma=1.0, sampled_pairs=5,
                              max_distance=0.5, quantile95_distance=0.4,

@@ -22,7 +22,6 @@ from codecomp.cotrain import (
     mil_example_score,
     predict,
     predict_many,
-    score_example,
     single_view_predictions,
 )
 from codecomp.learners import LogRegModel, TrainConfig, predict_proba_batch, train_logreg
@@ -92,9 +91,9 @@ class TestAggregation:
     ])
     def test_product_rule(self, probs, expected):
         model, example = _bias_model(probs)
-        label, score = predict(model, example)
+        label, scores = predict(model, example)
         assert label == expected
-        np.testing.assert_allclose(score.probs, probs, atol=1e-9)
+        np.testing.assert_allclose(scores, probs, atol=1e-9)
 
     def test_single_view_reduces_to_threshold(self):
         for p in (0.2, 0.499, 0.5, 0.501, 0.9):
@@ -115,9 +114,8 @@ class TestAggregation:
     def test_empty_view_scores_neutral(self):
         model, example = _bias_model((0.9, 0.9), neutral=0.5)
         example.views[1] = ViewInstances(np.empty((0, 1)), [])
-        label, score = predict(model, example)
-        assert score.probs[1] == 0.5
-        assert score.winning_instance[1] is None
+        label, scores = predict(model, example)
+        assert scores[1] == 0.5
         assert label == POSITIVE
 
 
@@ -733,14 +731,6 @@ def test_model_from_the_gradient_descent_learner_loads():
         np.testing.assert_array_equal(clf.weights, [0.5, -1.25])
         assert (clf.bias, clf.epochs_run, clf.converged) == (0.125, 321, False)
     assert model.to_dict()["classifiers"][0]["converged"] is False
-
-
-def test_score_example_winning_instance():
-    model, example = _bias_model((0.8,))
-    example.views[0] = ViewInstances(np.array([[0.0], [0.0], [0.0]]),
-                                     [UNLABELED] * 3)
-    score = score_example(model, example)
-    assert score.winning_instance[0] == 0  # ties break low
 
 
 def test_predict_many_keys():

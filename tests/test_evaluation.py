@@ -288,18 +288,21 @@ class TestDriver:
         assert sorted(featurised) == sorted(d.id for d in docs)
 
     @pytest.mark.parametrize("bad", [{"repetitions": 0}, {"dev_fold": 4},
-                                     {"jobs": 0}])
+                                     {"jobs": 0}, {"n_labeled": 0}])
     def test_bad_protocol_fails_before_processing(self, small_corpus,
                                                   processed, bad):
         docs, preset = small_corpus
         spec = _codecomp_spec(preset)
-        kwargs = {"repetitions": 1, **bad}
+        n = bad.get("n_labeled", 40)
+        kwargs = {"repetitions": 1,
+                  **{k: v for k, v in bad.items() if k != "n_labeled"}}
         entry_points = (
-            lambda: run_experiment(docs, spec, 4, SampleSpec(40, 3), **kwargs),
-            lambda: ablation_table(docs, spec, [2], 4, SampleSpec(40, 3), **kwargs),
-            lambda: training_size_sweep(docs, spec, [40], 4, 3, **kwargs),
+            lambda: run_experiment(docs, spec, 4, SampleSpec(n, 3), **kwargs),
+            lambda: ablation_table(docs, spec, [2], 4, SampleSpec(n, 3), **kwargs),
+            lambda: training_size_sweep(docs, spec, [n], 4, 3, **kwargs),
             lambda: ablation_table(docs, spec, [3, 0], 4, SampleSpec(40, 3),
                                    repetitions=1),
+            lambda: training_size_sweep(docs, spec, [0, 30], 4, 3, repetitions=1),
         )
         for call in entry_points:
             with pytest.raises(EvalError):
@@ -346,8 +349,9 @@ def test_report_json_parses(small_corpus):
 
 
 def test_em_spec_describes_every_em_config_field():
-    spec = EMSpec(alpha=0.5, em_config=baselines.EMConfig(
-        max_iterations=7, unlabeled_weight=0.25, convergence_tolerance=1e-4))
+    spec = EMSpec(em_config=baselines.EMConfig(
+        alpha=0.5, max_iterations=7, unlabeled_weight=0.25,
+        convergence_tolerance=1e-4))
     assert spec.describe() == {
         "model": "em", "alpha": 0.5, "max_iterations": 7,
         "unlabeled_weight": 0.25, "convergence_tolerance": 1e-4,
