@@ -8,7 +8,7 @@ elided first-person mentions, mask rewriting, and the per-view bags with
 their automatic instance labels.
 """
 
-from codecomp import Document, build_bags, load_lexicons, process_document, tokenize
+from codecomp import Document, load_lexicons, process_document, tokenize
 from codecomp.presets import task_preset
 
 lexicons = load_lexicons()
@@ -42,5 +42,6 @@ for sentence in ["went to the er", "sick of this flu", "diagnosed with flu",
 # labeling policy at a glance: negative postings mark every mention negative
 negative = Document(id="t2", text="worried about my friend and cancer awareness",
                     gold_label="negative")
-for bag in build_bags(negative, preset, lexicons):
-    print(f"\nnegative posting, {bag.kcs_name} bag labels:", bag.labels())
+for bag in process_document(negative, preset, lexicons).bags:
+    print(f"\nnegative posting, {bag.kcs_name} bag labels:",
+          [label for _, label in bag.instances])

@@ -15,11 +15,9 @@ from .concepts import (
     Mention,
     ProcessedDocument,
     TaskPreset,
-    build_bags,
     extract_human_mentions,
     extract_keyword_mentions,
     load_lexicons,
-    mask,
     process_document,
     synthesize_human_mention,
     tokenize,
@@ -68,7 +66,6 @@ from .learners import (
     TrainConfig,
     loss_gradient,
     nb_predict_proba,
-    predict_proba,
     train_logreg,
     train_nb,
 )

@@ -85,7 +85,8 @@ class RunConfig:
 @dataclass(frozen=True)
 class ProviderConfig:
     """The ``[provider]`` section: ``path`` is read for precomputed vectors,
-    ``window`` and ``dim`` for hashed ones."""
+    ``window`` and ``dim`` for hashed ones. Those two are checked by the
+    hashed provider's own rule whatever the kind."""
 
     kind: str = "hashed"
     path: str = ""
@@ -97,6 +98,7 @@ class ProviderConfig:
             raise ConfigError(f"kind must be hashed or precomputed, got {self.kind!r}")
         if self.kind == "precomputed" and not self.path:
             raise ConfigError("path is required for precomputed vectors")
+        HashedWindowProvider(window=self.window, dim=self.dim)
 
     def build(self):
         if self.kind == "precomputed":
@@ -371,9 +373,8 @@ def _training_pools(run, docs):
     labeled = [d for d in docs if d.gold_label is not None]
     unlabeled = [d for d in docs if d.gold_label is None]
     if run.n_labeled < len(labeled):
-        sample = sample_labeled(labeled, SampleSpec(run.n_labeled, run.master_seed))
-        labeled = sample.labeled
-        unlabeled = unlabeled + sample.unlabeled
+        labeled, hidden = sample_labeled(labeled, SampleSpec(run.n_labeled, run.master_seed))
+        unlabeled = unlabeled + hidden
     return labeled, unlabeled
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,7 +171,7 @@ class Mention:
     kcs_name: str
     token_range: tuple[int, int]  # [start, end) token indices
     surface: str
-    synthetic: bool = False
+    synthetic: bool = False  # inserted by a sentence-start rewrite
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,6 @@ class Bag:
     doc_id: str
     kcs_name: str
     instances: tuple[tuple[Mention, str], ...]  # (mention, label)
-
-    def labels(self) -> list[str]:
-        return [label for _, label in self.instances]
 
 
 def _is_human_word(surface: str, lexicons: Lexicons) -> bool:
@@ -199,10 +196,12 @@ def extract_human_mentions(tokens, lexicons: Lexicons, doc_id: str = "",
     """Single-token human mentions: lexicon pronouns, @-handles, person words.
 
     "it" never matches -- it is deliberately absent from the pronoun lexicon.
+    A mention is synthetic where its token is zero-width: ``tokenize`` never
+    yields an empty token, and only the sentence-start rewrites insert one.
     """
     return [
         Mention(doc_id=doc_id, kcs_name=kcs_name, token_range=(i, i + 1),
-                surface=tok.surface)
+                surface=tok.surface, synthetic=tok.start == tok.end)
         for i, tok in enumerate(tokens)
         if _is_human_word(tok.surface, lexicons)
     ]
@@ -225,11 +224,11 @@ def synthesize_human_mention(sentence_tokens, lexicons: Lexicons):
     first token: past-tense verb -> prepend "i"; adjective -> prepend
     "i am"; past participle -> prepend "i have"; -ing verb -> prepend
     "i am"; literal "is" -> replace with "i am". Returns the (possibly
-    modified) token list and the synthetic mention covering the inserted
-    "i", or None when no rule fires. Idempotent: "i" matches no rule.
+    modified) token list and whether a rule fired. The inserted tokens are
+    zero-width: they cover no source text. Idempotent: "i" matches no rule.
     """
     if not sentence_tokens:
-        return list(sentence_tokens), None
+        return list(sentence_tokens), False
     first = sentence_tokens[0].surface
     at = sentence_tokens[0].start
     inserted = None
@@ -246,32 +245,24 @@ def synthesize_human_mention(sentence_tokens, lexicons: Lexicons):
         inserted = ["i", "am"]
         rest = rest[1:]
     if inserted is None:
-        return rest, None
-    synthetic = [Token(s, at, at) for s in inserted]  # zero-width: no source text
-    mention = Mention(doc_id="", kcs_name="human", token_range=(0, 1),
-                      surface="i", synthetic=True)
-    return synthetic + rest, mention
+        return rest, False
+    return [Token(s, at, at) for s in inserted] + rest, True
 
 
-def synthesize_document(tokens, text: str, lexicons: Lexicons):
+def synthesize_document(tokens, text: str, lexicons: Lexicons) -> list[Token]:
     """Run the synthesizer over every sentence of a document.
 
     Sentences that already open with a human mention are left alone.
-    Returns the new token list and the document-level token positions of
-    inserted mentions.
+    Returns the new token list.
     """
     out = []
-    synth_positions = []
     for start, end in sentence_spans(tokens, text):
         sentence = tokens[start:end]
         if sentence and _is_human_word(sentence[0].surface, lexicons):
             out.extend(sentence)
-            continue
-        modified, mention = synthesize_human_mention(sentence, lexicons)
-        if mention is not None:
-            synth_positions.append(len(out))
-        out.extend(modified)
-    return out, synth_positions
+        else:
+            out.extend(synthesize_human_mention(sentence, lexicons)[0])
+    return out
 
 
 def extract_keyword_mentions(tokens, kcs: KeyConceptSet, doc_id: str = "") -> list[Mention]:
@@ -332,21 +323,6 @@ def _masked_tokens_with_map(tokens, replacements):
         index_map[i] = len(out)
         out.append(tokens[i])
     return out, index_map
-
-
-def mask(tokens, mentions, kcs: KeyConceptSet) -> list[Token]:
-    """Replace every mention's token range with the view's mask token."""
-    if not kcs.mask_token:
-        raise ConceptError(f"kcs {kcs.name!r} has no mask token")
-    for m in mentions:
-        if m.kcs_name != kcs.name:
-            raise ConceptError(
-                f"mention of {m.kcs_name!r} passed to mask for {kcs.name!r}"
-            )
-    masked, _ = _masked_tokens_with_map(
-        tokens, [(m.token_range, kcs.mask_token) for m in mentions]
-    )
-    return masked
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +416,13 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
     """Tokenize, synthesize, extract, label, and mask one document."""
     tokens = tokenize(doc.text)
     if preset.has_human_view:
-        tokens, synth_positions = synthesize_document(tokens, doc.text, lexicons)
-        synth_positions = set(synth_positions)
-    else:
-        synth_positions = set()
+        tokens = synthesize_document(tokens, doc.text, lexicons)
 
     view_mentions = {}
     for kcs in preset.kcs_list:
         if kcs.kind == "human":
             found = extract_human_mentions(tokens, lexicons, doc_id=doc.id,
                                            kcs_name=kcs.name)
-            found = [
-                replace(m, synthetic=True) if m.token_range[0] in synth_positions else m
-                for m in found
-            ]
         else:
             found = extract_keyword_mentions(tokens, kcs, doc_id=doc.id)
         view_mentions[kcs.name] = found
@@ -486,8 +455,3 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
         masked_tokens=tuple(masked_tokens),
         masked_ranges=masked_ranges,
     )
-
-
-def build_bags(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> list[Bag]:
-    """One labeled Bag per concept view of the task preset."""
-    return list(process_document(doc, preset, lexicons).bags)

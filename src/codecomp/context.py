@@ -105,9 +105,6 @@ class PrecomputedProvider:
                 ) from None
         return np.vstack(rows) if rows else np.empty((0, self.dim))
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def spec(self) -> dict:
         return {"kind": "precomputed", "path": str(self.path)}
 

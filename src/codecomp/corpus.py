@@ -81,22 +81,6 @@ class SampleSpec:
     seed: int
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    """Labeled/unlabeled partition of a training split.
-
-    Gold labels and spans of the unlabeled side are stripped from the
-    documents themselves, so training code never sees them.
-    """
-
-    labeled: list[Document]
-    unlabeled: list[Document]
-
-    def __iter__(self):
-        # allows `labeled, unlabeled = sample_labeled(...)`
-        return iter((self.labeled, self.unlabeled))
-
-
 def _parse_spans(raw):
     if raw is None:
         return ()
@@ -164,6 +148,17 @@ def _by_class(docs):
     return classes
 
 
+def _fold_classes(corpus, k):
+    """The ids of each class of a corpus that k stratified folds can split."""
+    if k < 2:
+        raise CorpusError(f"k must be >= 2, got {k}")
+    classes = _by_class(corpus)
+    for label, ids in classes.items():
+        if len(ids) < k:
+            raise CorpusError(f"class {label!r} has {len(ids)} documents, fewer than k={k}")
+    return classes
+
+
 def stratified_folds(corpus: list[Document], k: int, seed: int) -> FoldPlan:
     """Split a fully labeled corpus into k folds, stratified by class.
 
@@ -172,12 +167,7 @@ def stratified_folds(corpus: list[Document], k: int, seed: int) -> FoldPlan:
     ratio tracks the corpus ratio. Assignment depends on the document id
     set, not on corpus order.
     """
-    if k < 2:
-        raise CorpusError(f"k must be >= 2, got {k}")
-    classes = _by_class(corpus)
-    for label, ids in classes.items():
-        if len(ids) < k:
-            raise CorpusError(f"class {label!r} has {len(ids)} documents, fewer than k={k}")
+    classes = _fold_classes(corpus, k)
     rng = np.random.default_rng(seed)
     assignments = {}
     for label in (POSITIVE, NEGATIVE):
@@ -186,6 +176,14 @@ def stratified_folds(corpus: list[Document], k: int, seed: int) -> FoldPlan:
         for slot, idx in enumerate(order):
             assignments[ids[idx]] = slot % k
     return FoldPlan(k=k, assignments=types.MappingProxyType(assignments))
+
+
+def fold_sizes(corpus: list[Document], k: int) -> list[int]:
+    """The document count of each fold of ``stratified_folds(corpus, k,
+    seed)``, whatever the seed: every class deals its first ``len % k``
+    surplus ids to the lowest folds."""
+    counts = [len(ids) for ids in _fold_classes(corpus, k).values()]
+    return [sum(n // k + (fold < n % k) for n in counts) for fold in range(k)]
 
 
 def _stratified_counts(n_take: int, n_pos: int, n_neg: int) -> tuple[int, int]:
@@ -209,11 +207,14 @@ def hide_gold(doc: Document) -> Document:
     return replace(doc, gold_label=None, positive_human_spans=())
 
 
-def sample_labeled(train_split: list[Document], spec: SampleSpec) -> SampleResult:
+def sample_labeled(train_split: list[Document],
+                   spec: SampleSpec) -> tuple[list[Document], list[Document]]:
     """Draw a stratified labeled subset; the remainder becomes unlabeled.
 
-    The unlabeled documents have labels and spans hidden. Deterministic
-    per (split, spec).
+    Returns ``(labeled, unlabeled)``, each in split order. Gold labels and
+    spans of the unlabeled documents are stripped from the documents
+    themselves, so training code never sees them. Deterministic per
+    (split, spec).
     """
     if spec.n_labeled > len(train_split):
         raise CorpusError(
@@ -231,4 +232,4 @@ def sample_labeled(train_split: list[Document], spec: SampleSpec) -> SampleResul
         chosen.update(ids[i] for i in order[:n_take])
     labeled = [d for d in train_split if d.id in chosen]
     unlabeled = [hide_gold(d) for d in train_split if d.id not in chosen]
-    return SampleResult(labeled=labeled, unlabeled=unlabeled)
+    return labeled, unlabeled

@@ -97,6 +97,9 @@ class CoDecompModel:
         """The model that a run configured with ``k`` iterations returns:
         ``snapshots[min(k, len(snapshots) - 1)]``. Past the last iteration
         that promoted, only a run that stopped early knows the answer."""
+        if not self.snapshots:
+            raise CotrainError("a loaded model keeps no trajectory; it cannot tell "
+                               f"the model after {k}")
         if k >= len(self.snapshots) > len(self.iteration_log):
             raise CotrainError(f"this run did not stop; it cannot tell the model after {k}")
         snapshots = self.snapshots[:k + 1]

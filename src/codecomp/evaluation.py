@@ -27,7 +27,9 @@ from .context import HashedWindowProvider
 from .corpus import (
     NEGATIVE,
     POSITIVE,
+    CorpusError,
     SampleSpec,
+    fold_sizes,
     sample_labeled,
     stratified_folds,
 )
@@ -290,25 +292,38 @@ def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
         if fold == dev_fold:
             continue
         train = [d for d in corpus if plan.assignments[d.id] not in (fold, dev_fold)]
-        sample = sample_labeled(train, SampleSpec(n_labeled, seed_r * 8191 + fold))
+        labeled, unlabeled = sample_labeled(train, SampleSpec(n_labeled, seed_r * 8191 + fold))
         test = [by_id[i] for i in plan.fold_ids(fold)]
         gold = {d.id: d.gold_label for d in test}
-        variants = runner.predictions(sample.labeled, sample.unlabeled, test)
+        variants = runner.predictions(labeled, unlabeled, test)
         for variant, predictions in variants.items():
             yield variant, rep, fold, compute_metrics(predictions, gold)
 
 
-def _check_protocol(k_folds, repetitions, dev_fold, jobs, sizes) -> None:
+def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None:
     """Reject bad protocol values, ``sizes`` being the labeled-set sizes to
-    run, before any runner processes the corpus."""
+    run, before any runner processes the corpus. Fold sizes do not depend on
+    the seed, so a labeled set larger than the smallest training split of
+    one repetition's folds is too large for every repetition."""
     if any(n < 1 for n in sizes):
         raise EvalError(f"n_labeled must be >= 1, got {list(sizes)}")
     if repetitions < 1:
         raise EvalError(f"repetitions must be >= 1, got {repetitions}")
+    if k_folds < 2:
+        raise EvalError(f"k_folds must be >= 2, got {k_folds}")
     if dev_fold is not None and not 0 <= dev_fold < k_folds:
         raise EvalError(f"dev_fold must lie in [0, {k_folds}), got {dev_fold}")
     if jobs < 1:
         raise EvalError(f"jobs must be >= 1, got {jobs}")
+    try:
+        per_fold = fold_sizes(corpus, k_folds)
+    except CorpusError as exc:
+        raise EvalError(str(exc)) from None
+    dev = per_fold[dev_fold] if dev_fold is not None else 0
+    split = len(corpus) - dev - max(n for f, n in enumerate(per_fold) if f != dev_fold)
+    if max(sizes, default=0) > split:
+        raise EvalError(f"n_labeled={max(sizes)} exceeds the smallest training "
+                        f"split, {split} documents")
 
 
 # a pool worker's (corpus, runner, k_folds, n_labeled, dev_fold), set by _share
@@ -379,7 +394,7 @@ def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
     repetition), trains the model spec on the labeled/unlabeled split of
     every training partition, and scores the held-out fold.
     """
-    _check_protocol(k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
+    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
     return _report(corpus, _make_runner(corpus, model_spec), k_folds,
                    sample_spec, repetitions, dev_fold, jobs)
 
@@ -393,7 +408,7 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     Returns an ordered mapping: each single view, the no-promotion
     combination, then one entry per co-training iteration setting.
     """
-    _check_protocol(k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
+    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
     iteration_settings = tuple(iteration_settings)
     if any(k < 1 for k in iteration_settings):
         raise EvalError(
@@ -423,7 +438,7 @@ def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise EvalError("sizes must be ascending")
-    _check_protocol(k_folds, repetitions, dev_fold, jobs, sizes)
+    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes)
     runner = _make_runner(corpus, model_spec)  # shared by every size
     return [
         (n, _report(corpus, runner, k_folds, SampleSpec(n, master_seed),

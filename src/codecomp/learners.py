@@ -102,8 +102,21 @@ def _log_loss(z, y, w, l2_lambda) -> float:
             + 0.5 * l2_lambda * float(w @ w))
 
 
+def _gradient_hessian(design, y, theta, penalty, z):
+    """Gradient and Hessian in theta of the regularized mean log-loss, at
+    logits ``z = design @ theta``. The bias is the last coefficient: its
+    column of ``design`` is all ones and its entry of ``penalty`` zero."""
+    n = len(y)
+    p = _sigmoid(z)
+    grad = design.T @ (p - y) / n + penalty * theta
+    hess = (design.T * (p * (1.0 - p))) @ design / n
+    hess.flat[::len(theta) + 1] += penalty
+    return grad, hess
+
+
 def loss_gradient(model: LogRegModel, X, y) -> tuple[float, np.ndarray]:
-    """Regularized log-loss and its analytic gradient in (weights, bias).
+    """Regularized log-loss and its analytic gradient in (weights, bias),
+    from the function ``train_logreg`` steps by.
 
     The returned gradient vector has the bias derivative appended as its
     last entry, matching the layout finite-difference checks use.
@@ -115,10 +128,12 @@ def loss_gradient(model: LogRegModel, X, y) -> tuple[float, np.ndarray]:
             f"dimension mismatch: model has {model.weights.shape[0]}, data has {X.shape[1]}"
         )
     w, lam = model.weights, model.config.l2_lambda
-    z = X @ w + model.bias
-    residual = _sigmoid(z) - y
-    grad_w = X.T @ residual / len(y) + lam * w
-    return _log_loss(z, y, w, lam), np.append(grad_w, np.add.reduce(residual) / len(y))
+    design = np.column_stack([X, np.ones(len(y))])
+    theta = np.append(w, model.bias)
+    penalty = np.append(np.full(len(w), lam), 0.0)
+    z = design @ theta
+    grad, _ = _gradient_hessian(design, y, theta, penalty, z)
+    return _log_loss(z, y, w, lam), grad
 
 
 ARMIJO_FRACTION = 1e-4  # share of the predicted decrease a step must achieve
@@ -185,10 +200,7 @@ def train_logreg(X, y, cfg: TrainConfig) -> LogRegModel:
     # enough and is not reported, while overflow and NaN still are
     with np.errstate(under="ignore"):
         while steps < cfg.epochs:
-            p = _sigmoid(z)
-            grad = design.T @ (p - y) / n + penalty * theta
-            hess = (design.T * (p * (1.0 - p))) @ design / n
-            hess.flat[::d + 2] += penalty
+            grad, hess = _gradient_hessian(design, y, theta, penalty, z)
             direction = _newton_direction(hess, grad)
             newton = direction is not None
             if not newton:
@@ -213,20 +225,11 @@ def train_logreg(X, y, cfg: TrainConfig) -> LogRegModel:
                        final_loss=loss, epochs_run=steps, converged=converged)
 
 
-def predict_proba(model: LogRegModel, x) -> float:
-    """Positive-class probability sigmoid(w.x + b), clipped into (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.weights.shape:
-        raise LearnerError(
-            f"dimension mismatch: model has {model.weights.shape[0]}, vector has {x.shape}"
-        )
-    return float(predict_proba_batch(model, x[None, :])[0])
-
-
 def predict_proba_batch(model: LogRegModel, X) -> np.ndarray:
-    """``predict_proba`` of every row of ``X``. vecdot takes one dot product
-    per contiguous row, so a row's value does not depend on the matrix it
-    sits in (a BLAS ``X @ w`` may round a row differently by position)."""
+    """Positive-class probability sigmoid(w.x + b) of every row ``x`` of
+    ``X``, clipped into (0, 1). vecdot takes one dot product per contiguous
+    row, so a row's value does not depend on the matrix it sits in (a BLAS
+    ``X @ w`` may round a row differently by position)."""
     X = np.ascontiguousarray(X, dtype=float)
     if X.shape[0] == 0:
         return np.empty(0)

@@ -505,6 +505,16 @@ def test_bad_value_fails_before_any_document_is_read(synth_setup, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--window", "0"), ("--dim", "1")])
+def test_bad_provider_value_fails_when_config_is_read(synth_setup, capsys, flag, value):
+    # NB reads no provider, yet a provider value no provider accepts is an error
+    config, out = synth_setup
+    assert main(["evaluate", "--config", str(config), "--model", "nb", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "[provider]" in err and f"{flag[2:]}={value}" in err
+    assert not out.exists()
+
+
 def test_tsv_corpus_loads_by_suffix(tmp_path):
     docs, _ = decomposable_corpus(40, seed=9, positive_rate=0.4)
     corpus = tmp_path / "corpus.tsv"

@@ -15,11 +15,10 @@ from codecomp.concepts import (
     POSITIVE,
     Token,
     UNLABELED,
-    build_bags,
+    _masked_tokens_with_map,
     extract_human_mentions,
     extract_keyword_mentions,
     load_wordlist,
-    mask,
     process_document,
     sentence_spans,
     synthesize_human_mention,
@@ -98,13 +97,14 @@ class TestHumanMentions:
 
 class TestSynthesizer:
     def _run(self, text, lexicons):
-        out, mention = synthesize_human_mention(tokenize(text), lexicons)
-        return [t.surface for t in out], mention
+        out, fired = synthesize_human_mention(tokenize(text), lexicons)
+        return [t.surface for t in out], fired
 
     def test_past_tense_prepends_i(self, lexicons):
-        out, mention = self._run("went to the er", lexicons)
-        assert out == ["i", "went", "to", "the", "er"]
-        assert mention.synthetic and mention.token_range == (0, 1)
+        tokens, fired = synthesize_human_mention(tokenize("went to the er"), lexicons)
+        assert fired
+        assert [t.surface for t in tokens] == ["i", "went", "to", "the", "er"]
+        assert (tokens[0].start, tokens[0].end) == (0, 0)  # covers no source text
 
     def test_adjective_prepends_i_am(self, lexicons):
         out, _ = self._run("sick of this flu", lexicons)
@@ -123,9 +123,9 @@ class TestSynthesizer:
         assert out == ["i", "am", "feeling", "sick"]
 
     def test_no_rule_fires(self, lexicons):
-        out, mention = self._run("the earthquake hit", lexicons)
+        out, fired = self._run("the earthquake hit", lexicons)
         assert out == ["the", "earthquake", "hit"]
-        assert mention is None
+        assert not fired
 
     def test_one_rule_only_ed_adjectives(self, lexicons):
         # "tired" ends in -ed but reads as an adjective, not "i tired"
@@ -133,25 +133,39 @@ class TestSynthesizer:
         assert out[:3] == ["i", "am", "tired"]
 
     def test_idempotent_on_own_output(self, lexicons):
-        first, mention = synthesize_human_mention(
+        first, fired = synthesize_human_mention(
             tokenize("diagnosed with flu"), lexicons)
-        assert mention is not None
+        assert fired
         second, again = synthesize_human_mention(first, lexicons)
-        assert again is None
+        assert not again
         assert [t.surface for t in second] == [t.surface for t in first]
 
     def test_empty_sentence(self, lexicons):
-        out, mention = synthesize_human_mention([], lexicons)
-        assert out == [] and mention is None
+        out, fired = synthesize_human_mention([], lexicons)
+        assert out == [] and not fired
 
     def test_document_gate_skips_initial_mentions(self, lexicons):
         text = "my friend is sick. hospitalized now"
-        tokens, positions = synthesize_document(tokenize(text), text, lexicons)
+        tokens = synthesize_document(tokenize(text), text, lexicons)
         surfaces = [t.surface for t in tokens]
         # first sentence opens with "my": untouched; second gets "i have"
         assert surfaces[:3] == ["my", "friend", "is"]
         assert surfaces[surfaces.index("hospitalized") - 2:][:2] == ["i", "have"]
-        assert len(positions) == 1
+        assert [t.surface for t in tokens if t.start == t.end] == ["i", "have"]
+
+    def test_synthetic_exactly_where_the_token_is_zero_width(self, lexicons):
+        # only the rewrites insert zero-width tokens; "is" becomes "i am" too
+        text = "is sick. my mom went home\nwent out. @bob is here. i am too"
+        doc = Document(id="z", text=text)
+        preset = task_preset("phm-cancer")
+        pdoc = process_document(doc, preset, lexicons)
+        human = [m for m, _ in pdoc.bag("human").instances]
+        assert [(m.surface, m.synthetic) for m in human] == [
+            ("i", True), ("my", False), ("mom", False), ("i", True), ("@bob", False),
+            ("i", False)]
+        for m in human:
+            token = pdoc.tokens[m.token_range[0]]
+            assert m.synthetic == (token.start == token.end)
 
 
 class TestKeywordMentions:
@@ -293,47 +307,37 @@ def test_indexed_matcher_equals_the_full_scan(keywords, text):
             == _scan_keyword_mentions(tokens, kcs, doc_id="d"))
 
 
+def _masked_surfaces(tokens, mentions, mask_token):
+    masked, _ = _masked_tokens_with_map(
+        tokens, [(m.token_range, mask_token) for m in mentions])
+    return [t.surface for t in masked]
+
+
 class TestMask:
     def test_hum_tok(self, lexicons):
-        kcs = KeyConceptSet(name="human", kind="human", mask_token=HUM_TOK)
-        tokens = tokenize("my friend has cancer")
-        mentions = extract_human_mentions(tokens, lexicons, kcs_name="human")
-        masked = mask(tokens, mentions, kcs)
-        assert [t.surface for t in masked] == [HUM_TOK, HUM_TOK, "has", "cancer"]
+        pdoc = process_document(Document(id="1", text="my friend has cancer"),
+                                task_preset("phm-cancer"), lexicons)
+        assert [t.surface for t in pdoc.masked_tokens] == [
+            HUM_TOK, HUM_TOK, "has", "cancer"]
 
-    def test_drug_tok(self):
-        kcs = KeyConceptSet(name="drug", kind="keyword", keywords=("advil",),
-                            mask_token=DRUG_TOK)
-        tokens = tokenize("took advil twice")
-        mentions = extract_keyword_mentions(tokens, kcs)
-        masked = mask(tokens, mentions, kcs)
-        assert [t.surface for t in masked] == ["took", DRUG_TOK, "twice"]
+    def test_drug_tok(self, lexicons):
+        pdoc = process_document(Document(id="1", text="advil twice"),
+                                task_preset("adr"), lexicons)
+        assert [t.surface for t in pdoc.masked_tokens] == [DRUG_TOK, "twice"]
 
     def test_no_mentions_identity(self):
-        kcs = KeyConceptSet(name="drug", kind="keyword", keywords=("advil",),
-                            mask_token=DRUG_TOK)
         tokens = tokenize("feeling fine today")
-        assert mask(tokens, [], kcs) == tokens
+        masked, index_map = _masked_tokens_with_map(tokens, [])
+        assert masked == tokens
+        assert index_map == [0, 1, 2]
 
     def test_overlap_rejected(self):
-        kcs = KeyConceptSet(name="k", kind="keyword", keywords=("a",), mask_token="M")
         tokens = tokenize("a b c")
-        mentions = [
-            Mention(doc_id="", kcs_name="k", token_range=(0, 2), surface="a b"),
-            Mention(doc_id="", kcs_name="k", token_range=(1, 3), surface="b c"),
-        ]
         with pytest.raises(ConceptError, match="overlap"):
-            mask(tokens, mentions, kcs)
-
-    def test_wrong_view_rejected(self):
-        kcs = KeyConceptSet(name="k", kind="keyword", keywords=("a",), mask_token="M")
-        foreign = Mention(doc_id="", kcs_name="other", token_range=(0, 1), surface="a")
-        with pytest.raises(ConceptError, match="other"):
-            mask(tokenize("a b"), [foreign], kcs)
+            _masked_tokens_with_map(tokens, [((0, 2), "M"), ((1, 3), "M")])
 
     def test_count_preserved_and_rest_untouched(self):
         rng = np.random.default_rng(8)
-        kcs = KeyConceptSet(name="k", kind="keyword", keywords=("x",), mask_token="M")
         for _ in range(50):
             n = int(rng.integers(1, 20))
             surfaces = [("x" if rng.random() < 0.3 else f"t{rng.integers(5)}")
@@ -343,19 +347,18 @@ class TestMask:
                 Mention(doc_id="", kcs_name="k", token_range=(i, i + 1), surface="x")
                 for i, s in enumerate(surfaces) if s == "x"
             ]
-            masked = mask(tokens, mentions, kcs)
+            masked = _masked_surfaces(tokens, mentions, "M")
             assert len(masked) == len(tokens)
             starts = {m.token_range[0] for m in mentions}
-            for i, tok in enumerate(masked):
-                assert tok.surface == ("M" if i in starts else surfaces[i])
+            for i, surface in enumerate(masked):
+                assert surface == ("M" if i in starts else surfaces[i])
 
     def test_multi_token_collapse(self):
         kcs = KeyConceptSet(name="drug", kind="keyword", keywords=("pepto bismol",),
                             mask_token=DRUG_TOK)
         tokens = tokenize("took pepto bismol today")
         mentions = extract_keyword_mentions(tokens, kcs)
-        masked = mask(tokens, mentions, kcs)
-        assert [t.surface for t in masked] == ["took", DRUG_TOK, "today"]
+        assert _masked_surfaces(tokens, mentions, DRUG_TOK) == ["took", DRUG_TOK, "today"]
 
 
 class TestBuildBags:
@@ -365,7 +368,7 @@ class TestBuildBags:
         me = text.index("me")
         doc = Document(id="1", text=text, gold_label=POSITIVE,
                        positive_human_spans=((me, me + 2),))
-        bags = {b.kcs_name: b for b in build_bags(doc, phm_cancer, lexicons)}
+        bags = {b.kcs_name: b for b in process_document(doc, phm_cancer, lexicons).bags}
         human = {m.surface: label for m, label in bags["human"].instances}
         assert human["me"] == POSITIVE
         assert human["friend"] == NEGATIVE
@@ -375,20 +378,20 @@ class TestBuildBags:
     def test_negative_document_all_negative(self, lexicons, phm_cancer):
         doc = Document(id="2", text="worried about cancer awareness for my mom",
                        gold_label=NEGATIVE)
-        bags = build_bags(doc, phm_cancer, lexicons)
+        bags = process_document(doc, phm_cancer, lexicons).bags
         for bag in bags:
             assert bag.instances
             assert all(label == NEGATIVE for _, label in bag.instances)
 
     def test_unlabeled_document(self, lexicons, phm_cancer):
         doc = Document(id="3", text="my friend has cancer")
-        for bag in build_bags(doc, phm_cancer, lexicons):
+        for bag in process_document(doc, phm_cancer, lexicons).bags:
             assert all(label == UNLABELED for _, label in bag.instances)
 
     def test_positive_without_spans_warns(self, lexicons, phm_cancer, caplog):
         doc = Document(id="4", text="i have cancer", gold_label=POSITIVE)
         with caplog.at_level(logging.WARNING, logger="codecomp.concepts"):
-            bags = {b.kcs_name: b for b in build_bags(doc, phm_cancer, lexicons)}
+            bags = {b.kcs_name: b for b in process_document(doc, phm_cancer, lexicons).bags}
         assert "no positive_human_spans" in caplog.text
         assert all(label == UNLABELED for _, label in bags["human"].instances)
         assert all(label == POSITIVE for _, label in bags["disease"].instances)
@@ -399,7 +402,7 @@ class TestBuildBags:
         son = text.index("son")
         doc = Document(id="5", text=text, gold_label=POSITIVE,
                        positive_human_spans=((son, son + 3),))
-        bags = {b.kcs_name: b for b in build_bags(doc, phm_cancer, lexicons)}
+        bags = {b.kcs_name: b for b in process_document(doc, phm_cancer, lexicons).bags}
         by_surface = {(m.surface, m.synthetic): label
                       for m, label in bags["human"].instances}
         assert by_surface[("son", False)] == POSITIVE

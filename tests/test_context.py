@@ -174,7 +174,6 @@ class TestPrecomputed:
         ]
         provider = load_precomputed(_write_vectors(tmp_path, lines))
         assert provider.dimension == 4
-        assert len(provider) == 3
         occurrences = [_occurrence(_toks("x"), (0, 1), o, doc_id=d, kcs_name=k)
                        for d, k, o in rows]
         got = context_of(provider, occurrences)

@@ -8,6 +8,7 @@ from codecomp.corpus import (
     NEGATIVE,
     POSITIVE,
     SampleSpec,
+    fold_sizes,
     load_corpus,
     sample_labeled,
     stratified_folds,
@@ -160,9 +161,20 @@ def test_folds_partition_property():
             assert max(sizes.values()) - min(sizes.values()) <= 1
 
 
+def test_fold_sizes_match_every_plan():
+    for n_pos, n_neg, k in ((23, 77, 4), (50, 50, 10), (7, 3, 3), (5, 9, 2)):
+        docs = _balanced_corpus(n_pos, n_neg)
+        for seed in range(5):
+            plan = stratified_folds(docs, k=k, seed=seed)
+            counts = Counter(plan.assignments.values())
+            assert fold_sizes(docs, k) == [counts[f] for f in range(k)]
+
+
 def test_folds_small_class_error():
     with pytest.raises(CorpusError, match="fewer than k"):
         stratified_folds(_balanced_corpus(3, 50), k=10, seed=0)
+    with pytest.raises(CorpusError, match="fewer than k"):
+        fold_sizes(_balanced_corpus(3, 50), k=10)
 
 
 def test_folds_require_labels():
@@ -182,12 +194,12 @@ def test_sample_labeled_protocol_sizes():
 
 def test_sample_labeled_partition_and_sealing():
     docs, _ = decomposable_corpus(200, seed=2)
-    result = sample_labeled(docs, SampleSpec(n_labeled=40, seed=9))
-    labeled_ids = {d.id for d in result.labeled}
-    unlabeled_ids = {d.id for d in result.unlabeled}
+    labeled, unlabeled = sample_labeled(docs, SampleSpec(n_labeled=40, seed=9))
+    labeled_ids = {d.id for d in labeled}
+    unlabeled_ids = {d.id for d in unlabeled}
     assert labeled_ids & unlabeled_ids == set()
     assert labeled_ids | unlabeled_ids == {d.id for d in docs}
-    for doc in result.unlabeled:
+    for doc in unlabeled:
         assert doc.gold_label is None
         assert doc.positive_human_spans == ()
 
@@ -204,8 +216,7 @@ def test_sample_labeled_idempotent():
     docs, _ = decomposable_corpus(120, seed=3)
     a = sample_labeled(docs, SampleSpec(30, 7))
     b = sample_labeled(docs, SampleSpec(30, 7))
-    assert [d.id for d in a.labeled] == [d.id for d in b.labeled]
-    assert [d.id for d in a.unlabeled] == [d.id for d in b.unlabeled]
+    assert [[d.id for d in part] for part in a] == [[d.id for d in part] for part in b]
 
 
 def test_sample_labeled_keeps_both_classes_under_imbalance():

@@ -35,7 +35,7 @@ def _logit(p):
 def _bias_model(probs, neutral=0.5):
     """One single-instance view per probability, classifier = pure bias.
 
-    predict_proba(sigmoid(logit(p))) returns p (up to clipping), so the
+    predict_proba_batch(sigmoid(logit(p))) returns p (up to clipping), so the
     aggregation can be driven with arbitrary per-view probabilities.
     """
     classifiers = [
@@ -376,14 +376,14 @@ class TestCotrainBookkeeping:
         # the promotions of a run's last iteration are trained on: one
         # iteration that promoted changes the classifiers
         docs, preset = decomposable_corpus(200, seed=3)
-        sample = sample_labeled(docs, SampleSpec(40, 3))
+        parts = sample_labeled(docs, SampleSpec(40, 3))
         provider = HashedWindowProvider(window=2, dim=64)
         names = tuple(k.name for k in preset.kcs_list)
         lexicons = load_lexicons()
         labeled, unlabeled = (
             build_examples([process_document(d, preset, lexicons) for d in part],
                            provider, names)
-            for part in (sample.labeled, sample.unlabeled))
+            for part in parts)
         runs = [cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=k),
                             TrainConfig(), kcs_names=names) for k in (0, 1)]
         assert len(runs[1].iteration_log[0].promotions) == 4
@@ -680,6 +680,15 @@ def test_model_serialization_roundtrip(tmp_path):
         assert ca.bias == cb.bias
     assert again.co_config == model.co_config
     assert again.provider_spec == model.provider_spec
+
+
+def test_loaded_model_has_no_trajectory():
+    labeled, unlabeled, cfg = _simple_examples()
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    loaded = CoDecompModel.from_dict(model.to_dict())
+    for k in (0, 1, 5):
+        with pytest.raises(CotrainError, match="a loaded model keeps no trajectory"):
+            loaded.after(k)
 
 
 @pytest.mark.parametrize("corrupt, message", [

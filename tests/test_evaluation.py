@@ -287,19 +287,23 @@ class TestDriver:
         run_experiment(docs, spec, **self.KWARGS, jobs=jobs)
         assert sorted(featurised) == sorted(d.id for d in docs)
 
-    @pytest.mark.parametrize("bad", [{"repetitions": 0}, {"dev_fold": 4},
-                                     {"jobs": 0}, {"n_labeled": 0}])
+    # the fixture has 80 positive documents; a training split of 4 folds
+    # holds 150 documents, of 4 folds less a dev fold 100
+    @pytest.mark.parametrize("bad", [
+        {"repetitions": 0}, {"dev_fold": 4}, {"jobs": 0}, {"n_labeled": 0},
+        {"k_folds": 1}, {"k_folds": 81}, {"n_labeled": 151},
+        {"n_labeled": 101, "dev_fold": 0}])
     def test_bad_protocol_fails_before_processing(self, small_corpus,
                                                   processed, bad):
         docs, preset = small_corpus
         spec = _codecomp_spec(preset)
-        n = bad.get("n_labeled", 40)
+        n, k = bad.get("n_labeled", 40), bad.get("k_folds", 4)
         kwargs = {"repetitions": 1,
-                  **{k: v for k, v in bad.items() if k != "n_labeled"}}
+                  **{key: v for key, v in bad.items() if key not in ("n_labeled", "k_folds")}}
         entry_points = (
-            lambda: run_experiment(docs, spec, 4, SampleSpec(n, 3), **kwargs),
-            lambda: ablation_table(docs, spec, [2], 4, SampleSpec(n, 3), **kwargs),
-            lambda: training_size_sweep(docs, spec, [n], 4, 3, **kwargs),
+            lambda: run_experiment(docs, spec, k, SampleSpec(n, 3), **kwargs),
+            lambda: ablation_table(docs, spec, [2], k, SampleSpec(n, 3), **kwargs),
+            lambda: training_size_sweep(docs, spec, [n], k, 3, **kwargs),
             lambda: ablation_table(docs, spec, [3, 0], 4, SampleSpec(40, 3),
                                    repetitions=1),
             lambda: training_size_sweep(docs, spec, [0, 30], 4, 3, repetitions=1),
@@ -308,6 +312,14 @@ class TestDriver:
             with pytest.raises(EvalError):
                 call()
         assert processed == []
+
+    @pytest.mark.parametrize("n, dev_fold", [(150, None), (100, 0)])
+    def test_largest_labeled_set_of_a_training_split_runs(self, small_corpus,
+                                                          n, dev_fold):
+        docs, _ = small_corpus
+        report = run_experiment(docs, NBSpec(), 4, SampleSpec(n, 3), repetitions=1,
+                                dev_fold=dev_fold)
+        assert report.n_labeled == n
 
 
 class TestSweep:

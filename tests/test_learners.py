@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codecomp import learners
 from codecomp.learners import (
     LearnerError,
     LogRegModel,
     NBModel,
     TrainConfig,
+    _gradient_hessian,
     _sigmoid,
     load_model,
     loss_gradient,
     nb_predict_proba,
     ngram_counts,
-    predict_proba,
     predict_proba_batch,
     save_model,
     train_logreg,
@@ -28,12 +29,16 @@ def _zero_model(dim, l2_lambda=0.0):
                        config=TrainConfig(l2_lambda=l2_lambda))
 
 
+def _proba(model, x):
+    return predict_proba_batch(model, x[None])[0]
+
+
 class TestLogReg:
     def test_separable_points(self):
         e1 = np.zeros(4)
         e1[0] = 1.0
         model = train_logreg([e1, -e1], [1, 0], TrainConfig())
-        assert predict_proba(model, e1) > 0.5 > predict_proba(model, -e1)
+        assert _proba(model, e1) > 0.5 > _proba(model, -e1)
 
     def test_zero_epochs_forbidden(self):
         with pytest.raises(LearnerError, match="epochs"):
@@ -129,12 +134,57 @@ class TestLogReg:
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
+    def test_hessian_matches_finite_differences_of_the_gradient(self):
+        # the Newton solver's Hessian is the Jacobian of its own gradient
+        rng = np.random.default_rng(13)
+        h = 1e-6
+        for l2_lambda in (0.0, 1e-3, 0.1, 1.0):
+            for _ in range(10):
+                dim = int(rng.integers(1, 12))
+                n = int(rng.integers(2, 30))
+                design = np.column_stack([rng.normal(size=(n, dim)), np.ones(n)])
+                y = (rng.random(n) < 0.5).astype(float)
+                penalty = np.append(np.full(dim, l2_lambda), 0.0)
+                theta = rng.normal(size=dim + 1)
+
+                def grad_at(t):
+                    return _gradient_hessian(design, y, t, penalty, design @ t)[0]
+
+                _, analytic = _gradient_hessian(design, y, theta, penalty, design @ theta)
+                numeric = np.empty_like(analytic)
+                for i in range(dim + 1):
+                    bump = np.zeros(dim + 1)
+                    bump[i] = h
+                    numeric[:, i] = (grad_at(theta + bump) - grad_at(theta - bump)) / (2 * h)
+                np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+    def test_solver_and_gradient_check_share_one_gradient(self, monkeypatch):
+        # the gradient that the finite-difference checks test is the one
+        # train_logreg steps by: both reach the one shared function
+        calls = []
+        real = learners._gradient_hessian
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learners, "_gradient_hessian", counted)
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(20, 3))
+        y = (rng.random(20) < 0.5).astype(float)
+        model = train_logreg(X, y, TrainConfig())
+        assert model.converged
+        assert len(calls) == model.epochs_run + 1  # one per step, one to stop
+        calls.clear()
+        loss_gradient(model, X, y)
+        assert len(calls) == 1
+
     def test_predict_proba_identity_and_clipping(self):
         model = _zero_model(3)
-        assert predict_proba(model, np.array([5.0, -1.0, 2.0])) == 0.5
+        assert _proba(model, np.array([5.0, -1.0, 2.0])) == 0.5
         hot = LogRegModel(weights=np.array([100.0]), bias=0.0, config=TrainConfig())
-        assert predict_proba(hot, np.array([10.0])) == pytest.approx(1 - 1e-6)
-        assert predict_proba(hot, np.array([-10.0])) == pytest.approx(1e-6)
+        assert _proba(hot, np.array([10.0])) == pytest.approx(1 - 1e-6)
+        assert _proba(hot, np.array([-10.0])) == pytest.approx(1e-6)
 
     def test_predict_proba_monotone_in_score(self):
         rng = np.random.default_rng(2)
@@ -176,11 +226,6 @@ class TestLogReg:
         assert set(predict_proba_batch(model, X)) == {alone}
         assert set(predict_proba_batch(model, shifted)) == {alone}
         assert set(predict_proba_batch(model, np.asfortranarray(X))) == {alone}
-
-    def test_dimension_mismatch(self):
-        model = _zero_model(3)
-        with pytest.raises(LearnerError, match="dimension"):
-            predict_proba(model, np.zeros(4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
