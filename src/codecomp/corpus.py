@@ -207,14 +207,16 @@ def hide_gold(doc: Document) -> Document:
     return replace(doc, gold_label=None, positive_human_spans=())
 
 
-def sample_labeled(train_split: list[Document],
-                   spec: SampleSpec) -> tuple[list[Document], list[Document]]:
+def sample_labeled(train_split: list[Document], spec: SampleSpec,
+                   hidden=None) -> tuple[list[Document], list[Document]]:
     """Draw a stratified labeled subset; the remainder becomes unlabeled.
 
     Returns ``(labeled, unlabeled)``, each in split order. Gold labels and
     spans of the unlabeled documents are stripped from the documents
-    themselves, so training code never sees them. Deterministic per
-    (split, spec).
+    themselves, so training code never sees them: each is a ``hide_gold``
+    copy, or, where ``hidden`` maps the split's ids to such copies made
+    beforehand, that copy, so many draws from one corpus share one copy of
+    each document. Deterministic per (split, spec).
     """
     if spec.n_labeled > len(train_split):
         raise CorpusError(
@@ -231,5 +233,6 @@ def sample_labeled(train_split: list[Document],
         order = rng.permutation(len(ids))
         chosen.update(ids[i] for i in order[:n_take])
     labeled = [d for d in train_split if d.id in chosen]
-    unlabeled = [hide_gold(d) for d in train_split if d.id not in chosen]
+    unlabeled = [hide_gold(d) if hidden is None else hidden[d.id]
+                 for d in train_split if d.id not in chosen]
     return labeled, unlabeled

@@ -3,7 +3,10 @@
 Training alternates between the per-view classifiers: each iteration
 scores the unlabeled documents through the most-confident-instance rule,
 promotes the top positive and top negative documents of every view into
-the labeled pool, and retrains every view on the grown pool.
+the labeled pool, and retrains every view on the grown pool. Each view's
+pool is one pair of arrays that a promoting iteration appends to, and each
+retrain warm-starts from the view's previous classifier: the same
+regularized optimum, reached in fewer Newton steps.
 A promoted positive contributes its winning instance plus the most probable
 counterpart instance in every other view; a promoted negative must look
 confidently negative to all views at once and contributes every instance.
@@ -184,28 +187,33 @@ def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
 
 
 def _labeled_rows(examples, view: int):
-    """One view's labeled instance rows and their 0/1 targets, in document
-    then instance order; unlabeled instances are skipped."""
+    """One view's labeled instance rows and their 0/1 targets, as an
+    ``(X, y)`` pair of arrays in document then instance order; unlabeled
+    instances are skipped."""
     rows, targets = [], []
     for ex in examples:
         vi = ex.views[view]
-        for vector, label in zip(vi.vectors, vi.labels):
-            if label in (POSITIVE, NEGATIVE):
-                rows.append(vector)
-                targets.append(float(label == POSITIVE))
-    return rows, targets
+        if vi.size:
+            labels = np.asarray(vi.labels, dtype=object)
+            keep = (labels == POSITIVE) | (labels == NEGATIVE)
+            rows.append(vi.vectors[keep])
+            targets.append(labels[keep] == POSITIVE)
+    if not rows:
+        return np.empty((0, 0)), np.empty(0)
+    return np.concatenate(rows), np.concatenate(targets).astype(float)
 
 
-def _train_views(pools, train_config: TrainConfig):
+def _train_views(pools, train_config: TrainConfig, kcs_names, starts):
+    """One classifier per ``(X, y)`` pool, each started from the view's
+    entry of ``starts``: a classifier to warm-start from, or None for zero."""
     classifiers = []
-    for j, (rows, targets) in enumerate(pools):
-        if len(set(targets)) < 2:
+    for j, ((X, y), start) in enumerate(zip(pools, starts)):
+        if not 0 < np.count_nonzero(y) < len(y):
             raise CotrainError(
-                f"view {j} needs at least one positive and one negative "
-                "labeled instance"
+                f"view {j} ({kcs_names[j]}) needs at least one positive and one "
+                "negative labeled instance"
             )
-        classifiers.append(train_logreg(np.vstack(rows), np.asarray(targets),
-                                        train_config))
+        classifiers.append(train_logreg(X, y, train_config, start=start))
     return classifiers
 
 
@@ -263,9 +271,11 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     if kcs_names is None:
         kcs_names = tuple(f"view{j}" for j in range(n_views))
 
-    # One labeled pool per view, read once; promotion appends to it.
+    # One labeled (X, y) pool per view, read once; each iteration that
+    # promotes appends its rows, and every retrain starts from the view's
+    # previous classifier.
     pools = [_labeled_rows(labeled, j) for j in range(n_views)]
-    snapshots = [_train_views(pools, train_config)]
+    snapshots = [_train_views(pools, train_config, kcs_names, [None] * n_views)]
 
     # Documents with an empty bag in any view never qualify for promotion;
     # they stay unlabeled and fall back to the neutral score at test time.
@@ -301,16 +311,17 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
                 picks.extend((int(p), kind, j) for p in cand)
 
         promotions = []
+        grown = [([X], [y]) for X, y in pools]
         for p, kind, j in sorted(picks):
             ex = promotable[p]
-            for view, (rows, targets), (_, winners) in zip(ex.views, pools, scored):
+            for view, (rows, targets), (_, winners) in zip(ex.views, grown, scored):
                 if kind == "positive":
                     # the winning instance of every view, as a positive
-                    rows.append(view.vectors[winners[p]])
-                    targets.append(1.0)
+                    rows.append(view.vectors[winners[p]][None])
+                    targets.append(np.ones(1))
                 else:
-                    rows.extend(view.vectors)
-                    targets.extend([0.0] * view.size)
+                    rows.append(view.vectors)
+                    targets.append(np.zeros(view.size))
             alive[p] = False
             promotions.append({
                 "view": kcs_names[j], "kind": kind,
@@ -326,7 +337,9 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
         ))
         if not promotions:
             break
-        snapshots.append(_train_views(pools, train_config))
+        pools = [(np.concatenate(rows), np.concatenate(targets))
+                 for rows, targets in grown]
+        snapshots.append(_train_views(pools, train_config, kcs_names, snapshots[-1]))
 
     return CoDecompModel(
         kcs_names=tuple(kcs_names),

@@ -30,6 +30,7 @@ from .corpus import (
     CorpusError,
     SampleSpec,
     fold_sizes,
+    hide_gold,
     sample_labeled,
     stratified_folds,
 )
@@ -285,14 +286,17 @@ def config_fingerprint(payload: dict) -> str:
 
 def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
     """Yield (variant, rep, fold, Metrics) for each evaluated fold of one
-    repetition; folds and samples derive from ``seed_r``."""
+    repetition; folds and samples derive from ``seed_r``. Every fold takes
+    its unlabeled documents from one gold-hidden copy of the corpus."""
     plan = stratified_folds(corpus, k_folds, seed_r)
     by_id = {d.id: d for d in corpus}
+    hidden = {d.id: hide_gold(d) for d in corpus}
     for fold in range(plan.k):
         if fold == dev_fold:
             continue
         train = [d for d in corpus if plan.assignments[d.id] not in (fold, dev_fold)]
-        labeled, unlabeled = sample_labeled(train, SampleSpec(n_labeled, seed_r * 8191 + fold))
+        labeled, unlabeled = sample_labeled(
+            train, SampleSpec(n_labeled, seed_r * 8191 + fold), hidden)
         test = [by_id[i] for i in plan.fold_ids(fold)]
         gold = {d.id: d.gold_label for d in test}
         variants = runner.predictions(labeled, unlabeled, test)
@@ -305,6 +309,8 @@ def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None
     run, before any runner processes the corpus. Fold sizes do not depend on
     the seed, so a labeled set larger than the smallest training split of
     one repetition's folds is too large for every repetition."""
+    if not sizes:
+        raise EvalError("no labeled-set sizes to run")
     if any(n < 1 for n in sizes):
         raise EvalError(f"n_labeled must be >= 1, got {list(sizes)}")
     if repetitions < 1:
@@ -321,7 +327,7 @@ def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None
         raise EvalError(str(exc)) from None
     dev = per_fold[dev_fold] if dev_fold is not None else 0
     split = len(corpus) - dev - max(n for f, n in enumerate(per_fold) if f != dev_fold)
-    if max(sizes, default=0) > split:
+    if max(sizes) > split:
         raise EvalError(f"n_labeled={max(sizes)} exceeds the smallest training "
                         f"split, {split} documents")
 

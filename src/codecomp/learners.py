@@ -168,12 +168,15 @@ def _newton_direction(hess, grad):
     return direction
 
 
-def train_logreg(X, y, cfg: TrainConfig) -> LogRegModel:
+def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> LogRegModel:
     """Fit logistic regression by damped Newton steps.
 
     Minimizes mean log-loss plus (l2_lambda/2)*||w||^2 (bias unpenalized)
-    from a zero start. Each step solves the (d+1)-square Hessian system and
-    backtracks along the solution until the Armijo condition holds; where
+    from a zero start, or from the weights and bias of ``start``, a model
+    of the same width: with l2_lambda > 0 the loss is strictly convex, so a
+    warm-started fit ends at the same optimum within the tolerance, in
+    fewer steps when ``start`` is near it. Each step solves the (d+1)-square
+    Hessian system and backtracks along the solution until the Armijo condition holds; where
     the solve fails it takes the system's least-squares solution, and where
     that fails too or gives no descent direction it steps along the
     negative gradient instead. The fit stops, ``converged``, once half the
@@ -191,8 +194,15 @@ def train_logreg(X, y, cfg: TrainConfig) -> LogRegModel:
     n, d = X.shape
     design = np.column_stack([X, np.ones(n)])  # the bias is the last coefficient
     penalty = np.append(np.full(d, cfg.l2_lambda), 0.0)
-    theta = np.zeros(d + 1)
-    z = np.zeros(n)
+    if start is None:
+        theta = np.zeros(d + 1)
+        z = np.zeros(n)
+    else:
+        if start.weights.shape != (d,):
+            raise LearnerError(f"start has {start.weights.shape[0]} weights, data has "
+                               f"{d} columns")
+        theta = np.append(start.weights, start.bias)
+        z = design @ theta
     loss = _log_loss(z, y, theta[:d], cfg.l2_lambda)
     steps = 0
     converged = False

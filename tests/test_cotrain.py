@@ -162,7 +162,8 @@ class TestCotrainFit:
         # view-0 instance and its most probable view-1 counterpart (0.6, not
         # -0.2) turn positive; U2 is promoted negative with every instance
         # negative. The classifiers returned by a 2-iteration run are trained
-        # on exactly that pool, which pins the labels instance by instance.
+        # on exactly that pool, warm-started from the first fit, which pins
+        # the labels instance by instance.
         labeled, unlabeled, cfg = _simple_examples()
         model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=2), cfg)
 
@@ -173,9 +174,11 @@ class TestCotrainFit:
         assert by_kind["negative"]["doc_id"] == "U2"
 
         expected_v0 = train_logreg(
-            np.array([[1.0], [-1.0], [2.0], [-2.0]]), [1, 0, 1, 0], cfg)
+            np.array([[1.0], [-1.0], [2.0], [-2.0]]), [1, 0, 1, 0], cfg,
+            start=model.snapshots[0][0])
         expected_v1 = train_logreg(
-            np.array([[1.0], [-1.0], [0.6], [-2.0], [-1.5]]), [1, 0, 1, 0, 0], cfg)
+            np.array([[1.0], [-1.0], [0.6], [-2.0], [-1.5]]), [1, 0, 1, 0, 0], cfg,
+            start=model.snapshots[0][1])
         np.testing.assert_array_equal(model.classifiers[0].weights, expected_v0.weights)
         assert model.classifiers[0].bias == expected_v0.bias
         np.testing.assert_array_equal(model.classifiers[1].weights, expected_v1.weights)
@@ -186,6 +189,9 @@ class TestCotrainFit:
         labeled = [Example("L1", [ViewInstances(np.array([[1.0]]), [POSITIVE])])]
         with pytest.raises(CotrainError, match="view 0"):
             cotrain_fit(labeled, [], 1, CoConfig(iterations=0), cfg)
+        with pytest.raises(CotrainError, match=r"view 0 \(disease\) needs"):
+            cotrain_fit(labeled, [], 1, CoConfig(iterations=0), cfg,
+                        kcs_names=("disease",))
 
     def test_view_count_validated(self):
         labeled, unlabeled, cfg = _simple_examples()
@@ -432,8 +438,9 @@ def test_gold_labels_of_unlabeled_examples_are_never_read():
 
 # the co-training loop before each view kept one labeled pool: examples
 # copied, promoted instance labels rewritten in place, and every view's
-# training matrix rebuilt from all labeled documents after every iteration
-# that promoted
+# training matrix rebuilt row by row from all labeled documents after every
+# iteration that promoted (each retrain warm-started from the view's
+# previous classifier, as cotrain_fit does)
 def _labeled_matrix(examples, view):
     rows, targets = [], []
     for ex in examples:
@@ -451,8 +458,9 @@ def _labeled_matrix(examples, view):
 
 
 def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config):
-    def train_views(examples):
-        return [train_logreg(*_labeled_matrix(examples, j), train_config)
+    def train_views(examples, starts=None):
+        return [train_logreg(*_labeled_matrix(examples, j), train_config,
+                             start=None if starts is None else starts[j])
                 for j in range(n_views)]
 
     def working_copy(ex):
@@ -506,7 +514,7 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config)
             unlabeled_examples=len(unlabeled) - int(np.count_nonzero(~alive))))
         if not promotions:
             break
-        classifiers = train_views(pool_l)
+        classifiers = train_views(pool_l, classifiers)
         snapshots.append(classifiers)
     return CoDecompModel(kcs_names=kcs_names, classifiers=classifiers,
                          co_config=co_config, train_config=train_config,

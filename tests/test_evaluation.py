@@ -307,11 +307,34 @@ class TestDriver:
             lambda: ablation_table(docs, spec, [3, 0], 4, SampleSpec(40, 3),
                                    repetitions=1),
             lambda: training_size_sweep(docs, spec, [0, 30], 4, 3, repetitions=1),
+            lambda: training_size_sweep(docs, spec, [], 4, 3, repetitions=1),
         )
         for call in entry_points:
             with pytest.raises(EvalError):
                 call()
         assert processed == []
+
+    @pytest.mark.parametrize("model", ["em", "codecomp"])
+    def test_unlabeled_gold_stays_hidden(self, small_corpus, monkeypatch, model):
+        # both runners see unlabeled documents without gold labels or spans,
+        # and the folds of one repetition share one copy of each document
+        docs, preset = small_corpus
+        seen = []
+        for runner in (evaluation._DocumentRunner, evaluation._CoDecompRunner):
+            def recorded(self, labeled, unlabeled, test, real=runner.predictions):
+                seen.append(unlabeled)
+                return real(self, labeled, unlabeled, test)
+            monkeypatch.setattr(runner, "predictions", recorded)
+        spec = EMSpec() if model == "em" else _codecomp_spec(preset)
+        run_experiment(docs, spec, **self.KWARGS)
+        assert len(seen) == 8  # 2 repetitions x 4 folds, in that order
+        for rep in (seen[:4], seen[4:]):
+            copies = {}
+            for unlabeled in rep:
+                for d in unlabeled:
+                    assert d.gold_label is None and d.positive_human_spans == ()
+                    assert copies.setdefault(d.id, d) is d
+            assert sum(map(len, rep)) > len(copies)  # documents recur across folds
 
     @pytest.mark.parametrize("n, dev_fold", [(150, None), (100, 0)])
     def test_largest_labeled_set_of_a_training_split_runs(self, small_corpus,

@@ -260,6 +260,34 @@ class TestLogReg:
         assert full.final_loss < capped.final_loss
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_warm_start_reaches_the_cold_optimum_in_no_more_steps(seed):
+    # a co-training retrain: the pool grows by a few rows and the fit starts
+    # from the optimum of the smaller pool. With l2_lambda > 0 the loss is
+    # strictly convex, so both fits end at its one minimum; a tolerance this
+    # tight leaves them within 1e-8 of each other
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, 16))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = (X @ rng.normal(size=16) + 0.5 * rng.normal(size=200) > 0).astype(float)
+    cfg = TrainConfig(l2_lambda=0.1, convergence_tolerance=1e-17)
+    previous = train_logreg(X[:-5], y[:-5], cfg)
+    warm = train_logreg(X, y, cfg, start=previous)
+    cold = train_logreg(X, y, cfg)
+    assert warm.converged and cold.converged
+    np.testing.assert_allclose(warm.weights, cold.weights, rtol=0, atol=1e-8)
+    assert abs(warm.bias - cold.bias) <= 1e-8
+    assert warm.epochs_run <= cold.epochs_run
+
+
+def test_warm_start_of_another_width_rejected():
+    X = np.random.default_rng(3).normal(size=(20, 4))
+    y = (X[:, 0] > 0).astype(float)
+    start = train_logreg(X[:, :3], y, TrainConfig())
+    with pytest.raises(LearnerError, match="3 weights, data has 4 columns"):
+        train_logreg(X, y, TrainConfig(), start=start)
+
+
 def _finite_fit(X, y, cfg):
     """Fit with every numpy floating-point warning raised; the weights, bias
     and loss must come back finite."""
