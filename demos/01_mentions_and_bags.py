@@ -8,7 +8,7 @@ elided first-person mentions, mask rewriting, and the per-view bags with
 their automatic instance labels.
 """
 
-from codecomp import Document, load_lexicons, process_document, tokenize
+from codecomp import Document, load_lexicons, process_document, token_surfaces
 from codecomp.presets import task_preset
 
 lexicons = load_lexicons()
@@ -19,11 +19,13 @@ text = "I Just went to my Oncology appointment!!! Praying that it's not cancer"
 doc = Document(id="t1", text=text, gold_label="positive",
                positive_human_spans=((0, 1),), task="phm-cancer")
 
-print("tokens:", [t.surface for t in tokenize(text)])
+print("tokens:", token_surfaces(text))
 
 pdoc = process_document(doc, preset, lexicons)
-print("\nafter synthesis:", [t.surface for t in pdoc.tokens])
-print("masked for the encoder:", [t.surface for t in pdoc.masked_tokens])
+print("\nafter synthesis:", list(pdoc.surfaces))
+print("inserted, zero-width:", [(t.surface, t.start, t.end) for t in pdoc.tokens
+                                 if t.start == t.end])
+print("masked for the encoder:", list(pdoc.masked_tokens))
 
 for bag in pdoc.bags:
     print(f"\n{bag.kcs_name} bag:")
@@ -36,8 +38,8 @@ print("\nsentence-start rewrites:")
 for sentence in ["went to the er", "sick of this flu", "diagnosed with flu",
                  "coughing all night", "is feeling sick"]:
     rewritten = process_document(
-        Document(id="x", text=sentence), preset, lexicons).tokens
-    print(f"  {sentence!r} -> {' '.join(t.surface for t in rewritten)!r}")
+        Document(id="x", text=sentence), preset, lexicons).surfaces
+    print(f"  {sentence!r} -> {' '.join(rewritten)!r}")
 
 # labeling policy at a glance: negative postings mark every mention negative
 negative = Document(id="t2", text="worried about my friend and cancer awareness",

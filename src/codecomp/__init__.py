@@ -20,6 +20,7 @@ from .concepts import (
     load_lexicons,
     process_document,
     synthesize_human_mention,
+    token_surfaces,
     tokenize,
 )
 from .context import (

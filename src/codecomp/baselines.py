@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import tokenize
+from .concepts import token_surfaces
 from .learners import (
     FeatureCounts,
     LearnerError,
@@ -47,7 +47,7 @@ class EMConfig:
 
 
 def document_features(doc):
-    return ngram_counts([t.surface for t in tokenize(doc.text)])
+    return ngram_counts(token_surfaces(doc.text))
 
 
 def _multisets(docs, features):

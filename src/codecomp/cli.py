@@ -226,7 +226,7 @@ def _enriched_record(pdoc, preset) -> dict:
         "positive_human_spans": [list(s) for s in doc.positive_human_spans],
         "task": doc.task,
         "tokens": [[t.surface, t.start, t.end] for t in pdoc.tokens],
-        "masked_tokens": [t.surface for t in pdoc.masked_tokens],
+        "masked_tokens": list(pdoc.masked_tokens),
         "bags": [
             {
                 "kcs": bag.kcs_name,

@@ -17,6 +17,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +41,10 @@ _NON_VERB_ING = frozenset({
     "morning", "evening", "spring", "string", "bring", "during",
 })
 
+# the most distinct surfaces one Lexicons keeps classified; a full table is
+# emptied and refilled, so a stream of ever-new handles cannot grow it
+SURFACE_TABLE_CAP = 1 << 15
+
 
 class ConceptError(ValueError):
     pass
@@ -58,29 +63,36 @@ def tokenize(text: str) -> list[Token]:
     ]
 
 
-def sentence_spans(tokens: list[Token], text: str) -> list[tuple[int, int]]:
-    """[start, end) token index ranges of sentences.
+def token_surfaces(text: str) -> list[str]:
+    """The surfaces of ``tokenize(text)``, without character ranges.
+
+    Each match is lowercased on its own: lowercasing the whole text could
+    change its length and its tokens ("İ" lowercases to two characters).
+    """
+    return list(map(str.lower, _TOKEN_RE.findall(text)))
+
+
+def sentence_spans(surfaces, text: str) -> list[tuple[int, int]]:
+    """[start, end) token index ranges of sentences; ``surfaces`` are the
+    surfaces of ``tokenize(text)``.
 
     A sentence ends after a run of '.', '!' or '?' tokens, or where the
-    original text has a newline between consecutive tokens.
+    original text has a newline between consecutive tokens. Character
+    ranges are read only in a text that holds a newline.
     """
-    spans = []
-    start = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i].surface in _SENTENCE_END:
-            while i + 1 < n and tokens[i + 1].surface in _SENTENCE_END:
-                i += 1
-            spans.append((start, i + 1))
-            start = i + 1
-        elif i + 1 < n and "\n" in text[tokens[i].end : tokens[i + 1].start]:
-            spans.append((start, i + 1))
-            start = i + 1
-        i += 1
-    if start < n:
-        spans.append((start, n))
-    return spans
+    n = len(surfaces)
+    if not n:
+        return []
+    ends = _SENTENCE_END
+    starts = [i + 1 for i, s in enumerate(surfaces)
+              if s in ends and i + 1 < n and surfaces[i + 1] not in ends]
+    if "\n" in text:
+        tokens = tokenize(text)
+        starts += [i + 1 for i, (a, b) in enumerate(zip(tokens, tokens[1:]))
+                   if a.surface not in ends and "\n" in text[a.end:b.start]]
+        starts.sort()
+    bounds = [0, *starts, n]
+    return list(zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +107,26 @@ class Lexicons:
     irregular_past_verbs: frozenset
     common_adjectives: frozenset
     past_participles: frozenset
+    # surface -> its kind, filled as surfaces are met (see kinds)
+    _kinds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kinds(self, surfaces) -> list[int]:
+        """Each surface's kind: the ``_HUMAN`` bit for a human word, and
+        above it the number of the sentence-start rewrite its word fires
+        (0 for none).
+
+        Each distinct surface is classified once and kept in a table of at
+        most ``SURFACE_TABLE_CAP`` entries.
+        """
+        table = self._kinds
+        kinds = list(map(table.get, surfaces))
+        if None in kinds:
+            for i, kind in enumerate(kinds):
+                if kind is None:
+                    if len(table) >= SURFACE_TABLE_CAP:
+                        table.clear()
+                    kinds[i] = table[surfaces[i]] = _surface_kind(surfaces[i], self)
+        return kinds
 
 
 def load_wordlist(path) -> tuple[str, ...]:
@@ -157,7 +189,7 @@ class KeyConceptSet:
             raise ConceptError(f"kcs {self.name!r}: keyword view needs keywords")
         if self.kind == "human" and self.keywords:
             raise ConceptError(f"kcs {self.name!r}: human view takes no keywords")
-        seqs = {tuple(t.surface for t in tokenize(kw)) for kw in self.keywords}
+        seqs = {tuple(token_surfaces(kw)) for kw in self.keywords}
         seqs.discard(())
         index: dict = {}
         for seq in sorted(seqs, key=lambda s: (-len(s), s)):
@@ -191,19 +223,19 @@ def _is_human_word(surface: str, lexicons: Lexicons) -> bool:
     )
 
 
-def extract_human_mentions(tokens, lexicons: Lexicons, doc_id: str = "",
-                           kcs_name: str = "human") -> list[Mention]:
+def extract_human_mentions(surfaces, lexicons: Lexicons, doc_id: str = "",
+                           kcs_name: str = "human", synthetic=()) -> list[Mention]:
     """Single-token human mentions: lexicon pronouns, @-handles, person words.
 
     "it" never matches -- it is deliberately absent from the pronoun lexicon.
-    A mention is synthetic where its token is zero-width: ``tokenize`` never
-    yields an empty token, and only the sentence-start rewrites insert one.
+    ``synthetic`` holds the positions of the tokens a sentence-start rewrite
+    inserted; a mention there is synthetic.
     """
     return [
         Mention(doc_id=doc_id, kcs_name=kcs_name, token_range=(i, i + 1),
-                surface=tok.surface, synthetic=tok.start == tok.end)
-        for i, tok in enumerate(tokens)
-        if _is_human_word(tok.surface, lexicons)
+                surface=surfaces[i], synthetic=i in synthetic)
+        for i, kind in enumerate(lexicons.kinds(surfaces))
+        if kind & _HUMAN
     ]
 
 
@@ -217,55 +249,97 @@ def _is_present_continuous(word: str) -> bool:
     return word.endswith("ing") and len(word) >= 5 and word not in _NON_VERB_ING
 
 
-def synthesize_human_mention(sentence_tokens, lexicons: Lexicons):
+# the sentence-start rewrites, numbered from 1 in the order they are tried
+# against a sentence's first word: the tokens each inserts, and how many of
+# the sentence's own tokens those replace
+_REWRITES = (
+    None,
+    (("i",), 0),         # past-tense verb
+    (("i", "am"), 0),    # adjective
+    (("i", "have"), 0),  # past participle
+    (("i", "am"), 0),    # -ing verb
+    (("i", "am"), 1),    # literal "is"
+)
+_HUMAN = 1  # the kind bit of a human word; the bits above it number a rewrite
+
+
+def _surface_kind(surface: str, lexicons: Lexicons) -> int:
+    if _is_past_tense(surface, lexicons):
+        rewrite = 1
+    elif surface in lexicons.common_adjectives:
+        rewrite = 2
+    elif surface in lexicons.past_participles:
+        rewrite = 3
+    elif _is_present_continuous(surface):
+        rewrite = 4
+    elif surface == "is":
+        rewrite = 5
+    else:
+        rewrite = 0
+    return rewrite << 1 | _is_human_word(surface, lexicons)
+
+
+def synthesize_human_mention(sentence, lexicons: Lexicons):
     """Insert an elided first-person mention at the start of a sentence.
 
     Exactly one of five rewrites may fire, checked in order against the
-    first token: past-tense verb -> prepend "i"; adjective -> prepend
+    first surface: past-tense verb -> prepend "i"; adjective -> prepend
     "i am"; past participle -> prepend "i have"; -ing verb -> prepend
     "i am"; literal "is" -> replace with "i am". Returns the (possibly
-    modified) token list and whether a rule fired. The inserted tokens are
-    zero-width: they cover no source text. Idempotent: "i" matches no rule.
+    modified) surface list and whether a rule fired. Idempotent: "i"
+    matches no rule.
     """
-    if not sentence_tokens:
-        return list(sentence_tokens), False
-    first = sentence_tokens[0].surface
-    at = sentence_tokens[0].start
-    inserted = None
-    rest = list(sentence_tokens)
-    if _is_past_tense(first, lexicons):
-        inserted = ["i"]
-    elif first in lexicons.common_adjectives:
-        inserted = ["i", "am"]
-    elif first in lexicons.past_participles:
-        inserted = ["i", "have"]
-    elif _is_present_continuous(first):
-        inserted = ["i", "am"]
-    elif first == "is":
-        inserted = ["i", "am"]
-        rest = rest[1:]
-    if inserted is None:
-        return rest, False
-    return [Token(s, at, at) for s in inserted] + rest, True
+    rewrite = lexicons.kinds(sentence[:1])[0] >> 1 if sentence else 0
+    if not rewrite:
+        return list(sentence), False
+    inserted, replaced = _REWRITES[rewrite]
+    return [*inserted, *sentence[replaced:]], True
 
 
-def synthesize_document(tokens, text: str, lexicons: Lexicons) -> list[Token]:
+def synthesize_document(surfaces, text: str, lexicons: Lexicons):
     """Run the synthesizer over every sentence of a document.
 
-    Sentences that already open with a human mention are left alone.
-    Returns the new token list.
+    ``surfaces`` are the surfaces of ``tokenize(text)``. Sentences that
+    already open with a human mention are left alone. Returns the new
+    surface list and the rewrites made, each as (position of its first
+    inserted token in the new list, tokens inserted, tokens replaced).
     """
-    out = []
-    for start, end in sentence_spans(tokens, text):
-        sentence = tokens[start:end]
-        if sentence and _is_human_word(sentence[0].surface, lexicons):
-            out.extend(sentence)
-        else:
-            out.extend(synthesize_human_mention(sentence, lexicons)[0])
+    starts = [start for start, _ in sentence_spans(surfaces, text)]
+    out, rewrites = [], []
+    cursor = 0
+    for start, kind in zip(starts, lexicons.kinds([surfaces[i] for i in starts])):
+        rewrite = 0 if kind & _HUMAN else kind >> 1
+        if not rewrite:
+            continue
+        inserted, replaced = _REWRITES[rewrite]
+        out += surfaces[cursor:start]
+        rewrites.append((len(out), len(inserted), replaced))
+        out += inserted
+        cursor = start + replaced
+    if not rewrites:
+        return surfaces, ()
+    out += surfaces[cursor:]
+    return out, tuple(rewrites)
+
+
+def _tokens_with_offsets(text: str, surfaces, rewrites) -> list[Token]:
+    """The tokens of ``surfaces``, the result of ``rewrites`` on
+    ``tokenize(text)``, with character ranges into ``text``. Inserted
+    tokens are zero-width, at the start of the sentence they open."""
+    source = tokenize(text)
+    out, cursor = [], 0  # cursor: the next token of ``source``
+    for position, inserted, replaced in rewrites:
+        kept = position - len(out)
+        out += source[cursor:cursor + kept]
+        cursor += kept
+        at = source[cursor].start
+        out += [Token(s, at, at) for s in surfaces[position:position + inserted]]
+        cursor += replaced
+    out += source[cursor:]
     return out
 
 
-def extract_keyword_mentions(tokens, kcs: KeyConceptSet, doc_id: str = "") -> list[Mention]:
+def extract_keyword_mentions(surfaces, kcs: KeyConceptSet, doc_id: str = "") -> list[Mention]:
     """Case-insensitive exact-token keyword occurrences, in document order.
 
     Multi-token keywords match contiguous token runs; overlapping matches
@@ -274,27 +348,23 @@ def extract_keyword_mentions(tokens, kcs: KeyConceptSet, doc_id: str = "") -> li
     if kcs.kind != "keyword":
         raise ConceptError(f"kcs {kcs.name!r} is not a keyword view")
     index = kcs._by_first_token
-    surfaces = [t.surface for t in tokens]
     mentions = []
-    i = 0
-    while i < len(surfaces):
-        matched = None
-        for seq in index.get(surfaces[i], ()):
-            if tuple(surfaces[i : i + len(seq)]) == seq:
-                matched = seq
-                break
-        if matched is None:
-            i += 1
+    covered = 0  # tokens before this one belong to a match already
+    for i in [i for i, s in enumerate(surfaces) if s in index]:
+        if i < covered:
             continue
-        mentions.append(
-            Mention(doc_id=doc_id, kcs_name=kcs.name, token_range=(i, i + len(matched)),
-                    surface=" ".join(matched))
-        )
-        i += len(matched)
+        for seq in index[surfaces[i]]:
+            if tuple(surfaces[i : i + len(seq)]) == seq:
+                covered = i + len(seq)
+                mentions.append(
+                    Mention(doc_id=doc_id, kcs_name=kcs.name, token_range=(i, covered),
+                            surface=" ".join(seq))
+                )
+                break
     return mentions
 
 
-def _masked_tokens_with_map(tokens, replacements):
+def _masked_tokens_with_map(surfaces, replacements):
     """Apply (token_range, mask_surface) replacements; also return the map
     from old token index to new token index.
 
@@ -305,23 +375,18 @@ def _masked_tokens_with_map(tokens, replacements):
     for ((_, e1), _), ((s2, _), _) in zip(replacements, replacements[1:]):
         if s2 < e1:
             raise ConceptError("overlapping mentions cannot be masked")
-    out = []
-    index_map = [0] * len(tokens)
+    out, index_map = [], []
     cursor = 0
     for (s, e), surface in replacements:
-        if not (0 <= s < e <= len(tokens)):
+        if not (0 <= s < e <= len(surfaces)):
             raise ConceptError(f"mention range [{s}, {e}) outside token list")
-        for i in range(cursor, s):
-            index_map[i] = len(out)
-            out.append(tokens[i])
-        mask_tok = Token(surface, tokens[s].start, tokens[e - 1].end)
-        for i in range(s, e):
-            index_map[i] = len(out)
-        out.append(mask_tok)
+        index_map += range(len(out), len(out) + s - cursor)
+        out += surfaces[cursor:s]
+        index_map += [len(out)] * (e - s)
+        out.append(surface)
         cursor = e
-    for i in range(cursor, len(tokens)):
-        index_map[i] = len(out)
-        out.append(tokens[i])
+    index_map += range(len(out), len(out) + len(surfaces) - cursor)
+    out += surfaces[cursor:]
     return out, index_map
 
 
@@ -347,19 +412,28 @@ class TaskPreset:
 
 @dataclass(frozen=True)
 class ProcessedDocument:
-    """A document with its final tokens, per-view bags, and the fully
-    masked token list fed to context providers.
+    """A document with its final token surfaces, per-view bags, and the
+    fully masked surface list fed to context providers.
 
-    ``masked_ranges[kcs_name][i]`` is instance i's token range within
-    ``masked_tokens`` (masking can collapse multi-token mentions, shifting
-    positions).
+    ``surfaces`` are the lowercased tokens after the sentence-start
+    rewrites, each recorded in ``rewrites`` as (position of its first
+    inserted token, tokens inserted, tokens replaced); ``tokens`` adds
+    their character ranges, computed when first read. ``masked_ranges[
+    kcs_name][i]`` is instance i's token range within ``masked_tokens``
+    (masking can collapse multi-token mentions, shifting positions).
     """
 
     document: Document
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    rewrites: tuple[tuple[int, int, int], ...]
     bags: tuple[Bag, ...]
-    masked_tokens: tuple[Token, ...]
+    masked_tokens: tuple[str, ...]
     masked_ranges: dict
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(_tokens_with_offsets(self.document.text, self.surfaces,
+                                          self.rewrites))
 
     def bag(self, kcs_name: str) -> Bag:
         for b in self.bags:
@@ -369,11 +443,12 @@ class ProcessedDocument:
 
     def masked_instances(self, kcs_name: str) -> list[tuple[Mention, str]]:
         """One view's (mention, label) pairs in bag order, each mention's
-        token range shifted into ``masked_tokens``."""
-        ranges = self.masked_ranges[kcs_name]
-        return [(Mention(m.doc_id, m.kcs_name, tuple(ranges[occ]), m.surface,
-                         m.synthetic), label)
-                for occ, (m, label) in enumerate(self.bag(kcs_name).instances)]
+        token range shifted into ``masked_tokens``; a mention that masking
+        did not move is returned as it is."""
+        return [(m if m.token_range == r else
+                 Mention(m.doc_id, m.kcs_name, tuple(r), m.surface, m.synthetic), label)
+                for (m, label), r in zip(self.bag(kcs_name).instances,
+                                         self.masked_ranges[kcs_name])]
 
 
 def _span_overlap(tokens, token_range, spans) -> bool:
@@ -382,7 +457,7 @@ def _span_overlap(tokens, token_range, spans) -> bool:
     return any(char_start < b and a < char_end for a, b in spans)
 
 
-def instance_labels(kcs: KeyConceptSet, mentions, tokens, gold_label,
+def instance_labels(kcs: KeyConceptSet, mentions, offsets, gold_label,
                     positive_spans, doc_id: str = "") -> list[str]:
     """Automatic instance labels from the document label.
 
@@ -390,7 +465,8 @@ def instance_labels(kcs: KeyConceptSet, mentions, tokens, gold_label,
     keyword instances are positive, and human instances are positive only
     where the annotated spans cover them. A positive document without span
     annotation leaves its human instances unlabeled (with a warning), since
-    the affected mention is unknown.
+    the affected mention is unknown. ``offsets()`` gives the document's
+    tokens with character ranges; only that last comparison calls it.
     """
     if gold_label is None:
         return [UNLABELED] * len(mentions)
@@ -405,6 +481,7 @@ def instance_labels(kcs: KeyConceptSet, mentions, tokens, gold_label,
                 "leaving %d human instances unlabeled", doc_id, len(mentions),
             )
         return [UNLABELED] * len(mentions)
+    tokens = offsets()
     return [
         NEGATIVE if m.synthetic or not _span_overlap(tokens, m.token_range, positive_spans)
         else POSITIVE
@@ -414,23 +491,28 @@ def instance_labels(kcs: KeyConceptSet, mentions, tokens, gold_label,
 
 def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> ProcessedDocument:
     """Tokenize, synthesize, extract, label, and mask one document."""
-    tokens = tokenize(doc.text)
+    surfaces = token_surfaces(doc.text)
+    rewrites = ()
     if preset.has_human_view:
-        tokens = synthesize_document(tokens, doc.text, lexicons)
+        surfaces, rewrites = synthesize_document(surfaces, doc.text, lexicons)
+    inserted = {position + k for position, n, _ in rewrites for k in range(n)}
 
     view_mentions = {}
     for kcs in preset.kcs_list:
         if kcs.kind == "human":
-            found = extract_human_mentions(tokens, lexicons, doc_id=doc.id,
-                                           kcs_name=kcs.name)
+            found = extract_human_mentions(surfaces, lexicons, doc_id=doc.id,
+                                           kcs_name=kcs.name, synthetic=inserted)
         else:
-            found = extract_keyword_mentions(tokens, kcs, doc_id=doc.id)
+            found = extract_keyword_mentions(surfaces, kcs, doc_id=doc.id)
         view_mentions[kcs.name] = found
+
+    def offsets():
+        return _tokens_with_offsets(doc.text, surfaces, rewrites)
 
     bags = []
     for kcs in preset.kcs_list:
         mentions = view_mentions[kcs.name]
-        labels = instance_labels(kcs, mentions, tokens, doc.gold_label,
+        labels = instance_labels(kcs, mentions, offsets, doc.gold_label,
                                  doc.positive_human_spans, doc_id=doc.id)
         bags.append(Bag(doc_id=doc.id, kcs_name=kcs.name,
                         instances=tuple(zip(mentions, labels))))
@@ -440,7 +522,7 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
         for kcs in preset.kcs_list if kcs.mask_token
         for m in view_mentions[kcs.name]
     ]
-    masked_tokens, index_map = _masked_tokens_with_map(tokens, replacements)
+    masked_tokens, index_map = _masked_tokens_with_map(surfaces, replacements)
     masked_ranges = {
         kcs.name: [
             (index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
@@ -450,7 +532,8 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
     }
     return ProcessedDocument(
         document=doc,
-        tokens=tuple(tokens),
+        surfaces=tuple(surfaces),
+        rewrites=rewrites,
         bags=tuple(bags),
         masked_tokens=tuple(masked_tokens),
         masked_ranges=masked_ranges,

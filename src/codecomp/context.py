@@ -3,7 +3,8 @@
 A provider has a ``dimension``, a ``spec()`` for the model file, and
 ``vectors(occurrences)``, which turns a batch of m mention occurrences into
 one (m, dimension) matrix; an occurrence is ``(masked_tokens, mention,
-occurrence_index)``. Two providers ship here: a hashed window-of-words
+occurrence_index)``, where ``masked_tokens`` are the document's masked
+token surfaces (strings). Two providers ship here: a hashed window-of-words
 provider that needs no external resources, and a loader for vectors
 computed elsewhere (e.g. by a contextual encoder) keyed by (doc_id, view,
 occurrence). Both are read-only after construction and safe to query
@@ -29,7 +30,8 @@ def _bucket(side: str, surface: str, dim: int) -> int:
 
 
 class HashedWindowProvider:
-    """Self-contained provider: hashed token windows around each mention."""
+    """Self-contained provider: hashed windows of the masked token surfaces
+    around each mention."""
 
     def __init__(self, window: int = 3, dim: int = 64):
         if window < 1 or dim < 2:
@@ -42,29 +44,29 @@ class HashedWindowProvider:
         return self.dim
 
     def vectors(self, occurrences) -> np.ndarray:
-        """Hashed bags of the tokens within ``window`` positions of each
-        mention, one row per occurrence.
+        """Hashed bags of the token surfaces within ``window`` positions of
+        each mention, one row per occurrence.
 
         Mention tokens themselves are excluded; left and right neighbors
         hash into distinct buckets. Each row's counts are L2-normalized; a
         mention with no neighbors in range yields the zero row. Each
         distinct (side, surface) is hashed once per call.
         """
-        buckets = {}
+        buckets = {"L": {}, "R": {}}  # side -> surface -> bucket
         rows, cols = [], []
-        for row, (tokens, mention, _) in enumerate(occurrences):
+        for row, (surfaces, mention, _) in enumerate(occurrences):
             s, e = mention.token_range
-            if not 0 <= s < e <= len(tokens):
+            if not 0 <= s < e <= len(surfaces):
                 raise ContextError(f"mention range [{s}, {e}) outside token list")
-            for side, lo, hi in (("L", max(0, s - self.window), s),
-                                 ("R", e, min(len(tokens), e + self.window))):
-                for token in tokens[lo:hi]:
-                    key = (side, token.surface)
-                    col = buckets.get(key)
+            for side, neighbors in (("L", surfaces[max(0, s - self.window):s]),
+                                    ("R", surfaces[e:e + self.window])):
+                seen = buckets[side]
+                for surface in neighbors:
+                    col = seen.get(surface)
                     if col is None:
-                        col = buckets[key] = _bucket(side, token.surface, self.dim)
-                    rows.append(row)
+                        col = seen[surface] = _bucket(side, surface, self.dim)
                     cols.append(col)
+                rows += [row] * len(neighbors)
         counts = np.zeros((len(occurrences), self.dim))
         np.add.at(counts, (np.array(rows, dtype=np.intp),
                            np.array(cols, dtype=np.intp)), 1.0)
@@ -147,9 +149,10 @@ def load_precomputed(path) -> PrecomputedProvider:
 def context_of(provider, occurrences) -> np.ndarray:
     """The context vectors of many mention occurrences, one row each.
 
-    An occurrence is ``(masked_tokens, mention, occurrence_index)``. Mask
-    tokens in the surrounding text are ordinary vocabulary items. Row i
-    depends only on occurrence i; deterministic per (provider, occurrence).
+    An occurrence is ``(masked_tokens, mention, occurrence_index)``, with
+    the masked token surfaces as strings. Mask tokens in the surrounding
+    text are ordinary vocabulary items. Row i depends only on occurrence i;
+    deterministic per (provider, occurrence).
     """
     matrix = np.asarray(provider.vectors(occurrences), dtype=float)
     want = (len(occurrences), provider.dimension)

@@ -1,3 +1,5 @@
+import concurrent.futures
+import json
 import logging
 import pickle
 from dataclasses import replace
@@ -6,7 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codecomp import concepts
+from codecomp import cli, concepts
+from codecomp.baselines import document_features
+from codecomp.context import HashedWindowProvider, _bucket
+from codecomp.cotrain import build_examples
+from codecomp.learners import ngram_counts
 from codecomp.concepts import (
     ConceptError,
     KeyConceptSet,
@@ -23,10 +29,12 @@ from codecomp.concepts import (
     sentence_spans,
     synthesize_human_mention,
     synthesize_document,
+    token_surfaces,
     tokenize,
 )
 from codecomp.corpus import Document
 from codecomp.presets import DRUG_TOK, HUM_TOK, load_preset_file, task_preset
+from codecomp.synthetic import two_view_preset
 
 
 class TestTokenize:
@@ -54,7 +62,7 @@ class TestTokenize:
 def test_sentence_spans_on_terminators_and_newlines():
     text = "i am sick!!! call the doctor\nplease come"
     tokens = tokenize(text)
-    spans = sentence_spans(tokens, text)
+    spans = sentence_spans(token_surfaces(text), text)
     sentences = [[t.surface for t in tokens[s:e]] for s, e in spans]
     assert sentences == [
         ["i", "am", "sick", "!", "!", "!"],
@@ -65,31 +73,31 @@ def test_sentence_spans_on_terminators_and_newlines():
 
 class TestHumanMentions:
     def test_pronoun_rule(self, lexicons):
-        tokens = tokenize("i just went to the doctor")
+        tokens = token_surfaces("i just went to the doctor")
         mentions = extract_human_mentions(tokens, lexicons)
         surfaces = [m.surface for m in mentions]
         assert surfaces[0] == "i"
         assert "doctor" in surfaces  # person dictionary
 
     def test_it_never_marked(self, lexicons):
-        tokens = tokenize("it hurts and its sting and itself")
+        tokens = token_surfaces("it hurts and its sting and itself")
         assert extract_human_mentions(tokens, lexicons) == []
 
     def test_at_mention_rule(self, lexicons):
-        tokens = tokenize("@nurse_joy call home")
+        tokens = token_surfaces("@nurse_joy call home")
         mentions = extract_human_mentions(tokens, lexicons)
         assert mentions[0].surface == "@nurse_joy"
 
     def test_dictionary_and_pronoun_trace(self, lexicons):
         # rule-by-rule: "@mary" by the handle rule, "my" by the pronoun
         # lexicon, "friend" by the person dictionary, "and" by nothing
-        tokens = tokenize("@mary and my friend")
+        tokens = token_surfaces("@mary and my friend")
         mentions = extract_human_mentions(tokens, lexicons)
         assert [(m.surface, m.token_range) for m in mentions] == [
             ("@mary", (0, 1)), ("my", (2, 3)), ("friend", (3, 4))]
 
     def test_ordered_by_position(self, lexicons):
-        tokens = tokenize("doctor saw me and my mom")
+        tokens = token_surfaces("doctor saw me and my mom")
         mentions = extract_human_mentions(tokens, lexicons)
         starts = [m.token_range[0] for m in mentions]
         assert starts == sorted(starts)
@@ -97,11 +105,12 @@ class TestHumanMentions:
 
 class TestSynthesizer:
     def _run(self, text, lexicons):
-        out, fired = synthesize_human_mention(tokenize(text), lexicons)
-        return [t.surface for t in out], fired
+        return synthesize_human_mention(token_surfaces(text), lexicons)
 
     def test_past_tense_prepends_i(self, lexicons):
-        tokens, fired = synthesize_human_mention(tokenize("went to the er"), lexicons)
+        _, fired = synthesize_human_mention(token_surfaces("went to the er"), lexicons)
+        tokens = process_document(Document(id="x", text="went to the er"),
+                                  task_preset("phm-cancer"), lexicons).tokens
         assert fired
         assert [t.surface for t in tokens] == ["i", "went", "to", "the", "er"]
         assert (tokens[0].start, tokens[0].end) == (0, 0)  # covers no source text
@@ -134,11 +143,11 @@ class TestSynthesizer:
 
     def test_idempotent_on_own_output(self, lexicons):
         first, fired = synthesize_human_mention(
-            tokenize("diagnosed with flu"), lexicons)
+            token_surfaces("diagnosed with flu"), lexicons)
         assert fired
         second, again = synthesize_human_mention(first, lexicons)
         assert not again
-        assert [t.surface for t in second] == [t.surface for t in first]
+        assert second == first
 
     def test_empty_sentence(self, lexicons):
         out, fired = synthesize_human_mention([], lexicons)
@@ -146,7 +155,10 @@ class TestSynthesizer:
 
     def test_document_gate_skips_initial_mentions(self, lexicons):
         text = "my friend is sick. hospitalized now"
-        tokens = synthesize_document(tokenize(text), text, lexicons)
+        _, rewrites = synthesize_document(token_surfaces(text), text, lexicons)
+        assert rewrites == ((5, 2, 0),)  # "i have" inserted before token 5
+        tokens = process_document(Document(id="g", text=text), task_preset("phm-cancer"),
+                                  lexicons).tokens
         surfaces = [t.surface for t in tokens]
         # first sentence opens with "my": untouched; second gets "i have"
         assert surfaces[:3] == ["my", "friend", "is"]
@@ -172,29 +184,29 @@ class TestKeywordMentions:
     def test_crisis_keywords(self):
         kcs = KeyConceptSet(name="crisis", kind="keyword",
                             keywords=("earthquake", "quake"))
-        mentions = extract_keyword_mentions(tokenize("the quake hit"), kcs)
+        mentions = extract_keyword_mentions(token_surfaces("the quake hit"), kcs)
         assert [(m.surface, m.token_range) for m in mentions] == [("quake", (1, 2))]
 
     def test_no_keywords_present(self):
         kcs = KeyConceptSet(name="disease", kind="keyword", keywords=("cancer",))
-        assert extract_keyword_mentions(tokenize("all is well"), kcs) == []
+        assert extract_keyword_mentions(token_surfaces("all is well"), kcs) == []
 
     def test_multiplicity(self):
         kcs = KeyConceptSet(name="disease", kind="keyword", keywords=("cancer",))
         mentions = extract_keyword_mentions(
-            tokenize("cancer sucks , cancer again"), kcs)
+            token_surfaces("cancer sucks , cancer again"), kcs)
         assert [m.token_range for m in mentions] == [(0, 1), (3, 4)]
 
     def test_multi_token_keyword(self):
         kcs = KeyConceptSet(name="disease", kind="keyword", keywords=("heart attack",))
         mentions = extract_keyword_mentions(
-            tokenize("had a heart attack yesterday"), kcs)
+            token_surfaces("had a heart attack yesterday"), kcs)
         assert [m.token_range for m in mentions] == [(2, 4)]
         assert mentions[0].surface == "heart attack"
 
     def test_case_insensitive(self):
         kcs = KeyConceptSet(name="disease", kind="keyword", keywords=("Cancer",))
-        assert len(extract_keyword_mentions(tokenize("CANCER awareness"), kcs)) == 1
+        assert len(extract_keyword_mentions(token_surfaces("CANCER awareness"), kcs)) == 1
 
     def test_bruteforce_oracle_on_random_documents(self):
         # independent oracle for single-token keywords: a plain membership scan
@@ -203,16 +215,15 @@ class TestKeywordMentions:
         kcs = KeyConceptSet(name="k", kind="keyword", keywords=("w0", "w3"))
         for _ in range(100):
             surfaces = [alphabet[rng.integers(6)] for _ in range(rng.integers(0, 15))]
-            tokens = [Token(s, 0, 0) for s in surfaces]
             expected = [i for i, s in enumerate(surfaces) if s in ("w0", "w3")]
-            found = [m.token_range[0] for m in extract_keyword_mentions(tokens, kcs)]
+            found = [m.token_range[0] for m in extract_keyword_mentions(surfaces, kcs)]
             assert found == expected
 
     def test_longest_keyword_wins(self):
         kcs = KeyConceptSet(name="d", kind="keyword",
                             keywords=("heart", "heart attack", "heart attack risk"))
         mentions = extract_keyword_mentions(
-            tokenize("heart attack risk , heart attack and heart"), kcs)
+            token_surfaces("heart attack risk , heart attack and heart"), kcs)
         assert [(m.surface, m.token_range) for m in mentions] == [
             ("heart attack risk", (0, 3)), ("heart attack", (4, 6)), ("heart", (7, 8))]
 
@@ -228,18 +239,18 @@ class TestKeywordMentions:
 
     def test_hyphenated_keyword_is_one_mention(self):
         kcs = KeyConceptSet(name="drug", kind="keyword", keywords=("pepto-bismol",))
-        mentions = extract_keyword_mentions(tokenize("took Pepto-Bismol twice"), kcs)
+        mentions = extract_keyword_mentions(token_surfaces("took Pepto-Bismol twice"), kcs)
         assert [(m.surface, m.token_range) for m in mentions] == [
             ("pepto - bismol", (1, 4))]
 
     def test_keyword_without_tokens_is_ignored(self):
         kcs = KeyConceptSet(name="k", kind="keyword", keywords=("  ", "flu"))
-        mentions = extract_keyword_mentions(tokenize("flu  season"), kcs)
+        mentions = extract_keyword_mentions(token_surfaces("flu  season"), kcs)
         assert [m.token_range for m in mentions] == [(0, 1)]
 
     def test_packaged_drug_list_finds_back_to_back_names(self):
         drug = task_preset("adr").kcs_list[1]
-        tokens = tokenize("advil tylenol aspirin then pepto bismol ibuprofen")
+        tokens = token_surfaces("advil tylenol aspirin then pepto bismol ibuprofen")
         expected = [("advil", (0, 1)), ("tylenol", (1, 2)), ("aspirin", (2, 3)),
                     ("pepto bismol", (4, 6)), ("ibuprofen", (6, 7))]
         for view in (drug, pickle.loads(pickle.dumps(drug))):
@@ -249,13 +260,13 @@ class TestKeywordMentions:
     def test_keywords_are_tokenized_when_the_view_is_built(self, lexicons, monkeypatch):
         preset = task_preset("adr")
         calls = []
-        real_tokenize = concepts.tokenize
+        real_tokenize = concepts.token_surfaces
 
         def counting_tokenize(text):
             calls.append(text)
             return real_tokenize(text)
 
-        monkeypatch.setattr(concepts, "tokenize", counting_tokenize)
+        monkeypatch.setattr(concepts, "token_surfaces", counting_tokenize)
         texts = ["my mom took advil and tylenol", "went to bed", "", "@amy: xanax?"]
         for i, text in enumerate(texts):
             process_document(Document(id=str(i), text=text), preset, lexicons)
@@ -268,7 +279,7 @@ def _scan_keyword_mentions(tokens, kcs, doc_id=""):
     seqs = {tuple(t.surface for t in tokenize(kw)) for kw in kcs.keywords}
     seqs.discard(())
     sequences = sorted(seqs, key=lambda s: (-len(s), s))
-    surfaces = [t.surface for t in tokens]
+    surfaces = list(tokens)
     mentions = []
     i = 0
     while i < len(surfaces):
@@ -302,7 +313,7 @@ _PHRASES = st.builds(
        st.lists(_PIECES, max_size=30).map(" ".join))
 def test_indexed_matcher_equals_the_full_scan(keywords, text):
     kcs = KeyConceptSet(name="k", kind="keyword", keywords=tuple(keywords))
-    tokens = tokenize(text)
+    tokens = token_surfaces(text)
     assert (extract_keyword_mentions(tokens, kcs, doc_id="d")
             == _scan_keyword_mentions(tokens, kcs, doc_id="d"))
 
@@ -310,29 +321,28 @@ def test_indexed_matcher_equals_the_full_scan(keywords, text):
 def _masked_surfaces(tokens, mentions, mask_token):
     masked, _ = _masked_tokens_with_map(
         tokens, [(m.token_range, mask_token) for m in mentions])
-    return [t.surface for t in masked]
+    return masked
 
 
 class TestMask:
     def test_hum_tok(self, lexicons):
         pdoc = process_document(Document(id="1", text="my friend has cancer"),
                                 task_preset("phm-cancer"), lexicons)
-        assert [t.surface for t in pdoc.masked_tokens] == [
-            HUM_TOK, HUM_TOK, "has", "cancer"]
+        assert list(pdoc.masked_tokens) == [HUM_TOK, HUM_TOK, "has", "cancer"]
 
     def test_drug_tok(self, lexicons):
         pdoc = process_document(Document(id="1", text="advil twice"),
                                 task_preset("adr"), lexicons)
-        assert [t.surface for t in pdoc.masked_tokens] == [DRUG_TOK, "twice"]
+        assert list(pdoc.masked_tokens) == [DRUG_TOK, "twice"]
 
     def test_no_mentions_identity(self):
-        tokens = tokenize("feeling fine today")
+        tokens = token_surfaces("feeling fine today")
         masked, index_map = _masked_tokens_with_map(tokens, [])
         assert masked == tokens
         assert index_map == [0, 1, 2]
 
     def test_overlap_rejected(self):
-        tokens = tokenize("a b c")
+        tokens = token_surfaces("a b c")
         with pytest.raises(ConceptError, match="overlap"):
             _masked_tokens_with_map(tokens, [((0, 2), "M"), ((1, 3), "M")])
 
@@ -342,7 +352,7 @@ class TestMask:
             n = int(rng.integers(1, 20))
             surfaces = [("x" if rng.random() < 0.3 else f"t{rng.integers(5)}")
                         for _ in range(n)]
-            tokens = [Token(s, i, i + 1) for i, s in enumerate(surfaces)]
+            tokens = surfaces
             mentions = [
                 Mention(doc_id="", kcs_name="k", token_range=(i, i + 1), surface="x")
                 for i, s in enumerate(surfaces) if s == "x"
@@ -356,7 +366,7 @@ class TestMask:
     def test_multi_token_collapse(self):
         kcs = KeyConceptSet(name="drug", kind="keyword", keywords=("pepto bismol",),
                             mask_token=DRUG_TOK)
-        tokens = tokenize("took pepto bismol today")
+        tokens = token_surfaces("took pepto bismol today")
         mentions = extract_keyword_mentions(tokens, kcs)
         assert _masked_surfaces(tokens, mentions, DRUG_TOK) == ["took", DRUG_TOK, "today"]
 
@@ -444,7 +454,7 @@ def test_masked_ranges_follow_collapse(lexicons):
     text = "my friend took pepto bismol and advil"
     doc = Document(id="1", text=text)
     pdoc = process_document(doc, preset, lexicons)
-    masked = [t.surface for t in pdoc.masked_tokens]
+    masked = list(pdoc.masked_tokens)
     assert masked == ["HUM_TOK", "HUM_TOK", "took", DRUG_TOK, "and", DRUG_TOK]
     drug_ranges = pdoc.masked_ranges["drug"]
     assert [masked[s:e] for s, e in drug_ranges] == [[DRUG_TOK], [DRUG_TOK]]
@@ -455,6 +465,219 @@ def test_masked_ranges_follow_collapse(lexicons):
     assert [m for m, _ in shifted] == [
         replace(m, token_range=tuple(r))
         for (m, _), r in zip(pdoc.bag("drug").instances, drug_ranges)]
+
+
+# The pipeline before documents became surface lists: one Token per regex
+# match, carried with its character range through sentence splitting, the
+# rewrites, mention extraction, labelling and masking.
+def _reference_process_document(doc, preset, lexicons):
+    def human(surface):
+        return (surface in lexicons.pronouns or surface.startswith("@")
+                or surface in lexicons.person_dictionary)
+
+    def sentence_spans(tokens, text):
+        spans, start, i, n = [], 0, 0, len(tokens)
+        while i < n:
+            if tokens[i].surface in (".", "!", "?"):
+                while i + 1 < n and tokens[i + 1].surface in (".", "!", "?"):
+                    i += 1
+                spans.append((start, i + 1))
+                start = i + 1
+            elif i + 1 < n and "\n" in text[tokens[i].end:tokens[i + 1].start]:
+                spans.append((start, i + 1))
+                start = i + 1
+            i += 1
+        if start < n:
+            spans.append((start, n))
+        return spans
+
+    def rewrite(sentence):
+        first, at, rest = sentence[0].surface, sentence[0].start, list(sentence)
+        if concepts._is_past_tense(first, lexicons):
+            inserted = ["i"]
+        elif first in lexicons.common_adjectives:
+            inserted = ["i", "am"]
+        elif first in lexicons.past_participles:
+            inserted = ["i", "have"]
+        elif concepts._is_present_continuous(first):
+            inserted = ["i", "am"]
+        elif first == "is":
+            inserted, rest = ["i", "am"], rest[1:]
+        else:
+            return rest
+        return [Token(s, at, at) for s in inserted] + rest
+
+    text = doc.text
+    tokens = tokenize(text)
+    if preset.has_human_view:
+        out = []
+        for start, end in sentence_spans(tokens, text):
+            sentence = tokens[start:end]
+            out.extend(sentence if human(sentence[0].surface) else rewrite(sentence))
+        tokens = out
+    view_mentions = {
+        kcs.name: ([Mention(doc.id, kcs.name, (i, i + 1), t.surface, t.start == t.end)
+                    for i, t in enumerate(tokens) if human(t.surface)]
+                   if kcs.kind == "human" else
+                   _scan_keyword_mentions([t.surface for t in tokens], kcs, doc.id))
+        for kcs in preset.kcs_list
+    }
+
+    def label(kcs, m):
+        if doc.gold_label is None:
+            return UNLABELED
+        if doc.gold_label == NEGATIVE:
+            return NEGATIVE
+        if kcs.kind == "keyword":
+            return POSITIVE
+        if not doc.positive_human_spans:
+            return UNLABELED
+        lo, hi = tokens[m.token_range[0]].start, tokens[m.token_range[1] - 1].end
+        hit = any(lo < b and a < hi for a, b in doc.positive_human_spans)
+        return POSITIVE if hit and not m.synthetic else NEGATIVE
+
+    bags = tuple(concepts.Bag(doc.id, kcs.name,
+                              tuple((m, label(kcs, m)) for m in view_mentions[kcs.name]))
+                 for kcs in preset.kcs_list)
+    replacements = sorted(((m.token_range, kcs.mask_token) for kcs in preset.kcs_list
+                           if kcs.mask_token for m in view_mentions[kcs.name]),
+                          key=lambda r: r[0])
+    for ((_, e1), _), ((s2, _), _) in zip(replacements, replacements[1:]):
+        if s2 < e1:
+            raise ConceptError("overlapping mentions cannot be masked")
+    masked, index_map, cursor = [], [0] * len(tokens), 0
+    for (s, e), surface in replacements:
+        for i in range(cursor, s):
+            index_map[i] = len(masked)
+            masked.append(tokens[i])
+        for i in range(s, e):
+            index_map[i] = len(masked)
+        masked.append(Token(surface, tokens[s].start, tokens[e - 1].end))
+        cursor = e
+    for i in range(cursor, len(tokens)):
+        index_map[i] = len(masked)
+        masked.append(tokens[i])
+    ranges = {kcs.name: [(index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
+                         for m in view_mentions[kcs.name]]
+              for kcs in preset.kcs_list}
+    return tokens, bags, masked, ranges
+
+
+def _reference_enriched_record(doc, preset, tokens, bags, masked, ranges):
+    return {
+        "id": doc.id, "text": doc.text, "gold_label": doc.gold_label,
+        "positive_human_spans": [list(s) for s in doc.positive_human_spans],
+        "task": doc.task,
+        "tokens": [[t.surface, t.start, t.end] for t in tokens],
+        "masked_tokens": [t.surface for t in masked],
+        "bags": [{"kcs": bag.kcs_name, "kind": kcs.kind, "instances": [
+            {"token_range": list(m.token_range),
+             "masked_token_range": list(ranges[bag.kcs_name][i]),
+             "surface": m.surface, "synthetic": m.synthetic, "label": label}
+            for i, (m, label) in enumerate(bag.instances)]}
+            for bag, kcs in zip(bags, preset.kcs_list)],
+    }
+
+
+def _reference_vector(masked, token_range, window, dim):
+    s, e = token_range
+    vec = np.zeros(dim)
+    for t in masked[max(0, s - window):s]:
+        vec[_bucket("L", t.surface, dim)] += 1.0
+    for t in masked[e:e + window]:
+        vec[_bucket("R", t.surface, dim)] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+# words that fire each rule, words that do not, keywords of the presets below
+# (multi-token, hyphenated, cased), handles, terminator runs and characters
+# whose lowercase differs in length
+_DIFF_WORDS = st.sampled_from([
+    "went", "Walked", "sick", "tired", "diagnosed", "coughing", "nothing", "is", "IS",
+    "i", "My", "me", "mom", "doctor", "it", "the", "and", "took", "@bob", "@Amy_1",
+    "@", "Advil", "pepto bismol", "Pepto-Bismol", "tylenol", "flu", "quake",
+    "earthquake", "alpha", "beta", ".", "!", "?", "?!.", "!!!", ",", "'",
+    "İstanbul", "ẞ", "İ", "Straße",
+])
+_DIFF_SEPARATORS = st.sampled_from([" ", " ", "", "\n", "\r\n", "  ", " \n "])
+_DIFF_PRESETS = {name: task_preset(name) for name in ("adr", "phm-flu", "crisis-earthquake")}
+_DIFF_PRESETS["two-view"] = two_view_preset()
+
+
+@st.composite
+def _diff_documents(draw):
+    docs = []
+    for k in range(draw(st.integers(1, 4))):
+        text = "".join(w + sep for w, sep in draw(
+            st.lists(st.tuples(_DIFF_WORDS, _DIFF_SEPARATORS), max_size=14)))
+        gold = draw(st.sampled_from([None, NEGATIVE, POSITIVE]))
+        cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=6))) \
+            if gold == POSITIVE else []
+        docs.append(Document(id=f"d{k}", text=text, gold_label=gold,
+                             positive_human_spans=tuple(zip(cuts[::2], cuts[1::2]))))
+    return docs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_diff_documents(), st.sampled_from(sorted(_DIFF_PRESETS)))
+def test_surface_pipeline_equals_the_token_pipeline(lexicons, docs, preset_name):
+    preset = _DIFF_PRESETS[preset_name]
+    provider = HashedWindowProvider(window=2, dim=16)
+    pdocs = [process_document(doc, preset, lexicons) for doc in docs]
+    examples = build_examples(pdocs, provider)
+    for doc, pdoc, example in zip(docs, pdocs, examples):
+        tokens, bags, masked, ranges = _reference_process_document(doc, preset, lexicons)
+        assert pdoc.tokens == tuple(tokens)
+        assert pdoc.surfaces == tuple(t.surface for t in tokens)
+        assert pdoc.bags == bags
+        assert pdoc.masked_tokens == tuple(t.surface for t in masked)
+        assert pdoc.masked_ranges == ranges
+        assert json.dumps(cli._enriched_record(pdoc, preset)) == json.dumps(
+            _reference_enriched_record(doc, preset, tokens, bags, masked, ranges))
+        for kcs, bag, view in zip(preset.kcs_list, bags, example.views):
+            assert pdoc.masked_instances(kcs.name) == [
+                (replace(m, token_range=r), label)
+                for (m, label), r in zip(bag.instances, ranges[kcs.name])]
+            want = np.array([_reference_vector(masked, r, 2, 16)
+                             for r in ranges[kcs.name]]).reshape(-1, 16)
+            assert view.vectors.tobytes() == want.tobytes()
+        features = document_features(doc)
+        assert list(features.items()) == list(
+            ngram_counts([t.surface for t in tokenize(doc.text)]).items())
+
+
+def test_surface_table_stays_under_its_cap(lexicons):
+    # 50,000 distinct handles: the table empties and refills instead of
+    # growing, and every document processes as with a fresh table
+    preset = task_preset("adr")
+    shared = replace(lexicons)
+    refills = 0
+    for k in range(5000):
+        handles = " ".join(f"@user{10 * k + j}" for j in range(10))
+        doc = Document(id=str(k), text=f"{handles} took advil. went home")
+        before = len(shared._kinds)
+        pdoc = process_document(doc, preset, shared)
+        refills += len(shared._kinds) < before
+        assert len(shared._kinds) <= concepts.SURFACE_TABLE_CAP
+        assert pdoc == process_document(doc, preset, replace(lexicons))
+    assert refills == 50_000 // concepts.SURFACE_TABLE_CAP
+
+
+def test_pickled_lexicons_process_alike_in_a_worker(lexicons):
+    preset = task_preset("adr")
+    docs = [Document(id=str(k), text=text) for k, text in enumerate(
+        ["my mom took advil\nis sick", "went to bed. @amy: xanax?", "", "İstanbul ẞ"])]
+    warm = replace(lexicons)
+    expected = [process_document(d, preset, warm) for d in docs]
+    assert pickle.loads(pickle.dumps(warm))._kinds == warm._kinds
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+        got = list(pool.map(process_document, docs, [preset] * len(docs),
+                            [warm] * len(docs)))
+    assert got == expected
+    assert [p.tokens for p in got] == [p.tokens for p in expected]
 
 
 def test_wordlists_are_lowercase_and_unique(lexicons):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codecomp.concepts import Mention, Token, process_document
+from codecomp.concepts import Mention, process_document
 from codecomp.context import (
     ContextError,
     GammaReport,
@@ -17,7 +17,7 @@ from codecomp.presets import task_preset
 
 
 def _toks(*surfaces):
-    return [Token(s, i, i + 1) for i, s in enumerate(surfaces)]
+    return list(surfaces)
 
 
 def _occurrence(tokens, position_range, occurrence=0, doc_id="1", kcs_name="d"):
@@ -32,9 +32,9 @@ def _reference_hashed_window(tokens, position_range, window, dim):
     s, e = position_range
     vec = np.zeros(dim)
     for i in range(max(0, s - window), s):
-        vec[_bucket("L", tokens[i].surface, dim)] += 1.0
+        vec[_bucket("L", tokens[i], dim)] += 1.0
     for i in range(e, min(len(tokens), e + window)):
-        vec[_bucket("R", tokens[i].surface, dim)] += 1.0
+        vec[_bucket("R", tokens[i], dim)] += 1.0
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec /= norm
