@@ -18,6 +18,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,10 +41,6 @@ _NON_VERB_ING = frozenset({
     "anything", "everything", "nothing", "something", "thing",
     "morning", "evening", "spring", "string", "bring", "during",
 })
-
-# the most distinct surfaces one Lexicons keeps classified; a full table is
-# emptied and refilled, so a stream of ever-new handles cannot grow it
-SURFACE_TABLE_CAP = 1 << 15
 
 
 class ConceptError(ValueError):
@@ -77,8 +74,8 @@ def sentence_spans(surfaces, text: str) -> list[tuple[int, int]]:
     surfaces of ``tokenize(text)``.
 
     A sentence ends after a run of '.', '!' or '?' tokens, or where the
-    original text has a newline between consecutive tokens. Character
-    ranges are read only in a text that holds a newline.
+    original text has a newline between consecutive tokens. No token holds
+    a newline, so the tokens before each newline are counted line by line.
     """
     n = len(surfaces)
     if not n:
@@ -87,9 +84,8 @@ def sentence_spans(surfaces, text: str) -> list[tuple[int, int]]:
     starts = [i + 1 for i, s in enumerate(surfaces)
               if s in ends and i + 1 < n and surfaces[i + 1] not in ends]
     if "\n" in text:
-        tokens = tokenize(text)
-        starts += [i + 1 for i, (a, b) in enumerate(zip(tokens, tokens[1:]))
-                   if a.surface not in ends and "\n" in text[a.end:b.start]]
+        before = accumulate(len(_TOKEN_RE.findall(line)) for line in text.split("\n")[:-1])
+        starts += {c for c in before if 0 < c < n and surfaces[c - 1] not in ends}
         starts.sort()
     bounds = [0, *starts, n]
     return list(zip(bounds, bounds[1:]))
@@ -107,26 +103,6 @@ class Lexicons:
     irregular_past_verbs: frozenset
     common_adjectives: frozenset
     past_participles: frozenset
-    # surface -> its kind, filled as surfaces are met (see kinds)
-    _kinds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def kinds(self, surfaces) -> list[int]:
-        """Each surface's kind: the ``_HUMAN`` bit for a human word, and
-        above it the number of the sentence-start rewrite its word fires
-        (0 for none).
-
-        Each distinct surface is classified once and kept in a table of at
-        most ``SURFACE_TABLE_CAP`` entries.
-        """
-        table = self._kinds
-        kinds = list(map(table.get, surfaces))
-        if None in kinds:
-            for i, kind in enumerate(kinds):
-                if kind is None:
-                    if len(table) >= SURFACE_TABLE_CAP:
-                        table.clear()
-                    kinds[i] = table[surfaces[i]] = _surface_kind(surfaces[i], self)
-        return kinds
 
 
 def load_wordlist(path) -> tuple[str, ...]:
@@ -234,8 +210,8 @@ def extract_human_mentions(surfaces, lexicons: Lexicons, doc_id: str = "",
     return [
         Mention(doc_id=doc_id, kcs_name=kcs_name, token_range=(i, i + 1),
                 surface=surfaces[i], synthetic=i in synthetic)
-        for i, kind in enumerate(lexicons.kinds(surfaces))
-        if kind & _HUMAN
+        for i, surface in enumerate(surfaces)
+        if _is_human_word(surface, lexicons)
     ]
 
 
@@ -249,34 +225,21 @@ def _is_present_continuous(word: str) -> bool:
     return word.endswith("ing") and len(word) >= 5 and word not in _NON_VERB_ING
 
 
-# the sentence-start rewrites, numbered from 1 in the order they are tried
-# against a sentence's first word: the tokens each inserts, and how many of
-# the sentence's own tokens those replace
-_REWRITES = (
-    None,
-    (("i",), 0),         # past-tense verb
-    (("i", "am"), 0),    # adjective
-    (("i", "have"), 0),  # past participle
-    (("i", "am"), 0),    # -ing verb
-    (("i", "am"), 1),    # literal "is"
-)
-_HUMAN = 1  # the kind bit of a human word; the bits above it number a rewrite
-
-
-def _surface_kind(surface: str, lexicons: Lexicons) -> int:
-    if _is_past_tense(surface, lexicons):
-        rewrite = 1
-    elif surface in lexicons.common_adjectives:
-        rewrite = 2
-    elif surface in lexicons.past_participles:
-        rewrite = 3
-    elif _is_present_continuous(surface):
-        rewrite = 4
-    elif surface == "is":
-        rewrite = 5
-    else:
-        rewrite = 0
-    return rewrite << 1 | _is_human_word(surface, lexicons)
+def _sentence_rewrite(first: str, lexicons: Lexicons):
+    """The rewrite that fires on a sentence opening with ``first``: the
+    tokens it inserts and how many of the sentence's own tokens they
+    replace, or None."""
+    if _is_past_tense(first, lexicons):
+        return ("i",), 0
+    if first in lexicons.common_adjectives:
+        return ("i", "am"), 0
+    if first in lexicons.past_participles:
+        return ("i", "have"), 0
+    if _is_present_continuous(first):
+        return ("i", "am"), 0
+    if first == "is":
+        return ("i", "am"), 1
+    return None
 
 
 def synthesize_human_mention(sentence, lexicons: Lexicons):
@@ -286,14 +249,15 @@ def synthesize_human_mention(sentence, lexicons: Lexicons):
     first surface: past-tense verb -> prepend "i"; adjective -> prepend
     "i am"; past participle -> prepend "i have"; -ing verb -> prepend
     "i am"; literal "is" -> replace with "i am". Returns the (possibly
-    modified) surface list and whether a rule fired. Idempotent: "i"
-    matches no rule.
+    modified) surface list and the rewrite that fired, as (tokens inserted,
+    how many of the sentence's own tokens they replace), or None.
+    Idempotent: "i" matches no rule.
     """
-    rewrite = lexicons.kinds(sentence[:1])[0] >> 1 if sentence else 0
-    if not rewrite:
-        return list(sentence), False
-    inserted, replaced = _REWRITES[rewrite]
-    return [*inserted, *sentence[replaced:]], True
+    rewrite = _sentence_rewrite(sentence[0], lexicons) if sentence else None
+    if rewrite is None:
+        return list(sentence), None
+    inserted, replaced = rewrite
+    return [*inserted, *sentence[replaced:]], rewrite
 
 
 def synthesize_document(surfaces, text: str, lexicons: Lexicons):
@@ -304,18 +268,17 @@ def synthesize_document(surfaces, text: str, lexicons: Lexicons):
     surface list and the rewrites made, each as (position of its first
     inserted token in the new list, tokens inserted, tokens replaced).
     """
-    starts = [start for start, _ in sentence_spans(surfaces, text)]
     out, rewrites = [], []
     cursor = 0
-    for start, kind in zip(starts, lexicons.kinds([surfaces[i] for i in starts])):
-        rewrite = 0 if kind & _HUMAN else kind >> 1
-        if not rewrite:
+    for start, end in sentence_spans(surfaces, text):
+        if _is_human_word(surfaces[start], lexicons):
             continue
-        inserted, replaced = _REWRITES[rewrite]
-        out += surfaces[cursor:start]
-        rewrites.append((len(out), len(inserted), replaced))
-        out += inserted
-        cursor = start + replaced
+        sentence, rewrite = synthesize_human_mention(surfaces[start:end], lexicons)
+        if rewrite:
+            out += surfaces[cursor:start]
+            rewrites.append((len(out), len(rewrite[0]), rewrite[1]))
+            out += sentence
+            cursor = end
     if not rewrites:
         return surfaces, ()
     out += surfaces[cursor:]
