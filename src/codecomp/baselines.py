@@ -50,14 +50,20 @@ def document_features(doc):
     return ngram_counts(token_surfaces(doc.text))
 
 
-def _multisets(docs, features):
-    return [document_features(d) if features is None else features[d.id] for d in docs]
+def _table(docs, features) -> FeatureCounts:
+    # the rows of ``docs`` in order, taken from the corpus table ``features``
+    # or counted here
+    if features is None:
+        return FeatureCounts.from_multisets([document_features(d) for d in docs])
+    return features.take([d.id for d in docs])
 
 
 def nb_baseline_fit(labeled_docs, alpha: float = 1.0, *, features=None) -> NBModel:
-    """Supervised NB over unigrams+bigrams of the raw text, read from
-    ``features`` (doc id -> counts) when given, else counted here."""
-    return train_nb(_multisets(labeled_docs, features),
+    """Supervised NB over unigrams+bigrams of the raw text. ``features`` is
+    a corpus table holding every labeled document, a ``FeatureCounts`` whose
+    rows are named by document id; the fit takes their rows of it, and
+    without it counts the documents here."""
+    return train_nb(_table(labeled_docs, features),
                     [d.gold_label for d in labeled_docs], alpha=alpha)
 
 
@@ -70,7 +76,7 @@ def _e_step(model: NBModel, table: FeatureCounts, labeled_weights, unlabeled_wei
     by less than a running sum's rounding error."""
     likelihoods = model.log_likelihoods.rows
     joint = model.log_priors + table.per_class_sums(
-        table.rows, likelihoods[table.cols], table.n_docs)
+        table.rows, likelihoods, table.cols, table.n_docs)
     n_labeled = len(labeled_weights)
     unlabeled = joint[n_labeled:]
     peak = unlabeled.max(axis=1, keepdims=True)
@@ -79,7 +85,8 @@ def _e_step(model: NBModel, table: FeatureCounts, labeled_weights, unlabeled_wei
     terms = (joint[:n_labeled][labeled_weights > 0],
              unlabeled_weight * (peak + np.log(total)).ravel(),
              model.alpha * likelihoods.ravel(), model.alpha * model.log_oov)
-    return mass / total, math.fsum(np.concatenate(terms).tolist())
+    # a memoryview hands fsum each float without building a list of them
+    return mass / total, math.fsum(memoryview(np.concatenate(terms)))
 
 
 def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(), *,
@@ -91,12 +98,14 @@ def em_fit(labeled_docs, unlabeled_docs, em_config: EMConfig = EMConfig(), *,
     completed E/M pass): the weighted observed-data log-likelihood plus the
     Laplace smoothing's Dirichlet log-prior, which the M-step maximises, so
     the trace is non-decreasing and early stopping watches what EM climbs.
-    ``features`` maps doc ids to n-gram counts, as for ``nb_baseline_fit``.
+    ``features`` is a corpus table holding every document, as for
+    ``nb_baseline_fit``: the fit's table is its labeled rows, then its
+    unlabeled rows, so a feature seen only outside them is out of its
+    vocabulary.
     """
     if not labeled_docs:
         raise LearnerError("em_fit needs at least one labeled document")
-    table = FeatureCounts.from_multisets(
-        _multisets([*labeled_docs, *unlabeled_docs], features))
+    table = _table([*labeled_docs, *unlabeled_docs], features)
     labeled_weights = one_hot_labels([d.gold_label for d in labeled_docs])
     alpha = em_config.alpha
     # the first M-step sees the labeled documents only, but estimates share

@@ -41,7 +41,7 @@ from .cotrain import (
     cotrain_fit,
     predict_many,
 )
-from .learners import TrainConfig, nb_predict_proba
+from .learners import FeatureCounts, TrainConfig, nb_predict_proba
 
 
 class EvalError(ValueError):
@@ -210,19 +210,23 @@ class CoDecompSpec:
 
 
 class _DocumentRunner:
-    """NB or EM over unigram+bigram counts, counted once per corpus."""
+    """NB or EM over unigram+bigram counts, counted once per corpus into one
+    table that every fit takes its documents' rows of; test documents are
+    scored from their own counts."""
 
     def __init__(self, corpus, spec):
         self.spec = spec
         self.features = {d.id: document_features(d) for d in corpus}
+        self.table = FeatureCounts.from_multisets(self.features.values(),
+                                                  ids=self.features)
 
     def predictions(self, labeled, unlabeled, test):
         if isinstance(self.spec, EMSpec):
             model, _ = em_fit(labeled, unlabeled, self.spec.em_config,
-                              features=self.features)
+                              features=self.table)
         else:
             model = nb_baseline_fit(labeled, alpha=self.spec.alpha,
-                                    features=self.features)
+                                    features=self.table)
         return {self.spec.name: {
             d.id: POSITIVE if nb_predict_proba(model, self.features[d.id]) >= 0.5
             else NEGATIVE

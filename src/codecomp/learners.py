@@ -9,10 +9,12 @@ baseline). Both are deterministic and serialize to JSON at full precision.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -182,8 +184,9 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
     negative gradient instead. The fit stops, ``converged``, once half the
     Newton decrement g'H^-1 g is below ``cfg.convergence_tolerance``; it
     also stops after ``cfg.epochs`` steps, or where a line search finds no
-    decrease. ``cfg.learning_rate`` is not read. Deterministic for fixed
-    inputs.
+    decrease, and then logs a warning with the rows, the steps and the last
+    Newton decrement. ``cfg.learning_rate`` is not read. Deterministic for
+    fixed inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -206,6 +209,7 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
     loss = _log_loss(z, y, theta[:d], cfg.l2_lambda)
     steps = 0
     converged = False
+    decrement = math.nan  # of the last Newton direction
     # a saturated sigmoid's tail may round to zero: that underflow is exact
     # enough and is not reported, while overflow and NaN still are
     with np.errstate(under="ignore"):
@@ -216,9 +220,11 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
             if not newton:
                 direction = -grad
             slope = float(grad @ direction)  # minus the Newton decrement
-            if newton and -slope / 2 < cfg.convergence_tolerance:
-                converged = True
-                break
+            if newton:
+                decrement = -slope
+                if decrement / 2 < cfg.convergence_tolerance:
+                    converged = True
+                    break
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 trial = theta + t * direction
@@ -231,6 +237,13 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
                 break
             theta, z, loss = trial, trial_z, trial_loss
             steps += 1
+    if not converged:
+        # short of the cap, only a line search that found no decrease stops it
+        stop = ("at its step cap" if steps == cfg.epochs
+                else "where a line search found no decrease")
+        logging.getLogger(__name__).warning(
+            "logistic fit on %d rows stopped without converging %s, after %d "
+            "steps; last Newton decrement %.3g", n, stop, steps, decrement)
     return LogRegModel(weights=theta[:d].copy(), bias=float(theta[d]), config=cfg,
                        final_loss=loss, epochs_run=steps, converged=converged)
 
@@ -267,37 +280,86 @@ def ngram_counts(tokens) -> Counter:
     return counts
 
 
+def _offsets(lengths) -> np.ndarray:
+    """Where each of consecutive runs of ``lengths`` starts, then their total."""
+    starts = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=starts[1:])
+    return starts
+
+
 @dataclass(frozen=True)
 class FeatureCounts:
     """Sparse document x feature count table: document ``rows[k]`` holds the
     feature of column ``cols[k]`` ``counts[k]`` times. ``index`` maps each
     feature to its column, in first-seen order; entries run document by
-    document."""
+    document, document i's from ``starts[i]`` to ``starts[i + 1]``. A corpus
+    table also maps each document id to its row (``ids``), so that a fold
+    takes its documents' rows from it (``take``)."""
 
     index: dict
     rows: np.ndarray
     cols: np.ndarray
     counts: np.ndarray
-    n_docs: int
+    starts: np.ndarray
+    ids: dict
 
     @classmethod
-    def from_multisets(cls, feature_counts) -> "FeatureCounts":
+    def from_multisets(cls, feature_counts, ids=()) -> "FeatureCounts":
+        """The table of per-document feature multisets, in order; ``ids``,
+        when given, names each document for ``take``."""
         index = {}
-        rows, cols, counts = [], [], []
-        for i, multiset in enumerate(feature_counts):
+        cols, counts, lengths = [], [], []
+        for multiset in feature_counts:
             if OOV in multiset:
                 raise LearnerError("reserved feature name in training data")
-            rows.extend([i] * len(multiset))
             cols.extend(index.setdefault(f, len(index)) for f in multiset)
             counts.extend(multiset.values())
-        return cls(index, np.array(rows, dtype=np.intp),
-                   np.array(cols, dtype=np.intp), np.array(counts, dtype=float),
-                   len(feature_counts))
+            lengths.append(len(multiset))
+        return cls._of(index, _offsets(np.array(lengths, dtype=np.intp)),
+                       np.array(cols, dtype=np.intp), np.array(counts, dtype=float),
+                       {doc_id: row for row, doc_id in enumerate(ids)})
 
-    def per_class_sums(self, index, values, minlength) -> np.ndarray:
-        """(minlength, 2): ``counts * values`` summed by ``index`` (rows or cols)."""
-        weighted = self.counts[:, None] * values
-        return np.stack([np.bincount(index, weights=weighted[:, c], minlength=minlength)
+    @classmethod
+    def _of(cls, index, starts, cols, counts, ids) -> "FeatureCounts":
+        rows = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        return cls(index, rows, cols, counts, starts, ids)
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.starts) - 1
+
+    @cached_property
+    def _features(self) -> np.ndarray:
+        # column -> feature, to name a fold's columns without a loop
+        return np.array(list(self.index), dtype=object)
+
+    def take(self, doc_ids) -> "FeatureCounts":
+        """The table of the documents ``doc_ids`` alone, in that order: each
+        document's entries as they are here, and the columns renumbered in
+        first-seen order, so that a feature none of them holds is not in
+        its index. Equal to ``from_multisets`` over their multisets."""
+        picked = np.array([self.ids[i] for i in doc_ids], dtype=np.intp)
+        first_entry = self.starts[picked]
+        lengths = self.starts[picked + 1] - first_entry
+        starts = _offsets(lengths)
+        positions = np.arange(starts[-1])
+        entries = np.repeat(first_entry - starts[:-1], lengths) + positions
+        cols = self.cols[entries]
+        # each column's first position, then the columns in first-seen order
+        first = np.full(len(self.index), len(cols))
+        np.minimum.at(first, cols, positions)
+        seen = cols[first[cols] == positions]
+        renumber = np.empty(len(self.index), dtype=np.intp)
+        renumber[seen] = np.arange(len(seen))
+        index = dict(zip(self._features[seen].tolist(), range(len(seen))))
+        return self._of(index, starts, renumber[cols], self.counts[entries], {})
+
+    def per_class_sums(self, by, values, at, minlength) -> np.ndarray:
+        """(minlength, 2): ``counts * values[at]`` summed by ``by`` (rows or
+        cols), for each class column of the (n, 2) ``values``. A column is
+        gathered as a 1-D array: gathering (nnz, 2) rows costs far more."""
+        return np.stack([np.bincount(by, weights=self.counts * values[:, c][at],
+                                     minlength=minlength)
                          for c in range(2)], axis=1)
 
 
@@ -388,14 +450,16 @@ class NBModel:
 
 
 def train_nb(feature_counts, labels, alpha: float = 1.0) -> NBModel:
-    """Laplace-smoothed multinomial NB from per-document feature multisets.
+    """Laplace-smoothed multinomial NB from a ``FeatureCounts`` table, or
+    from per-document feature multisets counted into one.
 
     The vocabulary comes from the training documents only; one extra
     smoothing slot absorbs features unseen at training time, so the
     per-class likelihoods (vocabulary plus that slot) sum to one.
     """
-    return _train_nb_weighted(FeatureCounts.from_multisets(feature_counts),
-                              one_hot_labels(labels), alpha)
+    if not isinstance(feature_counts, FeatureCounts):
+        feature_counts = FeatureCounts.from_multisets(feature_counts)
+    return _train_nb_weighted(feature_counts, one_hot_labels(labels), alpha)
 
 
 def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
@@ -414,7 +478,7 @@ def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
     if np.any(doc_mass == 0):
         raise LearnerError("both classes must be present in the training data")
     vocab_size = len(table.index)
-    feature_mass = table.per_class_sums(table.cols, class_weights[table.rows], vocab_size)
+    feature_mass = table.per_class_sums(table.cols, class_weights, table.rows, vocab_size)
     denom = feature_mass.sum(axis=0) + alpha * (vocab_size + 1)  # +1: the unseen slot
     return NBModel(
         class_order=NB_CLASSES,

@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestErrorPaths:
         features = {d.id: document_features(d) for d in self.DOCS}
         features["3"] = Counter({"flu": 1, OOV: 2})
         with pytest.raises(LearnerError, match="reserved"):
-            em_fit(self.DOCS, [_doc(3, "unused", None)], features=features)
+            FeatureCounts.from_multisets(features.values(), ids=features)
 
     def test_labeled_document_needs_a_label(self):
         docs = [*self.DOCS, _doc(3, "flu again", None)]
@@ -289,13 +290,18 @@ def _em_inputs(draw):
     return labeled, labels, unlabeled, config, alpha
 
 
-def _fixture_of(labeled, labels, unlabeled):
-    """Documents and the ``features`` map ``em_fit`` reads their counts from."""
-    tokens = labeled + unlabeled
-    docs = [_doc(i, " ".join(t), label)
-            for i, (t, label) in enumerate(zip(tokens, labels + [None] * len(unlabeled)))]
+def _fixture_of(labeled, labels, unlabeled, test=()):
+    """Documents, their counts by id, and the corpus table ``em_fit`` takes
+    their rows of: test documents first, so that the corpus numbers its
+    columns in another order than a fit's table."""
+    tokens = [*labeled, *unlabeled, *test]
+    docs = [_doc(i, " ".join(t), label) for i, (t, label) in enumerate(
+        zip(tokens, labels + [None] * (len(unlabeled) + len(test))))]
     features = {d.id: ngram_counts(t) for d, t in zip(docs, tokens)}
-    return docs[:len(labeled)], docs[len(labeled):], features
+    n = len(labeled) + len(unlabeled)
+    table = FeatureCounts.from_multisets(
+        [features[d.id] for d in docs[n:] + docs[:n]], ids=[d.id for d in docs[n:] + docs[:n]])
+    return docs[:len(labeled)], docs[len(labeled):n], features, table
 
 
 class TestMatchesDictLoop:
@@ -303,18 +309,18 @@ class TestMatchesDictLoop:
     @given(_em_inputs())
     def test_nb_models_bitwise(self, case):
         labeled, labels, unlabeled, _, alpha = case
-        docs, _, features = _fixture_of(labeled, labels, unlabeled)
+        docs, _, features, table = _fixture_of(labeled, labels, unlabeled)
         multisets = [features[d.id] for d in docs]
         expected = _reference_nb(multisets, [{y: 1.0} for y in labels], alpha)
         for model in (train_nb(multisets, labels, alpha),
-                      nb_baseline_fit(docs, alpha, features=features)):
+                      nb_baseline_fit(docs, alpha, features=table)):
             assert json.dumps(model.to_dict()) == json.dumps(expected.to_dict())
 
     @settings(max_examples=60, deadline=None)
     @given(_em_inputs())
     def test_em_traces_and_models(self, case):
         labeled, labels, unlabeled, config, alpha = case
-        docs, pool, features = _fixture_of(labeled, labels, unlabeled)
+        docs, pool, features, table = _fixture_of(labeled, labels, unlabeled)
         ref_model, ref_trace, ref_steps = _reference_em(
             [features[d.id] for d in docs], labels,
             [features[d.id] for d in pool], config, alpha)
@@ -326,7 +332,7 @@ class TestMatchesDictLoop:
 
             mp.setattr(baselines, "_train_nb_weighted", counted)
             model, trace = em_fit(docs, pool, replace(config, alpha=alpha),
-                                  features=features)
+                                  features=table)
         assert len(trace) == len(ref_trace)
         assert len(steps) == ref_steps == 1 + len(trace)
         assert steps == [alpha] * len(steps)
@@ -339,9 +345,28 @@ class TestMatchesDictLoop:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the EM loop that kept the likelihoods as a feature -> row dict,
-# building it from the M-step's array and stacking it back in every E-step
+# Reference: the EM loop that counted each fit's table from its documents'
+# multisets, kept the likelihoods as a feature -> row dict (building it from
+# the M-step's array and stacking it back in every E-step) and gathered
+# (nnz, 2) rows of class weights and likelihoods
 # ---------------------------------------------------------------------------
+
+
+def _reference_table(feature_counts):
+    """The count table as ``FeatureCounts.from_multisets`` built it for every
+    fit: columns in first-seen order, entries document by document."""
+    index = {}
+    rows, cols, counts = [], [], []
+    for i, multiset in enumerate(feature_counts):
+        if OOV in multiset:
+            raise LearnerError("reserved feature name in training data")
+        rows.extend([i] * len(multiset))
+        cols.extend(index.setdefault(f, len(index)) for f in multiset)
+        counts.extend(multiset.values())
+    return SimpleNamespace(index=index, rows=np.array(rows, dtype=np.intp),
+                           cols=np.array(cols, dtype=np.intp),
+                           counts=np.array(counts, dtype=float),
+                           n_docs=len(feature_counts))
 
 
 def _dict_per_class_sums(table, index, values, minlength):
@@ -380,7 +405,7 @@ def _dict_e_step(model, alpha, table, labeled_weights, unlabeled_weight):
 
 
 def _dict_em(labeled_feats, labels, unlabeled_feats, em_config, alpha):
-    table = FeatureCounts.from_multisets(labeled_feats + unlabeled_feats)
+    table = _reference_table(labeled_feats + unlabeled_feats)
     labeled_weights = one_hot_labels(labels)
     model = _dict_m_step(
         table, np.vstack([labeled_weights, np.zeros((len(unlabeled_feats), 2))]), alpha)
@@ -400,23 +425,80 @@ def _dict_em(labeled_feats, labels, unlabeled_feats, em_config, alpha):
     return model, trace
 
 
-class TestArrayModel:
-    @settings(max_examples=60, deadline=None)
-    @given(_em_inputs())
-    def test_em_bitwise_equal_to_the_dict_loop(self, case):
-        labeled, labels, unlabeled, config, alpha = case
-        docs, pool, features = _fixture_of(labeled, labels, unlabeled)
-        (log_priors, rows, log_oov), ref_trace = _dict_em(
-            [features[d.id] for d in docs], labels,
-            [features[d.id] for d in pool], config, alpha)
-        model, trace = em_fit(docs, pool, replace(config, alpha=alpha),
-                              features=features)
+def _assert_model_is(model, reference):
+    log_priors, rows, log_oov = reference
+    assert model.log_priors.tobytes() == log_priors.tobytes()
+    assert model.log_oov.tobytes() == log_oov.tobytes()
+    assert list(model.log_likelihoods) == list(rows)
+    expected = np.array(list(rows.values())).reshape(-1, 2)
+    assert model.log_likelihoods.rows.tobytes() == expected.tobytes()
+
+
+def _assert_fold_table_is(table, multisets):
+    expected = _reference_table(multisets)
+    assert list(table.index.items()) == list(expected.index.items())
+    assert table.n_docs == expected.n_docs
+    for name in ("rows", "cols", "counts"):
+        got, want = getattr(table, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+# test-fold documents add words no training document holds
+_test_token_lists = st.lists(st.sampled_from(_WORDS + ["rash", "er"]), max_size=7)
+
+
+@st.composite
+def _fold_inputs(draw):
+    labeled, labels, unlabeled, config, alpha = draw(_em_inputs())
+    test = draw(st.lists(_test_token_lists, max_size=4))
+    if draw(st.booleans()):  # an unlabeled copy of a labeled document's text
+        unlabeled.append(list(labeled[0]))
+    return labeled, labels, unlabeled, test, config, alpha
+
+
+def _check_fold_fits(labeled, labels, unlabeled, test, config, alpha):
+    """A fit's table is its documents' rows of the corpus table, and every
+    NB model and EM trace is bitwise what counting the fold's own multisets
+    and gathering (nnz, 2) rows gave, with or without ``features=``."""
+    docs, pool, features, table = _fixture_of(labeled, labels, unlabeled, test)
+    labeled_feats = [features[d.id] for d in docs]
+    unlabeled_feats = [features[d.id] for d in pool]
+    _assert_fold_table_is(table.take([d.id for d in docs]), labeled_feats)
+    _assert_fold_table_is(table.take([d.id for d in docs + pool]),
+                          labeled_feats + unlabeled_feats)
+
+    nb = _dict_m_step(_reference_table(labeled_feats), one_hot_labels(labels), alpha)
+    for model in (nb_baseline_fit(docs, alpha, features=table),
+                  nb_baseline_fit(docs, alpha)):
+        _assert_model_is(model, nb)
+
+    em_config = replace(config, alpha=alpha)
+    reference, ref_trace = _dict_em(labeled_feats, labels, unlabeled_feats, config, alpha)
+    for model, trace in (em_fit(docs, pool, em_config, features=table),
+                         em_fit(docs, pool, em_config)):
         assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
-        assert model.log_priors.tobytes() == log_priors.tobytes()
-        assert model.log_oov.tobytes() == log_oov.tobytes()
-        assert list(model.log_likelihoods) == list(rows)
-        for feat, row in rows.items():
-            assert model.log_likelihoods[feat].tobytes() == row.tobytes()
+        _assert_model_is(model, reference)
+    return model
+
+
+class TestArrayModel:
+    @settings(max_examples=100, deadline=None)
+    @given(_fold_inputs())
+    def test_em_bitwise_equal_to_the_dict_loop(self, case):
+        _check_fold_fits(*case)
+
+    def test_fold_tables_on_edge_cases(self):
+        # an empty text, a repeated text, words only the test fold holds,
+        # and a fit with no unlabeled documents
+        labeled = [["sick", "flu"], [], ["flu", "shot"], ["sick", "flu"]]
+        labels = [POSITIVE, NEGATIVE, NEGATIVE, POSITIVE]
+        test = [["rash", "sick"], ["er"]]
+        config = EMConfig(max_iterations=3, convergence_tolerance=0.0)
+        for unlabeled in ([], [["flu", "shot"], []]):
+            model = _check_fold_fits(labeled, labels, unlabeled, test, config, 1.0)
+            assert "rash" not in model.log_likelihoods
+            assert "er" not in model.log_likelihoods
+        assert list(model.log_likelihoods)[:3] == ["sick", "flu", "sick flu"]
 
     @settings(max_examples=60, deadline=None)
     @given(_em_inputs())

@@ -5,9 +5,13 @@ and a rewrite must not route the work around them."""
 from pathlib import Path
 
 from codecomp import concepts, cotrain
+from codecomp.baselines import EMConfig
 from codecomp.context import HashedWindowProvider
-from codecomp.corpus import Document
+from codecomp.corpus import Document, SampleSpec
+from codecomp.evaluation import EMSpec, NBSpec, run_experiment
+from codecomp.learners import NBModel
 from codecomp.presets import task_preset
+from codecomp.synthetic import decomposable_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +74,38 @@ def test_one_document_reaches_every_concepts_and_context_layer(monkeypatch, lexi
     assert len(layers) == 5
     assert [k for k in layers if tracer.calls[k] == 0] == []
     assert tracer.counts["concepts.mentions"] == 5  # i, my, mom, pepto bismol, i
+
+
+def test_em_and_nb_folds_reach_the_sites_the_benchmark_records(monkeypatch, tmp_path):
+    # the evaluate-em-nb checker reads each fold's EM fit, NB fit and every
+    # M-step through the calls it records; a fit routed around these names
+    # would fail only there, as outputs the benchmark reports incorrect
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import taps
+    import workloads
+
+    docs, _ = decomposable_corpus(120, seed=4, positive_rate=0.4)
+    k = 3
+    recorder = taps.Recorder()
+    workloads.EvaluateEmNb(seed=1, workdir=tmp_path).tap(recorder)
+    try:
+        for spec in (EMSpec(em_config=EMConfig(max_iterations=4, convergence_tolerance=0.0)),
+                     NBSpec()):
+            run_experiment(docs, spec, k, SampleSpec(30, 2), repetitions=1)
+    finally:
+        recorder.remove()
+    calls = recorder.calls
+    assert len(calls["em_fit"]) == k
+    traces = []
+    for args, result in calls["em_fit"]:
+        model, trace = result
+        assert isinstance(model, NBModel) and len(trace) == 4
+        traces.append(trace)
+    assert len(calls["nb_baseline_fit"]) == k
+    for args, model in calls["nb_baseline_fit"]:
+        assert len(args) == 1 and len(args[0]) == 30
+        assert isinstance(model, NBModel)
+    # one M-step per fit to set up its vocabulary, then one per iteration;
+    # NB fits make none under that name
+    assert len(calls["m_step"]) == sum(1 + len(t) for t in traces)
+    assert len(calls["compute_metrics"]) == 2 * k

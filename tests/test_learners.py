@@ -1,4 +1,5 @@
 import json
+import logging
 from collections import Counter
 
 import numpy as np
@@ -258,6 +259,33 @@ class TestLogReg:
         full = train_logreg(X, y, TrainConfig())
         assert full.converged and 1 < full.epochs_run < TrainConfig().epochs
         assert full.final_loss < capped.final_loss
+
+
+def test_a_fit_that_does_not_converge_logs_one_warning(caplog):
+    # a tolerance below what the loss can resolve: the Armijo test compares
+    # losses whose rounding exceeds the predicted decrease, and the fit
+    # creeps to its step cap (most inputs still converge in 3-5 steps)
+    rng = np.random.default_rng(110)
+    X = rng.normal(size=(244, 24))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    y = (X @ rng.normal(size=24) + 0.5 * rng.normal(size=244) > 0).astype(float)
+    cfg = TrainConfig(l2_lambda=0.1, convergence_tolerance=1e-17)
+    with caplog.at_level(logging.WARNING, logger="codecomp.learners"):
+        model = train_logreg(X, y, cfg)
+    assert (model.epochs_run, model.converged) == (cfg.epochs, False)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert message.startswith("logistic fit on 244 rows stopped without converging "
+                              "at its step cap, after 500 steps; "
+                              "last Newton decrement ")
+    # still above twice the tolerance, so not converged, yet near the floor
+    assert 2e-17 <= float(message.rsplit(" ", 1)[1]) < 1e-15
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="codecomp.learners"):
+        assert train_logreg(X, y, TrainConfig(l2_lambda=0.1)).converged
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("seed", range(5))
