@@ -276,7 +276,7 @@ def ngram_counts(tokens) -> Counter:
     whitespace so the two feature kinds cannot collide.
     """
     counts = Counter(tokens)
-    counts.update(" ".join(pair) for pair in zip(tokens, tokens[1:]))
+    counts.update(map(" ".join, zip(tokens, tokens[1:])))
     return counts
 
 
@@ -479,7 +479,10 @@ def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
         raise LearnerError("both classes must be present in the training data")
     vocab_size = len(table.index)
     feature_mass = table.per_class_sums(table.cols, class_weights, table.rows, vocab_size)
-    denom = feature_mass.sum(axis=0) + alpha * (vocab_size + 1)  # +1: the unseen slot
+    # each class's mass added feature by feature, as feature_mass.sum(axis=0)
+    # adds it, without numpy's slow reduction over an inner axis of two
+    totals = np.add.accumulate(feature_mass)[-1] if vocab_size else np.zeros(2)
+    denom = totals + alpha * (vocab_size + 1)  # +1: the unseen slot
     return NBModel(
         class_order=NB_CLASSES,
         log_priors=np.log(doc_mass / doc_mass.sum()),

@@ -489,7 +489,7 @@ class TestArrayModel:
 
     def test_fold_tables_on_edge_cases(self):
         # an empty text, a repeated text, words only the test fold holds,
-        # and a fit with no unlabeled documents
+        # a fit with no unlabeled documents and one with no features at all
         labeled = [["sick", "flu"], [], ["flu", "shot"], ["sick", "flu"]]
         labels = [POSITIVE, NEGATIVE, NEGATIVE, POSITIVE]
         test = [["rash", "sick"], ["er"]]
@@ -499,6 +499,9 @@ class TestArrayModel:
             assert "rash" not in model.log_likelihoods
             assert "er" not in model.log_likelihoods
         assert list(model.log_likelihoods)[:3] == ["sick", "flu", "sick flu"]
+        # no training document holds a feature: an empty vocabulary
+        model = _check_fold_fits([[], []], labels[:2], [[]], test, config, 1.0)
+        assert len(model.log_likelihoods) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(_em_inputs())
