@@ -299,8 +299,9 @@ def _fixture_of(labeled, labels, unlabeled, test=()):
         zip(tokens, labels + [None] * (len(unlabeled) + len(test))))]
     features = {d.id: ngram_counts(t) for d, t in zip(docs, tokens)}
     n = len(labeled) + len(unlabeled)
-    table = FeatureCounts.from_multisets(
-        [features[d.id] for d in docs[n:] + docs[:n]], ids=[d.id for d in docs[n:] + docs[:n]])
+    corpus = docs[n:] + docs[:n]
+    table = FeatureCounts.from_multisets([features[d.id] for d in corpus],
+                                         ids=[d.id for d in corpus])
     return docs[:len(labeled)], docs[len(labeled):n], features, table
 
 
