@@ -17,6 +17,7 @@ by the product rule: positive iff prod(P_j) >= prod(1 - P_j).
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field, asdict, replace
 
@@ -95,20 +96,6 @@ class CoDecompModel:
     @property
     def n_views(self) -> int:
         return len(self.kcs_names)
-
-    def after(self, k: int) -> "CoDecompModel":
-        """The model that a run configured with ``k`` iterations returns:
-        ``snapshots[min(k, len(snapshots) - 1)]``. Past the last iteration
-        that promoted, only a run that stopped early knows the answer."""
-        if not self.snapshots:
-            raise CotrainError("a loaded model keeps no trajectory; it cannot tell "
-                               f"the model after {k}")
-        if k >= len(self.snapshots) > len(self.iteration_log):
-            raise CotrainError(f"this run did not stop; it cannot tell the model after {k}")
-        snapshots = self.snapshots[:k + 1]
-        return replace(self, classifiers=snapshots[-1], snapshots=snapshots,
-                       co_config=replace(self.co_config, iterations=k),
-                       iteration_log=self.iteration_log[:k])
 
     def to_dict(self) -> dict:
         return {
@@ -261,7 +248,9 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     floor) into the labeled pool, and retrains the views on it. Stops early
     once nothing qualifies. With ``iterations=0`` the result is just the
     independently trained per-view classifiers. ``snapshots`` keeps the
-    classifiers of every step, so ``after(k)`` gives each shorter run.
+    classifiers of every step: a run of k iterations returns
+    ``snapshots[min(k, len(snapshots) - 1)]``. A first iteration that
+    promotes nothing logs one warning.
     """
     for ex in list(labeled) + list(unlabeled):
         if len(ex.views) != n_views:
@@ -336,6 +325,13 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
             unlabeled_examples=len(unlabeled) - promoted,
         ))
         if not promotions:
+            if iteration == 1:
+                tops = zip(kcs_names, maxes.max(axis=1, initial=0.0))
+                logging.getLogger(__name__).warning(
+                    "co-training promoted nothing in its first iteration: the top bag "
+                    "probability of %d promotable documents is %s, against a confidence "
+                    "floor of %g", len(promotable),
+                    ", ".join(f"{name} {top:.3g}" for name, top in tops), floor)
             break
         pools = [(np.concatenate(rows), np.concatenate(targets))
                  for rows, targets in grown]
@@ -402,15 +398,15 @@ def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
     model = cotrain_fit(labeled, unlabeled, n_views,
                         replace(co_config, iterations=max_k), train_config,
                         kcs_names=kcs_names)
-    base = model.after(0)
 
     variants = {}
     for j, name in enumerate(model.kcs_names):
         variants[f"{name}-cl"] = single_view_predictions(
-            base.classifiers[j], j, test_examples, co_config.neutral_prob)
-    variants["combined"] = predict_many(base, test_examples)
-    for k in iteration_counts:
-        variants[f"+{k}-itr"] = predict_many(model.after(k), test_examples)
+            model.snapshots[0][j], j, test_examples, co_config.neutral_prob)
+    # each stage's classifiers are those a run of k iterations returns
+    for name, k in [("combined", 0)] + [(f"+{k}-itr", k) for k in iteration_counts]:
+        classifiers = model.snapshots[min(k, len(model.snapshots) - 1)]
+        variants[name] = predict_many(replace(model, classifiers=classifiers), test_examples)
     return variants
 
 

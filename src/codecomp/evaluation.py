@@ -13,6 +13,7 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -275,11 +276,13 @@ class _CoDecompRunner:
                                  kcs_names=self.kcs_names)
 
 
-def _make_runner(corpus, model_spec):
+def _make_runner(corpus, model_spec, iteration_settings=None):
+    if isinstance(model_spec, CoDecompSpec):
+        return _CoDecompRunner(corpus, model_spec, iteration_settings)
+    if iteration_settings is not None:
+        raise EvalError(f"an ablation needs a codecomp spec, got {type(model_spec).__name__}")
     if isinstance(model_spec, (NBSpec, EMSpec)):
         return _DocumentRunner(corpus, model_spec)
-    if isinstance(model_spec, CoDecompSpec):
-        return _CoDecompRunner(corpus, model_spec)
     raise EvalError(f"unknown model spec {type(model_spec).__name__}")
 
 
@@ -288,10 +291,12 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
-    """Yield (variant, rep, fold, Metrics) for each evaluated fold of one
-    repetition; folds and samples derive from ``seed_r``. Every fold takes
-    its unlabeled documents from one gold-hidden copy of the corpus."""
+def _repetition(corpus, runner, k_folds, sizes, dev_fold, rep, seed_r):
+    """Yield (n_labeled, variant, rep, fold, Metrics) for each evaluated fold
+    of one repetition and each labeled-set size of ``sizes``, in that order;
+    folds and samples derive from ``seed_r``. The fold plan and the one
+    gold-hidden copy of the corpus that every fold takes its unlabeled
+    documents from serve every size."""
     plan = stratified_folds(corpus, k_folds, seed_r)
     by_id = {d.id: d for d in corpus}
     hidden = {d.id: hide_gold(d) for d in corpus}
@@ -299,13 +304,14 @@ def _repetition(corpus, runner, k_folds, n_labeled, dev_fold, rep, seed_r):
         if fold == dev_fold:
             continue
         train = [d for d in corpus if plan.assignments[d.id] not in (fold, dev_fold)]
-        labeled, unlabeled = sample_labeled(
-            train, SampleSpec(n_labeled, seed_r * 8191 + fold), hidden)
         test = [by_id[i] for i in plan.fold_ids(fold)]
         gold = {d.id: d.gold_label for d in test}
-        variants = runner.predictions(labeled, unlabeled, test)
-        for variant, predictions in variants.items():
-            yield variant, rep, fold, compute_metrics(predictions, gold)
+        for n in sizes:
+            labeled, unlabeled = sample_labeled(
+                train, SampleSpec(n, seed_r * 8191 + fold), hidden)
+            variants = runner.predictions(labeled, unlabeled, test)
+            for variant, predictions in variants.items():
+                yield n, variant, rep, fold, compute_metrics(predictions, gold)
 
 
 def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None:
@@ -336,7 +342,7 @@ def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None
                         f"split, {split} documents")
 
 
-# a pool worker's (corpus, runner, k_folds, n_labeled, dev_fold), set by _share
+# a pool worker's (corpus, runner, k_folds, sizes, dev_fold), set by _share
 _shared = None
 
 
@@ -349,64 +355,48 @@ def _shared_repetition(rep_seed):
     return list(_repetition(*_shared, *rep_seed))
 
 
-def _fold_runs(corpus, runner, k_folds: int, sample_spec: SampleSpec,
-               repetitions: int, dev_fold: int | None, jobs: int):
-    """Yield (variant, rep, fold, Metrics) for every repetition and fold.
+def _fold_pass(corpus, model_spec, k_folds: int, sizes, master_seed: int,
+               repetitions: int, dev_fold: int | None, jobs: int,
+               iteration_settings=None) -> dict:
+    """The experiment loop: ``(n_labeled, variant) -> [(rep, fold, Metrics)]``
+    over every repetition, fold and labeled-set size of ``sizes``.
 
+    The protocol is checked before the runner processes the corpus, once.
     Repetition r draws its folds and samples from (master seed + r). With
     ``jobs > 1`` repetitions run in worker processes that receive the
     already-built runner, so no worker processes the corpus again.
     """
-    protocol = (corpus, runner, k_folds, sample_spec.n_labeled, dev_fold)
-    rep_seeds = [(rep, sample_spec.seed + rep) for rep in range(repetitions)]
+    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes)
+    runner = _make_runner(corpus, model_spec, iteration_settings)
+    protocol = (corpus, runner, k_folds, tuple(dict.fromkeys(sizes)), dev_fold)
+    rep_seeds = [(rep, master_seed + rep) for rep in range(repetitions)]
     if jobs > 1 and repetitions > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, repetitions),
                 initializer=_share, initargs=protocol) as pool:
-            for rows in pool.map(_shared_repetition, rep_seeds):
-                yield from rows
+            per_rep = list(pool.map(_shared_repetition, rep_seeds))
     else:
-        for rep_seed in rep_seeds:
-            yield from _repetition(*protocol, *rep_seed)
-
-
-def _report(corpus, runner, k_folds, sample_spec, repetitions, dev_fold,
-            jobs) -> RunReport:
-    runs = [
-        (rep, fold, m) for _, rep, fold, m in _fold_runs(
-            corpus, runner, k_folds, sample_spec, repetitions, dev_fold, jobs)
-    ]
-    master = sample_spec.seed
-    return RunReport(
-        model=runner.spec.name,
-        runs=runs,
-        mean=_mean_of(runs),
-        config_fingerprint=config_fingerprint({
-            **runner.spec.describe(),
-            "k_folds": k_folds, "n_labeled": sample_spec.n_labeled,
-            "repetitions": repetitions, "master_seed": master,
-            "dev_fold": dev_fold,
-        }),
-        master_seed=master,
-        seeds=[master + rep for rep in range(repetitions)],
-        k_folds=k_folds,
-        n_labeled=sample_spec.n_labeled,
-        repetitions=repetitions,
-    )
+        per_rep = (_repetition(*protocol, *rep_seed) for rep_seed in rep_seeds)
+    rows: dict = {}
+    for n, variant, rep, fold, m in itertools.chain.from_iterable(per_rep):
+        rows.setdefault((n, variant), []).append((rep, fold, m))
+    return rows
 
 
 def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
                    repetitions: int = 5, dev_fold: int | None = None,
                    jobs: int = 1) -> RunReport:
-    """Stratified k-fold cross validation with n-labeled subsampling.
+    """Stratified k-fold cross validation with n-labeled subsampling: the
+    sweep of the one size ``sample_spec.n_labeled``.
 
     Each repetition re-derives folds and samples from (master seed +
     repetition), trains the model spec on the labeled/unlabeled split of
     every training partition, and scores the held-out fold.
     """
-    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
-    return _report(corpus, _make_runner(corpus, model_spec), k_folds,
-                   sample_spec, repetitions, dev_fold, jobs)
+    [(_, report)] = training_size_sweep(
+        corpus, model_spec, [sample_spec.n_labeled], k_folds, sample_spec.seed,
+        repetitions, dev_fold, jobs)
+    return report
 
 
 def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
@@ -418,50 +408,55 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     Returns an ordered mapping: each single view, the no-promotion
     combination, then one entry per co-training iteration setting.
     """
-    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, [sample_spec.n_labeled])
     iteration_settings = tuple(iteration_settings)
     if any(k < 1 for k in iteration_settings):
         raise EvalError(
             f"iteration settings must be >= 1, got {list(iteration_settings)}")
-    runner = _CoDecompRunner(corpus, spec, iteration_settings)
-    variant_rows: dict = {}
-    for variant, rep, fold, m in _fold_runs(corpus, runner, k_folds, sample_spec,
-                                             repetitions, dev_fold, jobs):
-        variant_rows.setdefault(variant, []).append((rep, fold, m))
-    return {name: _mean_of(rows) for name, rows in variant_rows.items()}
+    rows = _fold_pass(corpus, spec, k_folds, [sample_spec.n_labeled],
+                      sample_spec.seed, repetitions, dev_fold, jobs,
+                      iteration_settings)
+    return {variant: _mean_of(runs) for (_, variant), runs in rows.items()}
 
 
-def ablation_csv(table: dict) -> str:
+def _means_csv(key: str, means) -> str:
+    """One "key, f1, precision, recall" row per (key, mean metrics) pair."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "f1", "precision", "recall"])
-    for name, mean in table.items():
+    writer.writerow([key, "f1", "precision", "recall"])
+    for name, mean in means:
         writer.writerow([name, repr(mean["f1"]), repr(mean["precision"]),
                          repr(mean["recall"])])
     return buf.getvalue()
 
 
+def ablation_csv(table: dict) -> str:
+    return _means_csv("model", table.items())
+
+
 def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
                         master_seed: int, repetitions: int = 5,
                         dev_fold: int | None = None, jobs: int = 1) -> list:
-    """One full experiment per labeled-set size, identical folds throughout."""
+    """One report per labeled-set size, from one fold pass: every size is
+    trained and scored on the same folds and copies of each repetition."""
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise EvalError("sizes must be ascending")
-    _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes)
-    runner = _make_runner(corpus, model_spec)  # shared by every size
-    return [
-        (n, _report(corpus, runner, k_folds, SampleSpec(n, master_seed),
-                    repetitions, dev_fold, jobs))
-        for n in sizes
-    ]
+    rows = _fold_pass(corpus, model_spec, k_folds, sizes, master_seed,
+                      repetitions, dev_fold, jobs)
+    reports = []
+    for n in sizes:
+        runs = rows[n, model_spec.name]
+        reports.append((n, RunReport(
+            model=model_spec.name, runs=runs, mean=_mean_of(runs),
+            config_fingerprint=config_fingerprint({
+                **model_spec.describe(), "k_folds": k_folds, "n_labeled": n,
+                "repetitions": repetitions, "master_seed": master_seed,
+                "dev_fold": dev_fold}),
+            master_seed=master_seed,
+            seeds=[master_seed + rep for rep in range(repetitions)],
+            k_folds=k_folds, n_labeled=n, repetitions=repetitions)))
+    return reports
 
 
 def sweep_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n_labeled", "f1", "precision", "recall"])
-    for n, report in rows:
-        writer.writerow([n, repr(report.mean["f1"]), repr(report.mean["precision"]),
-                         repr(report.mean["recall"])])
-    return buf.getvalue()
+    return _means_csv("n_labeled", ((n, report.mean) for n, report in rows))

@@ -182,7 +182,9 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
     the solve fails it takes the system's least-squares solution, and where
     that fails too or gives no descent direction it steps along the
     negative gradient instead. The fit stops, ``converged``, once half the
-    Newton decrement g'H^-1 g is below ``cfg.convergence_tolerance``; it
+    Newton decrement g'H^-1 g is below ``cfg.convergence_tolerance``, or
+    after one whole Newton step once it is below one ulp of the loss, a
+    decrease no line search can resolve; it
     also stops after ``cfg.epochs`` steps, or where a line search finds no
     decrease, and then logs a warning with the rows, the steps and the last
     Newton decrement. ``cfg.learning_rate`` is not read. Deterministic for
@@ -223,6 +225,15 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
             if newton:
                 decrement = -slope
                 if decrement / 2 < cfg.convergence_tolerance:
+                    converged = True
+                    break
+                if decrement / 2 < math.ulp(loss):
+                    # a decrease below the loss's resolution: the Armijo test
+                    # would compare rounding, so take the whole step and stop
+                    theta = theta + direction
+                    z = design @ theta
+                    loss = _log_loss(z, y, theta[:d], cfg.l2_lambda)
+                    steps += 1
                     converged = True
                     break
             t = 1.0

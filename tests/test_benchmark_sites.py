@@ -5,11 +5,12 @@ and a rewrite must not route the work around them."""
 from pathlib import Path
 
 from codecomp import concepts, cotrain
+from codecomp.cotrain import CoConfig, Example
 from codecomp.baselines import EMConfig
 from codecomp.context import HashedWindowProvider
 from codecomp.corpus import Document, SampleSpec
-from codecomp.evaluation import EMSpec, NBSpec, run_experiment
-from codecomp.learners import NBModel
+from codecomp.evaluation import CoDecompSpec, EMSpec, NBSpec, ablation_table, run_experiment
+from codecomp.learners import NBModel, TrainConfig
 from codecomp.presets import task_preset
 from codecomp.synthetic import decomposable_corpus
 
@@ -109,3 +110,46 @@ def test_em_and_nb_folds_reach_the_sites_the_benchmark_records(monkeypatch, tmp_
     # NB fits make none under that name
     assert len(calls["m_step"]) == sum(1 + len(t) for t in traces)
     assert len(calls["compute_metrics"]) == 2 * k
+
+
+def test_ablation_folds_reach_the_sites_the_benchmark_records(monkeypatch, tmp_path):
+    # the ablate-synth checker reads each fold's co-training run, every
+    # product-rule prediction and the per-fold confusion counts through the
+    # calls it records; an ablation routed around these names would fail
+    # only there
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import taps
+    import workloads
+
+    docs, preset = decomposable_corpus(120, seed=4, positive_rate=0.4)
+    k, settings = 3, [1, 2]
+    spec = CoDecompSpec(preset=preset, provider=HashedWindowProvider(window=2, dim=16),
+                        co_config=CoConfig(iterations=2),
+                        train_config=TrainConfig(convergence_tolerance=1e-6))
+    recorder = taps.Recorder()
+    workloads.AblateSynth(seed=1, workdir=tmp_path).tap(recorder)
+    try:
+        table = ablation_table(docs, spec, settings, k, SampleSpec(30, 2), repetitions=1)
+    finally:
+        recorder.remove()
+    calls = recorder.calls
+    assert len(calls["cotrain_fit"]) == k
+    for args, model in calls["cotrain_fit"]:
+        labeled, unlabeled, n_views, co_config = args[:4]
+        assert len(labeled) == 30 and len(unlabeled) > 0
+        assert all(isinstance(ex, Example) for ex in labeled + unlabeled)
+        assert n_views == 2 and isinstance(co_config, CoConfig)
+        assert model.iteration_log
+    workloads._check_cotrain_calls(calls["cotrain_fit"])
+    assert len(calls["predict_many"]) == k * (1 + len(settings))
+    for (model, examples), labels in calls["predict_many"]:
+        assert len(model.classifiers) == 2
+        assert model.co_config.neutral_prob == spec.co_config.neutral_prob
+        checks.check_product_rule(workloads._classifiers(model), workloads._bags(examples),
+                                  labels, model.co_config.neutral_prob)
+    assert len(table) == 2 + 1 + len(settings)
+    assert len(calls["compute_metrics"]) == k * len(table)
+    # fold by fold, and within a fold in the table's variant order
+    checks.check_fold_counts(workloads._fold_rows(calls["compute_metrics"], list(table)),
+                             table, {d.id: d.gold_label for d in docs}, k)

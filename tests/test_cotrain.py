@@ -1,3 +1,4 @@
+import logging
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -366,17 +367,17 @@ class TestCotrainBookkeeping:
             solo = cotrain_fit(labeled, unlabeled, 2,
                                replace(co_config, iterations=k), self.CFG,
                                kcs_names=names)
-            _assert_same_fit(full.after(k), solo)
-            assert full.after(k).co_config == solo.co_config
+            _assert_same_fit(_stage(full, k), solo)
 
-    def test_after_rejects_iterations_the_run_did_not_make(self):
+    def test_snapshots_of_a_run_that_did_not_stop(self):
+        # one entry per promoting iteration after the base fit, the last
+        # being the classifiers the run returns
         labeled, unlabeled, _, names = _synthetic_pools()
         model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=2),
                             self.CFG, kcs_names=names)
         assert all(r.promotions for r in model.iteration_log)
-        assert model.after(2).classifiers is model.classifiers
-        with pytest.raises(CotrainError, match="cannot tell the model after 3"):
-            model.after(3)
+        assert len(model.snapshots) == 3
+        assert model.snapshots[-1] is model.classifiers
 
     def test_last_promotions_reach_the_classifiers(self):
         # the promotions of a run's last iteration are trained on: one
@@ -396,6 +397,43 @@ class TestCotrainBookkeeping:
         assert any(a.weights.tobytes() != b.weights.tobytes()
                    for a, b in zip(runs[0].classifiers, runs[1].classifiers))
 
+    def test_a_first_iteration_that_promotes_nothing_logs_one_warning(self, caplog):
+        # at l2_lambda=0.1 no bag clears the confidence floor and none looks
+        # negative to both views, so co-training stops at once; at the
+        # default l2_lambda it runs all 25 iterations
+        docs, preset = decomposable_corpus(400, 3, positive_rate=0.4, ambiguity=0.15)
+        names = tuple(k.name for k in preset.kcs_list)
+        lexicons = load_lexicons()
+        labeled, unlabeled = (
+            build_examples([process_document(d, preset, lexicons) for d in part],
+                           HashedWindowProvider(), names)
+            for part in sample_labeled(docs, SampleSpec(30, 3)))
+
+        def fit(l2_lambda):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="codecomp.cotrain"):
+                model = cotrain_fit(labeled, unlabeled, 2, CoConfig(),
+                                    TrainConfig(l2_lambda=l2_lambda), kcs_names=names)
+            return model, [r for r in caplog.records if r.name == "codecomp.cotrain"]
+
+        model, records = fit(0.1)
+        assert [len(r.promotions) for r in model.iteration_log] == [0]
+        [record] = records
+        assert record.levelno == logging.WARNING
+        promotable = [ex for ex in unlabeled if all(v.size for v in ex.views)]
+        tops = np.max([predict(model, ex)[1] for ex in promotable], axis=0)
+        assert record.getMessage() == (
+            "co-training promoted nothing in its first iteration: the top bag "
+            f"probability of {len(promotable)} promotable documents is "
+            f"alpha {tops[0]:.3g}, beta {tops[1]:.3g}, against a confidence "
+            "floor of 0.7")
+        assert max(tops) < 0.7
+
+        model, records = fit(1e-3)
+        assert len(model.iteration_log) == 25
+        assert len(model.iteration_log[0].promotions) == 4
+        assert records == []
+
     def test_confidence_floor_respected(self):
         labeled, unlabeled, _, names = _synthetic_pools()
         model = cotrain_fit(labeled, unlabeled, 2,
@@ -407,6 +445,14 @@ class TestCotrainBookkeeping:
                     assert p["confidence"] >= 0.8
                 else:
                     assert p["confidence"] < 0.2
+
+
+def _stage(model, k):
+    """The run of ``k`` iterations inside ``model``: snapshots and log cut
+    where that run ends, classifiers ``snapshots[min(k, len - 1)]``."""
+    snapshots = model.snapshots[:k + 1]
+    return replace(model, classifiers=snapshots[-1], snapshots=snapshots,
+                   iteration_log=model.iteration_log[:k])
 
 
 def _assert_same_fit(a, b):
@@ -579,15 +625,15 @@ def test_labeled_pools_match_the_rebuilding_loop(pools):
     _assert_same_fit(
         model, _reference_cotrain_fit(labeled, stripped, n_views, co_config, cfg))
     # every shorter run is a prefix of this one; a longer run is one too,
-    # where this run stopped early
+    # where this run stopped early, and otherwise this run is its prefix
     stopped = bool(model.iteration_log) and not model.iteration_log[-1].promotions
     for k in ks:
+        run = cotrain_fit(labeled, unlabeled, n_views,
+                          replace(co_config, iterations=k), cfg)
         if k > co_config.iterations and not stopped:
-            with pytest.raises(CotrainError, match="cannot tell"):
-                model.after(k)
-            continue
-        _assert_same_fit(model.after(k), cotrain_fit(
-            labeled, unlabeled, n_views, replace(co_config, iterations=k), cfg))
+            _assert_same_fit(_stage(run, co_config.iterations), model)
+        else:
+            _assert_same_fit(_stage(model, k), run)
 
 
 class TestAblationVariants:
@@ -693,10 +739,9 @@ def test_model_serialization_roundtrip(tmp_path):
 def test_loaded_model_has_no_trajectory():
     labeled, unlabeled, cfg = _simple_examples()
     model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    assert model.snapshots and model.iteration_log
     loaded = CoDecompModel.from_dict(model.to_dict())
-    for k in (0, 1, 5):
-        with pytest.raises(CotrainError, match="a loaded model keeps no trajectory"):
-            loaded.after(k)
+    assert (loaded.snapshots, loaded.iteration_log) == ([], [])
 
 
 @pytest.mark.parametrize("corrupt, message", [

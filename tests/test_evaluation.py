@@ -231,6 +231,13 @@ class TestAblation:
         for key in ("precision", "recall", "f1"):
             assert table["combined"][key] == pytest.approx(k0.mean[key])
 
+    def test_document_model_rejected(self, small_corpus, processed):
+        docs, _ = small_corpus
+        with pytest.raises(EvalError, match="an ablation needs a codecomp spec, got NBSpec"):
+            ablation_table(docs, NBSpec(), [2], k_folds=4,
+                           sample_spec=SampleSpec(40, 3), repetitions=1)
+        assert processed == []
+
     def test_k_itr_equals_k_iteration_experiment(self, small_corpus):
         docs, preset = small_corpus
         table = ablation_table(docs, _codecomp_spec(preset), [2, 1],
@@ -244,8 +251,8 @@ class TestAblation:
 
 
 class TestDriver:
-    """run_experiment, ablation_table and the sweep share one fold driver
-    that processes the corpus once, in the calling process."""
+    """run_experiment, ablation_table and the sweep are views over one fold
+    pass that processes the corpus once, in the calling process."""
 
     KWARGS = dict(k_folds=4, sample_spec=SampleSpec(40, 3), repetitions=2)
 
@@ -278,6 +285,22 @@ class TestDriver:
                                    jobs=jobs)
         assert [n for n, _ in rows] == [20, 30, 40]
         assert len(processed) == len(docs)
+
+    @pytest.mark.parametrize("sizes", [[40], [20, 30, 40]])
+    def test_sweep_plans_folds_and_hides_gold_once_per_repetition(
+            self, small_corpus, monkeypatch, sizes):
+        docs, _ = small_corpus
+        plans, hidden = [], []
+        for name, calls in (("stratified_folds", plans), ("hide_gold", hidden)):
+            def counted(doc_or_corpus, *args, real=getattr(evaluation, name),
+                        calls=calls):
+                calls.append(doc_or_corpus)
+                return real(doc_or_corpus, *args)
+            monkeypatch.setattr(evaluation, name, counted)
+        training_size_sweep(docs, NBSpec(), sizes, k_folds=4, master_seed=3,
+                            repetitions=2)
+        assert len(plans) == 2
+        assert sorted(d.id for d in hidden) == sorted(2 * [d.id for d in docs])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("spec", [NBSpec(), EMSpec()], ids=["nb", "em"])
@@ -346,6 +369,23 @@ class TestDriver:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("model", ["nb", "em", "codecomp"])
+    def test_each_size_equals_its_own_experiment(self, small_corpus, model, jobs):
+        # one fold pass serves every size; each size's report, a repeated
+        # size's too, is the one a run of that size alone writes, byte for byte
+        docs, preset = small_corpus
+        spec = {"nb": NBSpec(), "em": EMSpec(),
+                "codecomp": _codecomp_spec(preset)}[model]
+        rows = training_size_sweep(docs, spec, [20, 40, 40, 80], k_folds=4,
+                                   master_seed=3, repetitions=2, jobs=jobs)
+        assert [n for n, _ in rows] == [20, 40, 40, 80]
+        for n, report in rows:
+            alone = run_experiment(docs, spec, 4, SampleSpec(n, 3),
+                                   repetitions=2, jobs=jobs)
+            assert report.to_json() == alone.to_json()
+            assert report.to_csv() == alone.to_csv()
+
     def test_single_size_reduces_to_run_experiment(self, small_corpus):
         docs, _ = small_corpus
         rows = training_size_sweep(docs, NBSpec(), [40], k_folds=4,

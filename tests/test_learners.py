@@ -261,15 +261,19 @@ class TestLogReg:
         assert full.final_loss < capped.final_loss
 
 
-def test_a_fit_that_does_not_converge_logs_one_warning(caplog):
-    # a tolerance below what the loss can resolve: the Armijo test compares
-    # losses whose rounding exceeds the predicted decrease, and the fit
-    # creeps to its step cap (most inputs still converge in 3-5 steps)
+def _resolution_case():
+    # a fit whose half Newton decrement falls below one ulp of its loss
+    # (about 1.1e-16 here) after two steps
     rng = np.random.default_rng(110)
     X = rng.normal(size=(244, 24))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     y = (X @ rng.normal(size=24) + 0.5 * rng.normal(size=244) > 0).astype(float)
-    cfg = TrainConfig(l2_lambda=0.1, convergence_tolerance=1e-17)
+    return X, y
+
+
+def test_a_fit_that_does_not_converge_logs_one_warning(caplog):
+    X, y = _resolution_case()
+    cfg = TrainConfig(l2_lambda=0.1, epochs=1)
     with caplog.at_level(logging.WARNING, logger="codecomp.learners"):
         model = train_logreg(X, y, cfg)
     assert (model.epochs_run, model.converged) == (cfg.epochs, False)
@@ -277,15 +281,31 @@ def test_a_fit_that_does_not_converge_logs_one_warning(caplog):
     assert record.levelno == logging.WARNING
     message = record.getMessage()
     assert message.startswith("logistic fit on 244 rows stopped without converging "
-                              "at its step cap, after 500 steps; "
+                              "at its step cap, after 1 steps; "
                               "last Newton decrement ")
-    # still above twice the tolerance, so not converged, yet near the floor
-    assert 2e-17 <= float(message.rsplit(" ", 1)[1]) < 1e-15
+    # the decrement of the one step taken, from the zero start
+    assert float(message.rsplit(" ", 1)[1]) > 2 * cfg.convergence_tolerance
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="codecomp.learners"):
         assert train_logreg(X, y, TrainConfig(l2_lambda=0.1)).converged
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("tolerance", [1e-17, 0.0])
+def test_a_tolerance_below_the_loss_resolution_converges(caplog, tolerance):
+    # below one ulp of the loss the Armijo test compares rounding noise, and
+    # the fit used to accept steps that made no progress until its 500-step
+    # cap; it now stops where the loss can no longer tell a decrease
+    X, y = _resolution_case()
+    with caplog.at_level(logging.WARNING, logger="codecomp.learners"):
+        model = train_logreg(X, y, TrainConfig(l2_lambda=0.1,
+                                                convergence_tolerance=tolerance))
+    assert model.converged and model.epochs_run <= 3
+    assert caplog.records == []
+    shipped = train_logreg(X, y, TrainConfig(l2_lambda=0.1))
+    assert model.final_loss <= shipped.final_loss
+    np.testing.assert_allclose(model.weights, shipped.weights, atol=1e-3)
 
 
 @pytest.mark.parametrize("seed", range(5))
