@@ -2,9 +2,10 @@
 
 Subcommands: prepare (corpus -> enriched mention file), annotate (batch
 span annotation of positive documents), validate-kcs (context-similarity
-reports), train, evaluate, ablate, sweep. Settings come from an INI config
-file with one section per subsystem; command-line flags override file
-values. Set CODECOMP_LEXICON_DIR to point at a custom lexicon directory.
+reports), train, evaluate (a report, and a training-size curve from the
+same folds), ablate. Settings come from an INI config file with one
+section per subsystem; command-line flags override file values. Set
+CODECOMP_LEXICON_DIR to point at a custom lexicon directory.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ class SweepConfig:
     def __post_init__(self):
         if any(n < 1 for n in self.sizes):
             raise ConfigError(f"sizes must be >= 1, got {list(self.sizes)}")
+        if list(self.sizes) != sorted(self.sizes):
+            raise ConfigError(f"sizes must be ascending, got {list(self.sizes)}")
 
 
 @dataclass(frozen=True)
@@ -412,16 +415,24 @@ def cmd_evaluate(args) -> int:
     docs = _load_documents(cfg)
     spec = cfg.model_spec()
     run = cfg.experiment
-    report = evaluation.run_experiment(
-        docs, spec, run.k_folds,
-        SampleSpec(run.n_labeled, run.master_seed),
-        repetitions=run.repetitions, dev_fold=run.dev_fold, jobs=run.jobs)
+    sizes = cfg.sweep.sizes
+    # the report's size and every sweep size share one fold pass
+    reports = dict(evaluation.training_size_sweep(
+        docs, spec, sorted({run.n_labeled, *sizes}), run.k_folds, run.master_seed,
+        repetitions=run.repetitions, dev_fold=run.dev_fold, jobs=run.jobs))
+    report = reports[run.n_labeled]
     out = _out_dir(cfg)
     (out / f"report_{spec.name}.json").write_text(report.to_json(), encoding="utf-8")
     (out / f"report_{spec.name}.csv").write_text(report.to_csv(), encoding="utf-8")
     print(f"{spec.name}: mean F1={report.mean['f1']:.4f} "
           f"P={report.mean['precision']:.4f} R={report.mean['recall']:.4f}")
     print(f"wrote {out / f'report_{spec.name}.json'}")
+    if sizes:
+        rows = [(n, reports[n]) for n in sizes]
+        (out / "sweep.csv").write_text(evaluation.sweep_csv(rows), encoding="utf-8")
+        for n, sized in rows:
+            print(f"n={n}: F1={sized.mean['f1']:.4f}")
+        print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -440,24 +451,6 @@ def cmd_ablate(args) -> int:
         print(f"{name}: F1={mean['f1']:.4f} P={mean['precision']:.4f} "
               f"R={mean['recall']:.4f}")
     print(f"wrote {out / 'ablation.csv'}")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    if not cfg.sweep.sizes:
-        raise ConfigError("config field sweep.sizes (or --sizes) is required")
-    docs = _load_documents(cfg)
-    spec = cfg.model_spec()
-    run = cfg.experiment
-    rows = evaluation.training_size_sweep(
-        docs, spec, cfg.sweep.sizes, run.k_folds, run.master_seed,
-        repetitions=run.repetitions, dev_fold=run.dev_fold, jobs=run.jobs)
-    out = _out_dir(cfg)
-    (out / "sweep.csv").write_text(evaluation.sweep_csv(rows), encoding="utf-8")
-    for n, report in rows:
-        print(f"n={n}: F1={report.mean['f1']:.4f}")
-    print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -508,15 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = common(sub.add_parser("evaluate", help="cross-validated evaluation"))
+    p.add_argument("--sizes", dest="sweep.sizes",
+                   help="comma-separated labeled-set sizes of a training-size curve")
     p.set_defaults(func=cmd_evaluate)
 
     p = common(sub.add_parser("ablate", help="per-view / combined / co-trained table"))
     p.set_defaults(func=cmd_ablate)
-
-    p = common(sub.add_parser("sweep", help="training-size sweep"))
-    p.add_argument("--sizes", dest="sweep.sizes",
-                   help="comma-separated labeled-set sizes")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

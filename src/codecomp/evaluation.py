@@ -15,6 +15,7 @@ import hashlib
 import io
 import itertools
 import json
+import logging
 from dataclasses import asdict, dataclass, field
 
 from .baselines import EMConfig, document_features, em_fit, nb_baseline_fit
@@ -296,7 +297,8 @@ def _repetition(corpus, runner, k_folds, sizes, dev_fold, rep, seed_r):
     of one repetition and each labeled-set size of ``sizes``, in that order;
     folds and samples derive from ``seed_r``. The fold plan and the one
     gold-hidden copy of the corpus that every fold takes its unlabeled
-    documents from serve every size."""
+    documents from serve every size. A variant that labels a whole test
+    fold one class logs a warning."""
     plan = stratified_folds(corpus, k_folds, seed_r)
     by_id = {d.id: d for d in corpus}
     hidden = {d.id: hide_gold(d) for d in corpus}
@@ -311,6 +313,12 @@ def _repetition(corpus, runner, k_folds, sizes, dev_fold, rep, seed_r):
                 train, SampleSpec(n, seed_r * 8191 + fold), hidden)
             variants = runner.predictions(labeled, unlabeled, test)
             for variant, predictions in variants.items():
+                labels = set(predictions.values())
+                if len(labels) == 1:
+                    logging.getLogger(__name__).warning(
+                        "%s at n_labeled=%d labeled all %d test documents of "
+                        "repetition %d, fold %d, %s", variant, n, len(predictions),
+                        rep, fold, *labels)
                 yield n, variant, rep, fold, compute_metrics(predictions, gold)
 
 

@@ -222,32 +222,30 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
             if not newton:
                 direction = -grad
             slope = float(grad @ direction)  # minus the Newton decrement
+            whole_step = False
             if newton:
                 decrement = -slope
                 if decrement / 2 < cfg.convergence_tolerance:
                     converged = True
                     break
-                if decrement / 2 < math.ulp(loss):
-                    # a decrease below the loss's resolution: the Armijo test
-                    # would compare rounding, so take the whole step and stop
-                    theta = theta + direction
-                    z = design @ theta
-                    loss = _log_loss(z, y, theta[:d], cfg.l2_lambda)
-                    steps += 1
-                    converged = True
-                    break
+                # a decrease below the loss's resolution: the Armijo test
+                # would compare rounding, so take the whole step and stop
+                whole_step = decrement / 2 < math.ulp(loss)
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 trial = theta + t * direction
                 trial_z = design @ trial
                 trial_loss = _log_loss(trial_z, y, trial[:d], cfg.l2_lambda)
-                if trial_loss <= loss + ARMIJO_FRACTION * t * slope:
+                if whole_step or trial_loss <= loss + ARMIJO_FRACTION * t * slope:
                     break
                 t *= 0.5
             else:
                 break
             theta, z, loss = trial, trial_z, trial_loss
             steps += 1
+            if whole_step:
+                converged = True
+                break
     if not converged:
         # short of the cap, only a line search that found no decrease stops it
         stop = ("at its step cap" if steps == cfg.epochs

@@ -72,9 +72,6 @@ convergence_tolerance = 1e-6
 
 [ablation]
 iterations = 2
-
-[sweep]
-sizes = 20,30
 """
 
 
@@ -432,20 +429,51 @@ def test_ablate_honours_jobs(synth_setup, monkeypatch):
     assert tables[0] == tables[1]
 
 
-def test_sweep_rows(synth_setup):
+def test_sweep_rows(synth_setup, capsys):
+    # one row per given size, a repeated one too; the report is the one an
+    # evaluate without sizes writes
     config, out = synth_setup
-    assert main(["sweep", "--config", str(config), "--model", "nb"]) == 0
+    assert main(["evaluate", "--config", str(config), "--model", "nb"]) == 0
+    alone = (out / "report_nb.json").read_bytes(), (out / "report_nb.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--model", "nb",
+                 "--sizes", "20,30,30"]) == 0
     rows = (out / "sweep.csv").read_text(encoding="utf-8").strip().split("\n")
-    assert [r.split(",")[0] for r in rows] == ["n_labeled", "20", "30"]
+    assert [r.split(",")[0] for r in rows] == ["n_labeled", "20", "30", "30"]
+    assert ((out / "report_nb.json").read_bytes(),
+            (out / "report_nb.csv").read_bytes()) == alone
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("nb: mean F1=")
+    assert [line.split(":")[0] for line in printed[2:5]] == ["n=20", "n=30", "n=30"]
+    assert printed[5] == f"wrote {out / 'sweep.csv'}"
 
 
-def test_sweep_requires_sizes(synth_setup, tmp_path, capsys):
-    config, _ = synth_setup
-    text = config.read_text(encoding="utf-8").replace("sizes = 20,30", "sizes =")
-    stripped = tmp_path / "nosizes.ini"
-    stripped.write_text(text, encoding="utf-8")
-    assert main(["sweep", "--config", str(stripped), "--model", "nb"]) == 2
-    assert "sizes" in capsys.readouterr().err
+def test_evaluate_without_sizes_writes_no_sweep_csv(synth_setup):
+    config, out = synth_setup
+    assert main(["evaluate", "--config", str(config), "--model", "nb"]) == 0
+    assert (out / "report_nb.json").exists()
+    assert not (out / "sweep.csv").exists()
+
+
+def test_evaluate_with_sizes_is_one_fold_pass(synth_setup, monkeypatch):
+    # the report's size and the curve's sizes share each repetition's folds,
+    # and the corpus is processed once for all of them
+    config, out = synth_setup
+    calls = {"process_document": 0, "stratified_folds": 0}
+    for name in calls:
+        real = getattr(evaluation, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    assert main(["evaluate", "--config", str(config), "--model", "codecomp",
+                 "--sizes", "20,40,80", "--reps", "2", "--jobs", "1"]) == 0
+    assert calls == {"process_document": 120, "stratified_folds": 2}
+    assert (out / "report_codecomp.json").exists()
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert [r.split(",")[0] for r in rows] == ["n_labeled", "20", "40", "80"]
 
 
 def test_evaluate_rejects_dev_fold_and_jobs_out_of_range(synth_setup, tmp_path,
@@ -480,7 +508,8 @@ def test_evaluate_rejects_negative_convergence_tolerance(synth_setup, tmp_path,
 @pytest.mark.parametrize("command, section, key, value", [
     ("validate-kcs", "gamma", "metric", "manhattan"),
     ("validate-kcs", "gamma", "sample_pairs", "0"),
-    ("sweep", "sweep", "sizes", "0,30"),
+    ("evaluate", "sweep", "sizes", "0,30"),
+    ("evaluate", "sweep", "sizes", "40,20"),
     ("evaluate --model nb", "nb", "alpha", "0"),
     ("evaluate --model em", "em", "alpha", "0"),
 ])
@@ -495,7 +524,7 @@ def test_bad_value_fails_before_any_document_is_read(synth_setup, tmp_path, caps
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real: calls.append(a) or real(*a))
-    text = config.read_text(encoding="utf-8").replace("[sweep]\nsizes = 20,30\n", "")
+    text = config.read_text(encoding="utf-8")
     bad = tmp_path / "bad.ini"
     bad.write_text(f"{text}\n[{section}]\n{key} = {value}\n", encoding="utf-8")
     assert main([*command.split(), "--config", str(bad)]) == 2

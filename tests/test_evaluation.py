@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -255,6 +256,33 @@ class TestDriver:
     pass that processes the corpus once, in the calling process."""
 
     KWARGS = dict(k_folds=4, sample_spec=SampleSpec(40, 3), repetitions=2)
+
+    def test_a_fold_labeled_one_class_logs_a_warning(self, caplog):
+        # at l2_lambda=0.1 co-training stops at once and its bag probabilities
+        # sit near the class prior, so every test document is labeled
+        # negative; at the default l2_lambda no fold is labeled one class
+        docs, preset = decomposable_corpus(400, 3, positive_rate=0.4,
+                                           ambiguity=0.15)
+
+        def warnings(l2_lambda):
+            caplog.clear()
+            spec = CoDecompSpec(preset, HashedWindowProvider(),
+                                train_config=TrainConfig(l2_lambda=l2_lambda))
+            with caplog.at_level(logging.WARNING, logger="codecomp.evaluation"):
+                report = run_experiment(docs, spec, 4, SampleSpec(30, 3),
+                                        repetitions=1)
+            return report, [r.getMessage() for r in caplog.records
+                            if r.name == "codecomp.evaluation"]
+
+        report, messages = warnings(0.1)
+        assert report.mean["f1"] == 0.0
+        assert messages == [
+            f"codecomp at n_labeled=30 labeled all {m.tp + m.fp + m.fn + m.tn} "
+            f"test documents of repetition 0, fold {fold}, negative"
+            for _, fold, m in report.runs]
+        report, messages = warnings(1e-3)
+        assert report.mean["f1"] > 0.0
+        assert messages == []
 
     def test_codecomp_parallel_equals_sequential(self, small_corpus, processed):
         docs, preset = small_corpus
