@@ -173,23 +173,6 @@ def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
             for i, pdoc in enumerate(processed_docs)]
 
 
-def _labeled_rows(examples, view: int):
-    """One view's labeled instance rows and their 0/1 targets, as an
-    ``(X, y)`` pair of arrays in document then instance order; unlabeled
-    instances are skipped."""
-    rows, targets = [], []
-    for ex in examples:
-        vi = ex.views[view]
-        if vi.size:
-            labels = np.asarray(vi.labels, dtype=object)
-            keep = (labels == POSITIVE) | (labels == NEGATIVE)
-            rows.append(vi.vectors[keep])
-            targets.append(labels[keep] == POSITIVE)
-    if not rows:
-        return np.empty((0, 0)), np.empty(0)
-    return np.concatenate(rows), np.concatenate(targets).astype(float)
-
-
 def _train_views(pools, train_config: TrainConfig, kcs_names, starts):
     """One classifier per ``(X, y)`` pool, each started from the view's
     entry of ``starts``: a classifier to warm-start from, or None for zero."""
@@ -207,36 +190,49 @@ def _train_views(pools, train_config: TrainConfig, kcs_names, starts):
 class _StackedBags:
     """One view's bags of many documents, stacked into one instance matrix.
 
-    Bag i is rows ``starts[i] : starts[i] + lengths[i]`` of ``matrix``. A
-    row's probability does not depend on the rows around it, so a bag scores
-    here exactly as ``mil_example_score`` scores it alone.
+    Bag i is rows ``starts[i] : starts[i] + lengths[i]`` of ``matrix``. Every
+    bag must have the first bag's width, and the stack scores only with a
+    classifier of that width. A row's probability does not depend on the
+    rows around it, so a bag's maximum here is the one ``mil_example_score``
+    gives it alone.
     """
 
-    def __init__(self, examples, view: int, dim: int):
-        mats = [ex.views[view].vectors for ex in examples]
-        for ex, m in zip(examples, mats):
-            if m.shape[1] != dim:
+    def __init__(self, examples, view: int):
+        self.view, self.examples = view, list(examples)
+        mats = [ex.views[view].vectors for ex in self.examples]
+        for ex, m in zip(self.examples, mats):
+            if m.shape[1] != mats[0].shape[1]:
                 raise CotrainError(
                     f"view {view}: document {ex.doc_id!r} has vectors of width "
-                    f"{m.shape[1]}, the classifier takes {dim}"
+                    f"{m.shape[1]}, document {self.examples[0].doc_id!r} has "
+                    f"{mats[0].shape[1]}"
                 )
         self.lengths = np.array([m.shape[0] for m in mats], dtype=int)
         self.starts = np.cumsum(self.lengths) - self.lengths
-        self.matrix = np.vstack(mats) if mats else np.empty((0, dim))
+        self.matrix = np.vstack(mats) if mats else np.empty((0, 0))
 
-    def score(self, classifier, neutral_prob: float):
-        """Each bag's (max prob, first argmax); an empty bag scores
-        ``neutral_prob`` and has no winning instance (-1)."""
-        probs = predict_proba_batch(classifier, self.matrix)
+    def labeled_rows(self):
+        """The rows labeled POSITIVE or NEGATIVE and their 0/1 targets, in
+        document then instance order; only this reads instance labels."""
+        labels = np.array([label for ex in self.examples
+                           for label in ex.views[self.view].labels], dtype=object)
+        keep = (labels == POSITIVE) | (labels == NEGATIVE)
+        return self.matrix[keep], (labels[keep] == POSITIVE).astype(float)
+
+    def score(self, classifier, neutral_prob: float) -> np.ndarray:
+        """Each bag's highest instance probability; an empty bag scores
+        ``neutral_prob``."""
+        dim = classifier.weights.shape[0]
+        if self.examples and self.matrix.shape[1] != dim:
+            raise CotrainError(
+                f"view {self.view}: document {self.examples[0].doc_id!r} has vectors "
+                f"of width {self.matrix.shape[1]}, the classifier takes {dim}"
+            )
         maxes = np.full(self.lengths.size, float(neutral_prob))
-        winners = np.full(self.lengths.size, -1)
         full = self.lengths > 0
-        starts = self.starts[full]
-        maxes[full] = np.maximum.reduceat(probs, starts)
-        hit = probs >= np.repeat(maxes, self.lengths)
-        position = np.where(hit, np.arange(probs.size), probs.size)
-        winners[full] = np.minimum.reduceat(position, starts) - starts
-        return maxes, winners
+        maxes[full] = np.maximum.reduceat(predict_proba_batch(classifier, self.matrix),
+                                          self.starts[full])
+        return maxes
 
 
 def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
@@ -263,7 +259,7 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     # One labeled (X, y) pool per view, read once; each iteration that
     # promotes appends its rows, and every retrain starts from the view's
     # previous classifier.
-    pools = [_labeled_rows(labeled, j) for j in range(n_views)]
+    pools = [_StackedBags(labeled, j).labeled_rows() for j in range(n_views)]
     snapshots = [_train_views(pools, train_config, kcs_names, [None] * n_views)]
 
     # Documents with an empty bag in any view never qualify for promotion;
@@ -271,8 +267,7 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     # The rest are stacked once; promotion clears their ``alive`` flag. The
     # instance labels of unlabeled documents are never read.
     promotable = [ex for ex in unlabeled if all(v.size > 0 for v in ex.views)]
-    bags = [_StackedBags(promotable, j, snapshots[0][j].weights.shape[0])
-            for j in range(n_views)]
+    bags = [_StackedBags(promotable, j) for j in range(n_views)]
     alive = np.ones(len(promotable), dtype=bool)
     id_rank = np.argsort(sorted(range(len(promotable)),
                                 key=lambda p: promotable[p].doc_id))
@@ -280,9 +275,9 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     floor = co_config.confidence_floor
 
     for iteration in range(1, co_config.iterations + 1):
-        scored = [bags[j].score(snapshots[-1][j], co_config.neutral_prob)
-                  for j in range(n_views)]
-        maxes = np.vstack([s[0] for s in scored])           # (J, n_promotable)
+        classifiers = snapshots[-1]
+        maxes = np.vstack([bags[j].score(classifiers[j], co_config.neutral_prob)
+                           for j in range(n_views)])        # (J, n_promotable)
         confidently_negative = alive & np.all(maxes < 1.0 - floor, axis=0)
 
         # Each view takes its most confident documents not yet taken this
@@ -303,10 +298,11 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
         grown = [([X], [y]) for X, y in pools]
         for p, kind, j in sorted(picks):
             ex = promotable[p]
-            for view, (rows, targets), (_, winners) in zip(ex.views, grown, scored):
+            for view, (rows, targets), clf in zip(ex.views, grown, classifiers):
                 if kind == "positive":
                     # the winning instance of every view, as a positive
-                    rows.append(view.vectors[winners[p]][None])
+                    winner = mil_example_score(predict_proba_batch(clf, view.vectors))[1]
+                    rows.append(view.vectors[winner][None])
                     targets.append(np.ones(1))
                 else:
                     rows.append(view.vectors)
@@ -363,8 +359,7 @@ def predict_many(model: CoDecompModel, examples) -> dict:
     """``predict`` labels of many documents, scoring each view in one call."""
     examples = list(examples)
     probs = np.vstack([
-        _StackedBags(examples, j, clf.weights.shape[0]).score(
-            clf, model.co_config.neutral_prob)[0]
+        _StackedBags(examples, j).score(clf, model.co_config.neutral_prob)
         for j, clf in enumerate(model.classifiers)
     ])                                                  # (J, n)
     positive = np.prod(probs, axis=0) >= np.prod(1.0 - probs, axis=0)
@@ -376,8 +371,7 @@ def single_view_predictions(classifier, view_index: int, examples,
                             neutral_prob: float = 0.5) -> dict:
     """Threshold one view's bag probability at 0.5 (ties positive)."""
     examples = list(examples)
-    probs, _ = _StackedBags(examples, view_index, classifier.weights.shape[0]).score(
-        classifier, neutral_prob)
+    probs = _StackedBags(examples, view_index).score(classifier, neutral_prob)
     return {ex.doc_id: POSITIVE if p >= 0.5 else NEGATIVE
             for ex, p in zip(examples, probs)}
 

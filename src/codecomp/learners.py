@@ -492,10 +492,13 @@ def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
     # adds it, without numpy's slow reduction over an inner axis of two
     totals = np.add.accumulate(feature_mass)[-1] if vocab_size else np.zeros(2)
     denom = totals + alpha * (vocab_size + 1)  # +1: the unseen slot
+    # one 1-D division per class: dividing the (V, 2) array by the 2-vector
+    # loops over an inner axis of two, for the same bits
+    smoothed = np.stack([(feature_mass[:, c] + alpha) / denom[c] for c in range(2)], axis=1)
     return NBModel(
         class_order=NB_CLASSES,
         log_priors=np.log(doc_mass / doc_mass.sum()),
-        log_likelihoods=LogLikelihoods(table.index, np.log((feature_mass + alpha) / denom)),
+        log_likelihoods=LogLikelihoods(table.index, np.log(smoothed)),
         log_oov=np.log(alpha / denom),
         alpha=alpha,
     )

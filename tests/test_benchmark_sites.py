@@ -153,3 +153,26 @@ def test_ablation_folds_reach_the_sites_the_benchmark_records(monkeypatch, tmp_p
     # fold by fold, and within a fold in the table's variant order
     checks.check_fold_counts(workloads._fold_rows(calls["compute_metrics"], list(table)),
                              table, {d.id: d.gold_label for d in docs}, k)
+
+
+def test_an_ablation_reaches_every_cotrain_and_logreg_layer(monkeypatch):
+    # the per-layer metrics of ablate-synth read these layers' calls and
+    # time; pool scoring routed around ``cotrain.predict_proba_batch``, or a
+    # stage scored under another name, would read 0 and fail nothing else
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import taps
+
+    docs, preset = decomposable_corpus(80, seed=4, positive_rate=0.4)
+    spec = CoDecompSpec(preset=preset, provider=HashedWindowProvider(window=2, dim=16),
+                        co_config=CoConfig(iterations=2),
+                        train_config=TrainConfig(convergence_tolerance=1e-6))
+    tracer = taps.Tracer()
+    run.trace_layers(tracer)
+    try:
+        ablation_table(docs, spec, [1, 2], 2, SampleSpec(20, 2), repetitions=1)
+    finally:
+        tracer.remove()
+    layers = ["learners.train_logreg", "cotrain.pool_scoring",
+              "cotrain.single_view_predictions", "cotrain.predict_many"]
+    assert [k for k in layers if tracer.calls[k] == 0] == []

@@ -286,14 +286,13 @@ def test_stacked_scoring_matches_per_bag_reference(pool):
     model, examples = pool
     neutral = model.co_config.neutral_prob
     for j, clf in enumerate(model.classifiers):
-        maxes, winners = _StackedBags(examples, j, clf.weights.shape[0]).score(
-            clf, neutral)
-        for ex, p, win in zip(examples, maxes, winners):
+        maxes = _StackedBags(examples, j).score(clf, neutral)
+        for ex, p in zip(examples, maxes):
             bag = ex.views[j].vectors
             if bag.shape[0] == 0:
-                assert (p, win) == (neutral, -1)
+                assert p == neutral
             else:
-                assert (p, win) == mil_example_score(predict_proba_batch(clf, bag))
+                assert p == mil_example_score(predict_proba_batch(clf, bag))[0]
         single = single_view_predictions(clf, j, examples, neutral)
         assert single == {ex.doc_id: POSITIVE if p >= 0.5 else NEGATIVE
                           for ex, p in zip(examples, maxes)}
@@ -308,6 +307,28 @@ def test_stacked_scoring_rejects_a_width_mismatch():
         predict_many(model, [example])
     with pytest.raises(CotrainError, match="view 1"):
         single_view_predictions(model.classifiers[1], 1, [example])
+
+
+def test_cotraining_rejects_documents_of_another_width():
+    # a labeled pool is checked as it is stacked, an unlabeled one also
+    # against the classifiers trained on the labeled pool
+    def doc(doc_id, widths, labels):
+        return Example(doc_id, [ViewInstances(np.ones((len(labels), w)), labels)
+                                for w in widths])
+
+    labeled = [doc("L0", (2, 2), [POSITIVE, NEGATIVE]),
+               doc("L1", (2, 3), [NEGATIVE]),
+               doc("L2", (2, 4), [POSITIVE])]
+    with pytest.raises(CotrainError,
+                       match="^view 1: document 'L1' has vectors of width 3, "
+                             "document 'L0' has 2$"):
+        cotrain_fit(labeled, [], 2, CoConfig(), TrainConfig())
+    labeled = [doc("L0", (2, 2), [POSITIVE, NEGATIVE])]
+    unlabeled = [doc("U0", (2, 3), [UNLABELED])]
+    with pytest.raises(CotrainError,
+                       match="^view 1: document 'U0' has vectors of width 3, "
+                             "the classifier takes 2$"):
+        cotrain_fit(labeled, unlabeled, 2, CoConfig(), TrainConfig())
 
 
 def _synthetic_pools(n_docs=150, n_labeled=40, seed=5):
@@ -513,23 +534,30 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config)
         return Example(ex.doc_id, [ViewInstances(v.vectors, list(v.labels))
                                    for v in ex.views])
 
+    def score_bags(classifiers):
+        """(J, n) bag maxima and first argmaxes, one bag at a time."""
+        maxes = np.empty((n_views, len(promotable)))
+        winners = np.empty((n_views, len(promotable)), dtype=int)
+        for j, clf in enumerate(classifiers):
+            for p, ex in enumerate(promotable):
+                probs = predict_proba_batch(clf, ex.views[j].vectors)
+                maxes[j, p] = probs.max()
+                winners[j, p] = np.flatnonzero(probs == maxes[j, p])[0]
+        return maxes, winners
+
     kcs_names = tuple(f"view{j}" for j in range(n_views))
     pool_l = [working_copy(ex) for ex in labeled]
     classifiers = train_views(pool_l)
     snapshots = [classifiers]
     promotable = [working_copy(ex) for ex in unlabeled
                   if all(v.size > 0 for v in ex.views)]
-    bags = [_StackedBags(promotable, j, classifiers[j].weights.shape[0])
-            for j in range(n_views)]
     alive = np.ones(len(promotable), dtype=bool)
     id_rank = np.argsort(sorted(range(len(promotable)),
                                 key=lambda p: promotable[p].doc_id))
     log = []
     floor = co_config.confidence_floor
     for iteration in range(1, co_config.iterations + 1):
-        scored = [bags[j].score(classifiers[j], co_config.neutral_prob)
-                  for j in range(n_views)]
-        maxes = np.vstack([s[0] for s in scored])
+        maxes, winners = score_bags(classifiers)
         confidently_negative = alive & np.all(maxes < 1.0 - floor, axis=0)
         taken = np.zeros(len(promotable), dtype=bool)
         picks = []
@@ -545,8 +573,8 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config)
         for p, kind, j in sorted(picks):
             ex = promotable[p]
             if kind == "positive":
-                for view, (_, winners) in zip(ex.views, scored):
-                    view.labels[winners[p]] = POSITIVE
+                for view, winner in zip(ex.views, winners[:, p]):
+                    view.labels[winner] = POSITIVE
             else:
                 for view in ex.views:
                     view.labels[:] = [NEGATIVE] * len(view.labels)
@@ -567,14 +595,26 @@ def _reference_cotrain_fit(labeled, unlabeled, n_views, co_config, train_config)
                          snapshots=snapshots, iteration_log=log)
 
 
+class _UnreadableLabels:
+    """The instance labels of an unlabeled document: reading them fails."""
+
+    def _read(self, *args):
+        raise AssertionError("co-training read an unlabeled instance's label")
+
+    __iter__ = __len__ = __getitem__ = _read
+
+
 @st.composite
 def _cotrain_pools(draw):
     """Labeled and unlabeled examples for a short co-training run.
 
     Every labeled view holds both classes, next to unlabeled instances.
-    Unlabeled bags may be empty or hold several rows; some documents copy
-    an earlier one's bags, under a new or the same doc id; and unlabeled
-    instances carry arbitrary labels, which co-training must not read.
+    Unlabeled bags may be empty or hold several rows, some of them a
+    repeated row or rows scaled until their probabilities clip at
+    ``PROB_FLOOR``, so that a promoted positive's instance is decided by
+    the first-argmax tie rule; some documents copy an earlier one's bags,
+    under a new or the same doc id; and unlabeled instances carry labels
+    that fail the test when read.
     """
     n_views = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 4))
@@ -582,9 +622,8 @@ def _cotrain_pools(draw):
     direction = rng.normal(size=dim)
     label_of = st.sampled_from([POSITIVE, NEGATIVE, UNLABELED])
 
-    def bag(m, labels):
-        return ViewInstances(rng.normal(size=(m, dim)) * 2.0 + direction * rng.normal(),
-                             labels)
+    def rows(m):
+        return rng.normal(size=(m, dim)) * 2.0 + direction * rng.normal()
 
     labeled = []
     for i in range(draw(st.integers(2, 6))):
@@ -593,7 +632,7 @@ def _cotrain_pools(draw):
             labels = [draw(label_of) for _ in range(draw(st.integers(0, 3)))]
             if i < 2:  # the first two documents give each view both classes
                 labels.append(POSITIVE if i == 0 else NEGATIVE)
-            views.append(bag(len(labels), labels))
+            views.append(ViewInstances(rows(len(labels)), labels))
         labeled.append(Example(f"L{i}", views))
     unlabeled = []
     for i in range(draw(st.integers(0, 25))):
@@ -604,8 +643,13 @@ def _cotrain_pools(draw):
             continue
         views = []
         for _ in range(n_views):
-            m = draw(st.sampled_from([0, 1, 1, 2, 3]))
-            views.append(bag(m, [draw(label_of) for _ in range(m)]))
+            bag = rows(draw(st.sampled_from([0, 1, 1, 2, 3])))
+            shape = draw(st.sampled_from(["plain", "repeated", "saturated"]))
+            if shape == "repeated":
+                bag[1:] = bag[:1]
+            elif shape == "saturated":
+                bag *= 1e3
+            views.append(ViewInstances(bag, _UnreadableLabels()))
         unlabeled.append(Example(f"U{i:02d}", views))
     co_config = CoConfig(iterations=draw(st.integers(0, 5)),
                          promotions_per_view=draw(st.integers(1, 3)),
