@@ -3,7 +3,10 @@
 Two classifiers live here: an L2-regularized logistic regression fitted by
 damped Newton steps over context vectors (the per-concept learner), and a
 multinomial naive Bayes over unigram+bigram counts (the document-level
-baseline). Both are deterministic and serialize to JSON at full precision.
+baseline). Both are deterministic. A logistic model serializes to JSON at
+full precision as a classifier entry of the codecomp model record, the one
+model-file format (``save_model``, ``load_model``); an NB model is fitted and
+scored in memory only.
 """
 
 from __future__ import annotations
@@ -274,7 +277,6 @@ def predict_proba_batch(model: LogRegModel, X) -> np.ndarray:
 # Multinomial naive Bayes over unigram+bigram counts
 # ---------------------------------------------------------------------------
 
-OOV = "\x00oov"  # reserved feature holding the smoothing mass of unseen tokens
 NB_CLASSES = ("negative", "positive")  # class order of every NB estimate
 
 
@@ -319,8 +321,6 @@ class FeatureCounts:
         index = {}
         cols, counts, lengths = [], [], []
         for multiset in feature_counts:
-            if OOV in multiset:
-                raise LearnerError("reserved feature name in training data")
             cols.extend(index.setdefault(f, len(index)) for f in multiset)
             counts.extend(multiset.values())
             lengths.append(len(multiset))
@@ -408,54 +408,12 @@ class LogLikelihoods(Mapping):
         return self.rows
 
 
-def _class_pair(values, what) -> np.ndarray:
-    """``values`` as one float per class of ``NB_CLASSES``, or LearnerError."""
-    try:
-        pair = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        pair = None
-    if pair is None or pair.shape != (2,):
-        raise LearnerError(f"{what} must hold one number per class of {NB_CLASSES}, "
-                           f"got {values!r}")
-    return pair
-
-
 @dataclass
 class NBModel:
-    class_order: tuple[str, str]
-    log_priors: np.ndarray            # aligned with class_order
+    log_priors: np.ndarray            # aligned with NB_CLASSES
     log_likelihoods: LogLikelihoods   # feature -> per-class log P(feature | class)
     log_oov: np.ndarray               # per-class log mass of any unseen feature
     alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "nb",
-            "version": 1,
-            "class_order": list(self.class_order),
-            "log_priors": self.log_priors.tolist(),
-            "log_likelihoods": {f: v.tolist() for f, v in self.log_likelihoods.items()},
-            "log_oov": self.log_oov.tolist(),
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "NBModel":
-        if raw.get("kind") != "nb":
-            raise LearnerError(f"not an nb record: kind={raw.get('kind')!r}")
-        if tuple(raw["class_order"]) != NB_CLASSES:
-            raise LearnerError(f"class_order must be {list(NB_CLASSES)}, "
-                               f"got {raw['class_order']!r}")
-        likelihoods = raw["log_likelihoods"]
-        rows = [_class_pair(v, f"log_likelihoods[{f!r}]") for f, v in likelihoods.items()]
-        return cls(
-            class_order=NB_CLASSES,
-            log_priors=_class_pair(raw["log_priors"], "log_priors"),
-            log_likelihoods=LogLikelihoods({f: i for i, f in enumerate(likelihoods)},
-                                           np.array(rows).reshape(-1, 2)),
-            log_oov=_class_pair(raw["log_oov"], "log_oov"),
-            alpha=float(raw["alpha"]),
-        )
 
 
 def train_nb(feature_counts, labels, alpha: float = 1.0) -> NBModel:
@@ -496,7 +454,6 @@ def _train_nb_weighted(table: FeatureCounts, class_weights, alpha) -> NBModel:
     # loops over an inner axis of two, for the same bits
     smoothed = np.stack([(feature_mass[:, c] + alpha) / denom[c] for c in range(2)], axis=1)
     return NBModel(
-        class_order=NB_CLASSES,
         log_priors=np.log(doc_mass / doc_mass.sum()),
         log_likelihoods=LogLikelihoods(table.index, np.log(smoothed)),
         log_oov=np.log(alpha / denom),
@@ -529,22 +486,27 @@ def nb_predict_proba(model: NBModel, feature_count: Counter) -> float:
     scores = scores - scores.max()
     probs = np.exp(scores)
     probs /= probs.sum()
-    p = float(probs[model.class_order.index("positive")])
+    p = float(probs[NB_CLASSES.index("positive")])
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 def save_model(model, path) -> None:
+    """Write a codecomp model as ``load_model`` reads it back. The JSON text
+    is built before the file is opened, so a model that cannot be encoded
+    leaves a previous file at ``path`` as it was."""
+    from .cotrain import CoDecompModel  # deferred: cotrain imports learners
+
+    if not isinstance(model, CoDecompModel):
+        raise LearnerError(f"only codecomp models are saved, got {type(model).__name__}")
+    text = json.dumps(model.to_dict(), sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_model(path):
+    """The codecomp model ``save_model`` wrote to ``path``."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if raw.get("kind") == "logreg":
-        return LogRegModel.from_dict(raw)
-    if raw.get("kind") == "nb":
-        return NBModel.from_dict(raw)
     if raw.get("kind") == "codecomp":
         from .cotrain import CoDecompModel  # deferred: cotrain imports learners
 

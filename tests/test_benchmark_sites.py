@@ -176,3 +176,25 @@ def test_an_ablation_reaches_every_cotrain_and_logreg_layer(monkeypatch):
     layers = ["learners.train_logreg", "cotrain.pool_scoring",
               "cotrain.single_view_predictions", "cotrain.predict_many"]
     assert [k for k in layers if tracer.calls[k] == 0] == []
+
+
+def test_em_and_nb_folds_reach_every_baseline_layer(monkeypatch):
+    # the per-layer metrics of evaluate-em-nb read these layers' calls and
+    # time; NB folds scored, or a fit counted, under another name would
+    # read 0 and fail nothing else
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import taps
+
+    docs, _ = decomposable_corpus(80, seed=4, positive_rate=0.4)
+    tracer = taps.Tracer()
+    run.trace_layers(tracer)
+    try:
+        for spec in (EMSpec(em_config=EMConfig(max_iterations=2)), NBSpec()):
+            run_experiment(docs, spec, 2, SampleSpec(20, 2), repetitions=1)
+    finally:
+        tracer.remove()
+    layers = ["learners.train_nb", "learners.nb_predict_proba", "baselines.em_fit",
+              "baselines.document_features", "corpus.stratified_folds",
+              "corpus.sample_labeled", "evaluation.compute_metrics"]
+    assert [k for k in layers if tracer.calls[k] == 0] == []

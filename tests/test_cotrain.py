@@ -25,7 +25,14 @@ from codecomp.cotrain import (
     predict_many,
     single_view_predictions,
 )
-from codecomp.learners import LogRegModel, TrainConfig, predict_proba_batch, train_logreg
+from codecomp.learners import (
+    LogRegModel,
+    TrainConfig,
+    load_model,
+    predict_proba_batch,
+    save_model,
+    train_logreg,
+)
 from codecomp.synthetic import decomposable_corpus
 
 
@@ -778,6 +785,22 @@ def test_model_serialization_roundtrip(tmp_path):
         assert ca.bias == cb.bias
     assert again.co_config == model.co_config
     assert again.provider_spec == model.provider_spec
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    labeled, unlabeled, cfg = _simple_examples()
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model.provider_spec = {"kind": "hashed", "window": 2, "dim": 1}
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    saved = path.read_bytes()
+    again = load_model(path)
+    assert [c.weights.tobytes() for c in again.classifiers] == [
+        c.weights.tobytes() for c in model.classifiers]
+    model.provider_spec = {"kind": "hashed", "window": np.int64(2), "dim": 1}
+    with pytest.raises(TypeError, match="int64"):
+        save_model(model, path)
+    assert path.read_bytes() == saved
 
 
 def test_loaded_model_has_no_trajectory():

@@ -10,7 +10,6 @@ from codecomp import learners
 from codecomp.learners import (
     LearnerError,
     LogRegModel,
-    NBModel,
     TrainConfig,
     _gradient_hessian,
     _sigmoid,
@@ -237,14 +236,13 @@ class TestLogReg:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    def test_serialization_roundtrip(self, tmp_path):
+    def test_serialization_roundtrip(self):
+        # the classifier entries of a codecomp model file
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 4))
         y = (rng.random(20) < 0.5).astype(float)
         model = train_logreg(X, y, TrainConfig(epochs=50))
-        path = tmp_path / "logreg.json"
-        save_model(model, path)
-        again = load_model(path)
+        again = LogRegModel.from_dict(model.to_dict())
         np.testing.assert_array_equal(again.weights, model.weights)
         assert again.bias == model.bias
         assert again.config == model.config
@@ -556,35 +554,6 @@ class TestNaiveBayes:
             train_nb([Counter({"a": 1}), Counter({"b": 1})],
                      ["positive", "negative"], alpha=0.0)
 
-    def test_serialization_roundtrip(self, tmp_path):
-        docs = [ngram_counts(["sick", "flu"]), ngram_counts(["flu", "shot"])]
-        model = train_nb(docs, ["positive", "negative"])
-        path = tmp_path / "nb.json"
-        save_model(model, path)
-        again = load_model(path)
-        assert isinstance(again, NBModel)
-        # save_model sorts the features; each row loads back bit for bit
-        assert sorted(again.log_likelihoods) == sorted(model.log_likelihoods)
-        for feat, row in model.log_likelihoods.items():
-            assert again.log_likelihoods[feat].tobytes() == row.tobytes()
-        query = ngram_counts(["sick", "never"])
-        assert nb_predict_proba(again, query) == nb_predict_proba(model, query)
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("class_order", ["positive", "negative"], "class_order"),
-        ("log_priors", [-0.7, -0.7, -0.7], "log_priors"),
-        ("log_oov", [-3.0], "log_oov"),
-        ("log_likelihoods", {"flu": [-1.0, -2.0], "sick": [-1.0, -2.0, -3.0]},
-         "log_likelihoods\\['sick'\\]"),
-        ("log_likelihoods", {"flu": "ab"}, "log_likelihoods\\['flu'\\]"),
-    ], ids=["class-order", "prior", "oov", "3-wide-row", "non-numeric-row"])
-    def test_load_rejects_rows_not_one_per_class(self, field, value, message):
-        raw = train_nb([Counter({"flu": 1}), Counter({"sick": 1})],
-                       ["positive", "negative"]).to_dict()
-        raw[field] = value
-        with pytest.raises(LearnerError, match=message):
-            NBModel.from_dict(raw)
-
     def test_likelihoods_are_a_read_only_mapping(self):
         docs = [ngram_counts(["sick", "flu"]), ngram_counts(["flu", "shot"])]
         model = train_nb(docs, ["positive", "negative"])
@@ -604,7 +573,25 @@ def test_ngram_counts_unigrams_and_bigrams():
 
 
 def test_load_model_unknown_kind(tmp_path):
+    # codecomp records are the one model file; NB and bare logistic models
+    # are not read from one
     path = tmp_path / "x.json"
-    path.write_text(json.dumps({"kind": "mystery"}), encoding="utf-8")
-    with pytest.raises(LearnerError, match="unknown model kind"):
-        load_model(path)
+    for kind in ("mystery", "nb", "logreg"):
+        path.write_text(json.dumps({"kind": kind}), encoding="utf-8")
+        with pytest.raises(LearnerError, match=f"unknown model kind '{kind}'"):
+            load_model(path)
+
+
+def test_save_model_rejects_models_it_cannot_load_back(tmp_path):
+    nb = train_nb([Counter({"flu": 1}), Counter({"sick": 1})], ["positive", "negative"])
+    logreg = _zero_model(3)
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"previous")
+    for model in (nb, logreg):
+        with pytest.raises(LearnerError, match=f"got {type(model).__name__}"):
+            save_model(model, tmp_path / "new.json")
+        with pytest.raises(LearnerError, match="only codecomp models"):
+            save_model(model, kept)
+    # rejected before the file is opened: nothing created, nothing truncated
+    assert not (tmp_path / "new.json").exists()
+    assert kept.read_bytes() == b"previous"
