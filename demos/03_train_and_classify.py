@@ -24,6 +24,8 @@ from codecomp.synthetic import decomposable_corpus
 docs, preset = decomposable_corpus(600, seed=11, positive_rate=0.4, ambiguity=0.15)
 lexicons = load_lexicons()
 provider = HashedWindowProvider(window=2, dim=64)
+# the view names state the views: build_examples makes one view per name,
+# and cotrain_fit rejects a view count other than len(names)
 names = tuple(k.name for k in preset.kcs_list)
 
 held_out, pool = docs[:100], docs[100:]
@@ -38,7 +40,7 @@ model = cotrain_fit(
     labeled, unlabeled, len(names),
     CoConfig(iterations=15, confidence_floor=0.7),
     TrainConfig(),
-    kcs_names=names,
+    names,
 )
 
 print("iteration log (first five):")

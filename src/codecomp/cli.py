@@ -73,12 +73,8 @@ class RunConfig:
     model: str = "codecomp"
 
     def __post_init__(self):
-        if self.k_folds < 2:
-            raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
-        if self.n_labeled < 1:
-            raise ConfigError(f"n_labeled must be >= 1, got {self.n_labeled}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        evaluation.check_protocol_values(self.k_folds, self.repetitions, self.dev_fold,
+                                         self.jobs, (self.n_labeled,))
         if self.model not in ("codecomp", "nb", "em"):
             raise ConfigError(f"model must be codecomp, nb or em, got {self.model!r}")
 

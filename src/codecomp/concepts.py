@@ -121,15 +121,14 @@ def load_wordlist(path) -> tuple[str, ...]:
     return tuple(entries)
 
 
-def lexicon_dir(directory=None) -> Path:
-    if directory is not None:
-        return Path(directory)
+def lexicon_dir() -> Path:
+    """``CODECOMP_LEXICON_DIR`` where it is set, else the bundled lexicons."""
     env = os.environ.get(LEXICON_DIR_ENV)
     return Path(env) if env else DATA_DIR
 
 
-def load_lexicons(directory=None) -> Lexicons:
-    base = lexicon_dir(directory)
+def load_lexicons() -> Lexicons:
+    base = lexicon_dir()
     return Lexicons(
         pronouns=frozenset(load_wordlist(base / "pronouns.txt")),
         person_dictionary=frozenset(load_wordlist(base / "person_dictionary.txt")),

@@ -90,6 +90,25 @@ def _parse_spans(raw):
         raise CorpusError("positive_human_spans must be [start, end] pairs")
 
 
+def _read_document(line: str, fmt: str) -> Document:
+    """The Document of one non-blank corpus line."""
+    if fmt == "tsv":
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusError("expected id<TAB>label<TAB>text")
+        doc_id, label, text = parts
+        return Document(id=doc_id, text=text, gold_label=label or None)
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"malformed JSON ({exc.msg})") from None
+    if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
+        raise CorpusError("record must contain id and text")
+    return Document(id=str(raw["id"]), text=raw["text"], gold_label=raw.get("gold_label"),
+                    positive_human_spans=_parse_spans(raw.get("positive_human_spans")),
+                    task=raw.get("task", ""))
+
+
 def load_corpus(path, fmt: str = "jsonl") -> list[Document]:
     """Read a corpus file into a list of Documents, in file order.
 
@@ -107,31 +126,10 @@ def load_corpus(path, fmt: str = "jsonl") -> list[Document]:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if fmt == "jsonl":
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {line_no}: malformed JSON ({exc.msg})")
-                if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
-                    raise CorpusError(f"line {line_no}: record must contain id and text")
-                try:
-                    doc = Document(
-                        id=str(raw["id"]),
-                        text=raw["text"],
-                        gold_label=raw.get("gold_label"),
-                        positive_human_spans=_parse_spans(
-                            raw.get("positive_human_spans")
-                        ),
-                        task=raw.get("task", ""),
-                    )
-                except CorpusError as exc:
-                    raise CorpusError(f"line {line_no}: {exc}")
-            else:
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise CorpusError(f"line {line_no}: expected id<TAB>label<TAB>text")
-                doc_id, label, text = parts
-                doc = Document(id=doc_id, text=text, gold_label=label or None)
+            try:
+                doc = _read_document(line, fmt)
+            except CorpusError as exc:
+                raise CorpusError(f"line {line_no}: {exc}") from None
             if doc.id in seen:
                 raise CorpusError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)

@@ -127,7 +127,7 @@ class CoDecompModel:
             kcs_names=kcs_names,
             classifiers=classifiers,
             co_config=CoConfig(**raw["co_config"]),
-            train_config=TrainConfig.from_dict(raw["train_config"]),
+            train_config=TrainConfig(**raw["train_config"]),
             provider_spec=provider_spec,
         )
 
@@ -145,8 +145,9 @@ def mil_example_score(instance_probs) -> tuple[float, int]:
     return float(probs[idx]), idx
 
 
-def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
-    """Vectorize processed documents into per-view instance matrices.
+def build_examples(processed_docs, provider, kcs_names) -> list[Example]:
+    """Vectorize processed documents into per-view instance matrices, one
+    view per name of ``kcs_names``, in that order.
 
     Each view's occurrences across the whole batch go to the provider in
     one ``context_of`` call, and each document's rows are a slice of that
@@ -155,10 +156,8 @@ def build_examples(processed_docs, provider, kcs_names=None) -> list[Example]:
     with precomputed-vector keys.
     """
     processed_docs = list(processed_docs)
-    if kcs_names is None and processed_docs:
-        kcs_names = tuple(b.kcs_name for b in processed_docs[0].bags)
     per_view = []
-    for name in kcs_names or ():
+    for name in kcs_names:
         occurrences, labels, bounds = [], [], [0]
         for pdoc in processed_docs:
             for occ, (mention, label) in enumerate(pdoc.masked_instances(name)):
@@ -236,9 +235,12 @@ class _StackedBags:
 
 
 def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
-                train_config: TrainConfig, kcs_names=None) -> CoDecompModel:
+                train_config: TrainConfig, kcs_names) -> CoDecompModel:
     """Fit one classifier per view, then co-train them over the unlabeled pool.
 
+    ``kcs_names`` names the views, in the order of every example's views;
+    ``n_views`` must be its length (perfbench's co-training checker reads
+    this argument as the view count), and a mismatch fails before any fit.
     Each iteration scores the unlabeled documents, promotes each view's most
     confident positive and negative documents (those clearing the confidence
     floor) into the labeled pool, and retrains the views on it. Stops early
@@ -248,13 +250,13 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     ``snapshots[min(k, len(snapshots) - 1)]``. A first iteration that
     promotes nothing logs one warning.
     """
+    if n_views != len(kcs_names):
+        raise CotrainError(f"{n_views} views, but {len(kcs_names)} view names")
     for ex in list(labeled) + list(unlabeled):
         if len(ex.views) != n_views:
             raise CotrainError(
                 f"document {ex.doc_id!r} has {len(ex.views)} views, expected {n_views}"
             )
-    if kcs_names is None:
-        kcs_names = tuple(f"view{j}" for j in range(n_views))
 
     # One labeled (X, y) pool per view, read once; each iteration that
     # promotes appends its rows, and every retrain starts from the view's
@@ -376,10 +378,11 @@ def single_view_predictions(classifier, view_index: int, examples,
             for ex, p in zip(examples, probs)}
 
 
-def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
+def ablation_variants(labeled, unlabeled, kcs_names, co_config: CoConfig,
                       train_config: TrainConfig, iteration_counts,
-                      test_examples, kcs_names=None) -> dict:
-    """Predictions of every ablation stage over one test set.
+                      test_examples) -> dict:
+    """Predictions of every ablation stage over one test set, the views
+    named by ``kcs_names``.
 
     Stages: each view alone (base classifier, threshold 0.5), the product
     combination without any promotion, and the co-trained model at each
@@ -389,9 +392,8 @@ def ablation_variants(labeled, unlabeled, n_views: int, co_config: CoConfig,
     if any(k < 1 for k in iteration_counts):
         raise CotrainError("iteration counts must be >= 1")
     max_k = max(iteration_counts) if iteration_counts else 0
-    model = cotrain_fit(labeled, unlabeled, n_views,
-                        replace(co_config, iterations=max_k), train_config,
-                        kcs_names=kcs_names)
+    model = cotrain_fit(labeled, unlabeled, len(kcs_names),
+                        replace(co_config, iterations=max_k), train_config, kcs_names)
 
     variants = {}
     for j, name in enumerate(model.kcs_names):

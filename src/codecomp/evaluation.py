@@ -201,10 +201,11 @@ class CoDecompSpec:
     name = "codecomp"
 
     def describe(self) -> dict:
+        # the views, not the preset's name: a preset file is named by its path
         return {
             "model": "codecomp",
-            "task": self.preset.name,
-            "views": [k.name for k in self.preset.kcs_list],
+            "views": [{"name": k.name, "kind": k.kind, "keywords": list(k.keywords),
+                       "mask_token": k.mask_token} for k in self.preset.kcs_list],
             "provider": self.provider.spec(),
             "co_config": asdict(self.co_config),
             "train_config": asdict(self.train_config),
@@ -264,17 +265,16 @@ class _CoDecompRunner:
                 self.examples[example.doc_id] = example
 
     def predictions(self, labeled, unlabeled, test):
-        pools = (
-            [self.examples[d.id] for d in labeled],
-            [self.examples[d.id] for d in unlabeled],
-            len(self.kcs_names), self.spec.co_config, self.spec.train_config,
-        )
+        labeled = [self.examples[d.id] for d in labeled]
+        unlabeled = [self.examples[d.id] for d in unlabeled]
+        configs = (self.spec.co_config, self.spec.train_config)
         test = [self.examples[d.id] for d in test]
         if self.iteration_settings is None:
-            model = cotrain_fit(*pools, kcs_names=self.kcs_names)
+            model = cotrain_fit(labeled, unlabeled, len(self.kcs_names), *configs,
+                                self.kcs_names)
             return {self.spec.name: predict_many(model, test)}
-        return ablation_variants(*pools, self.iteration_settings, test,
-                                 kcs_names=self.kcs_names)
+        return ablation_variants(labeled, unlabeled, self.kcs_names, *configs,
+                                 self.iteration_settings, test)
 
 
 def _make_runner(corpus, model_spec, iteration_settings=None):
@@ -322,11 +322,9 @@ def _repetition(corpus, runner, k_folds, sizes, dev_fold, rep, seed_r):
                 yield n, variant, rep, fold, compute_metrics(predictions, gold)
 
 
-def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None:
+def check_protocol_values(k_folds, repetitions, dev_fold, jobs, sizes) -> None:
     """Reject bad protocol values, ``sizes`` being the labeled-set sizes to
-    run, before any runner processes the corpus. Fold sizes do not depend on
-    the seed, so a labeled set larger than the smallest training split of
-    one repetition's folds is too large for every repetition."""
+    run; the rule needs no corpus, so a config is checked by it when read."""
     if not sizes:
         raise EvalError("no labeled-set sizes to run")
     if any(n < 1 for n in sizes):
@@ -339,6 +337,14 @@ def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None
         raise EvalError(f"dev_fold must lie in [0, {k_folds}), got {dev_fold}")
     if jobs < 1:
         raise EvalError(f"jobs must be >= 1, got {jobs}")
+
+
+def _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes) -> None:
+    """``check_protocol_values``, then reject a labeled set that ``corpus``
+    cannot supply, before any runner processes it. Fold sizes do not depend
+    on the seed, so a labeled set larger than the smallest training split
+    of one repetition's folds is too large for every repetition."""
+    check_protocol_values(k_folds, repetitions, dev_fold, jobs, sizes)
     try:
         per_fold = fold_sizes(corpus, k_folds)
     except CorpusError as exc:

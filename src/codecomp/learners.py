@@ -33,7 +33,7 @@ class TrainConfig:
     """Settings of ``train_logreg``. ``epochs`` caps its Newton steps and
     ``convergence_tolerance`` bounds half the Newton decrement at which it
     stops. ``learning_rate`` is still checked but no longer read: configs
-    and model files written for the former gradient-descent fit carry it."""
+    written for the former gradient-descent fit carry it."""
 
     learning_rate: float = 0.1
     epochs: int = 500
@@ -49,12 +49,6 @@ class TrainConfig:
             raise LearnerError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.convergence_tolerance < 0:
             raise LearnerError(f"convergence_tolerance must be >= 0, got {self.convergence_tolerance}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        # model files written before the unused ``seed`` field was dropped
-        # still carry it
-        return cls(**{k: v for k, v in raw.items() if k != "seed"})
 
 
 @dataclass
@@ -85,11 +79,10 @@ class LogRegModel:
         return cls(
             weights=np.asarray(raw["weights"], dtype=float),
             bias=float(raw["bias"]),
-            config=TrainConfig.from_dict(raw["config"]),
+            config=TrainConfig(**raw["config"]),
             final_loss=float(raw["final_loss"]),
             epochs_run=int(raw["epochs_run"]),
-            # model files written by the gradient-descent learner carry no flag
-            converged=bool(raw.get("converged", False)),
+            converged=bool(raw["converged"]),
         )
 
 
@@ -416,16 +409,13 @@ class NBModel:
     alpha: float
 
 
-def train_nb(feature_counts, labels, alpha: float = 1.0) -> NBModel:
-    """Laplace-smoothed multinomial NB from a ``FeatureCounts`` table, or
-    from per-document feature multisets counted into one.
+def train_nb(feature_counts: FeatureCounts, labels, alpha: float = 1.0) -> NBModel:
+    """Laplace-smoothed multinomial NB from a ``FeatureCounts`` table.
 
     The vocabulary comes from the training documents only; one extra
     smoothing slot absorbs features unseen at training time, so the
     per-class likelihoods (vocabulary plus that slot) sum to one.
     """
-    if not isinstance(feature_counts, FeatureCounts):
-        feature_counts = FeatureCounts.from_multisets(feature_counts)
     return _train_nb_weighted(feature_counts, one_hot_labels(labels), alpha)
 
 

@@ -43,8 +43,8 @@ def _crisis_preset(name: str) -> TaskPreset:
     return TaskPreset(name=name, kcs_list=(_human_kcs(), crisis))
 
 
-def _adr_preset(name: str, lexicons_dir=None) -> TaskPreset:
-    drugs = load_wordlist(lexicon_dir(lexicons_dir) / "drug_names.txt")
+def _adr_preset(name: str) -> TaskPreset:
+    drugs = load_wordlist(lexicon_dir() / "drug_names.txt")
     drug = KeyConceptSet(name="drug", kind="keyword", keywords=drugs,
                          mask_token=DRUG_TOK)
     return TaskPreset(name=name, kcs_list=(_human_kcs(), drug))
@@ -54,14 +54,14 @@ def preset_names() -> list[str]:
     return sorted(list(_DISEASE_KEYWORDS) + ["crisis-earthquake", "adr"])
 
 
-def task_preset(name: str, lexicons_dir=None) -> TaskPreset:
+def task_preset(name: str) -> TaskPreset:
     """Look up a built-in preset by task name."""
     if name in _DISEASE_KEYWORDS:
         return _phm_preset(name)
     if name == "crisis-earthquake":
         return _crisis_preset(name)
     if name == "adr":
-        return _adr_preset(name, lexicons_dir)
+        return _adr_preset(name)
     raise ConceptError(
         f"unknown task {name!r}; available presets: {', '.join(preset_names())}"
     )

@@ -39,6 +39,7 @@ from codecomp.cotrain import (
 )
 from codecomp.evaluation import CoDecompSpec, ablation_table
 from codecomp.learners import (
+    FeatureCounts,
     LogRegModel,
     TrainConfig,
     loss_gradient,
@@ -147,7 +148,7 @@ def test_criterion_04_nb_bruteforce_oracle():
         train_docs.append(ngram_counts(tokens))
         labels.append(POSITIVE if i % 3 else NEGATIVE)
     alpha = 1.0
-    model = train_nb(train_docs, labels, alpha=alpha)
+    model = train_nb(FeatureCounts.from_multisets(train_docs), labels, alpha=alpha)
 
     # independent oracle: plain-float joint probabilities from raw counts
     class_docs = {POSITIVE: 0, NEGATIVE: 0}

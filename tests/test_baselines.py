@@ -46,7 +46,7 @@ def test_nb_baseline_delegates_to_train_nb():
         _doc(2, "flu shot clinic open", NEGATIVE),
     ]
     baseline = nb_baseline_fit(docs, alpha=1.0)
-    direct = train_nb([document_features(d) for d in docs],
+    direct = train_nb(FeatureCounts.from_multisets([document_features(d) for d in docs]),
                       [d.gold_label for d in docs], alpha=1.0)
     probe = document_features(_doc(3, "sick again", None))
     assert nb_predict_proba(baseline, probe) == nb_predict_proba(direct, probe)
@@ -150,8 +150,9 @@ class TestErrorPaths:
     def test_unknown_class_rejected(self, label):
         # a Document cannot carry "maybe"; train_nb takes bare labels
         with pytest.raises(LearnerError, match="unknown class"):
-            train_nb([Counter({"a": 1}), Counter({"b": 1}), Counter({"c": 1})],
-                     [POSITIVE, NEGATIVE, label])
+            table = FeatureCounts.from_multisets(
+                [Counter({"a": 1}), Counter({"b": 1}), Counter({"c": 1})])
+            train_nb(table, [POSITIVE, NEGATIVE, label])
 
     def test_single_class_rejected(self):
         docs = [_doc(1, "sick with flu", POSITIVE), _doc(2, "flu again", POSITIVE)]
@@ -313,7 +314,7 @@ class TestMatchesDictLoop:
         docs, _, features, table = _fixture_of(labeled, labels, unlabeled)
         multisets = [features[d.id] for d in docs]
         expected = _reference_nb(multisets, [{y: 1.0} for y in labels], alpha)
-        for model in (train_nb(multisets, labels, alpha),
+        for model in (train_nb(FeatureCounts.from_multisets(multisets), labels, alpha),
                       nb_baseline_fit(docs, alpha, features=table)):
             _assert_same_nb(model, expected)
 

@@ -68,7 +68,8 @@ def test_one_document_reaches_every_concepts_and_context_layer(monkeypatch, lexi
     run.trace_layers(tracer)
     try:
         pdoc = concepts.process_document(doc, preset, lexicons)
-        cotrain.build_examples([pdoc], HashedWindowProvider(window=3, dim=64))
+        cotrain.build_examples([pdoc], HashedWindowProvider(window=3, dim=64),
+                               [k.name for k in preset.kcs_list])
     finally:
         tracer.remove()
     layers = sorted(k for k in tracer.layers if k.startswith(("concepts.", "context.")))

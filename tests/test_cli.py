@@ -158,7 +158,8 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
     def test_validation_bounds(self):
-        with pytest.raises(ConfigError, match="k_folds"):
+        # the protocol rule that evaluation applies, checked when read
+        with pytest.raises(evaluation.EvalError, match="k_folds"):
             RunConfig(task="phm-cancer", corpus="c", k_folds=1)
 
     def test_flags_parse_as_file_values(self, tmp_path):
@@ -488,6 +489,17 @@ def test_evaluate_rejects_dev_fold_and_jobs_out_of_range(synth_setup, tmp_path,
                  "--jobs", "0"]) == 2
     assert "jobs must be >= 1, got 0" in capsys.readouterr().err
     assert not (out / "report_nb.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "prepare"])
+def test_jobs_checked_before_any_document_is_read(synth_setup, monkeypatch, capsys,
+                                                  command):
+    config, out = synth_setup
+    read = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *args: read.append(args))
+    assert main([command, "--config", str(config), "--jobs", "0"]) == 2
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert read == [] and not out.exists()
 
 
 @pytest.mark.parametrize("model, edit", [

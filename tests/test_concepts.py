@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import logging
 import pickle
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -632,7 +633,7 @@ def test_surface_pipeline_equals_the_token_pipeline(lexicons, docs, preset_name)
     preset = _DIFF_PRESETS[preset_name]
     provider = HashedWindowProvider(window=2, dim=16)
     pdocs = [process_document(doc, preset, lexicons) for doc in docs]
-    examples = build_examples(pdocs, provider)
+    examples = build_examples(pdocs, provider, [k.name for k in preset.kcs_list])
     for doc, pdoc, example in zip(docs, pdocs, examples):
         tokens, bags, masked, ranges = _reference_process_document(doc, preset, lexicons)
         assert pdoc.tokens == tuple(tokens)
@@ -685,6 +686,24 @@ def test_wordlist_comments_and_blanks(tmp_path):
     path = tmp_path / "list.txt"
     path.write_text("# header\nalpha  # trailing\n\nBeta\n", encoding="utf-8")
     assert load_wordlist(path) == ("alpha", "beta")
+
+
+def test_lexicon_dir_env_moves_every_lexicon(tmp_path, monkeypatch):
+    # CODECOMP_LEXICON_DIR is the one way to read other lexicons: the human
+    # view's word lists and the adr preset's drug names both follow it
+    copy = tmp_path / "lexicons"
+    shutil.copytree(concepts.DATA_DIR, copy)
+    with open(copy / "pronouns.txt", "a", encoding="utf-8") as fh:
+        fh.write("zir\n")
+    (copy / "drug_names.txt").write_text("zorblax\nmega cillin\n", encoding="utf-8")
+    tokens = token_surfaces("zir took zorblax")
+    monkeypatch.delenv(concepts.LEXICON_DIR_ENV, raising=False)
+    assert extract_human_mentions(tokens, concepts.load_lexicons()) == []
+    assert "zorblax" not in task_preset("adr").kcs_list[1].keywords
+    monkeypatch.setenv(concepts.LEXICON_DIR_ENV, str(copy))
+    mentions = extract_human_mentions(tokens, concepts.load_lexicons())
+    assert [m.surface for m in mentions] == ["zir"]
+    assert task_preset("adr").kcs_list[1].keywords == ("zorblax", "mega cillin")
 
 
 def test_kcs_validation():

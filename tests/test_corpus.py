@@ -87,6 +87,13 @@ def test_tsv_load(tmp_path):
     assert docs[1].gold_label is None
 
 
+def test_tsv_row_error_names_its_line(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("a\tpositive\tfine\n\nb\tmaybe\tno such label\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 3: document 'b': gold_label must be one of"):
+        load_corpus(path, "tsv")
+
+
 @pytest.mark.parametrize("spans, message", [
     ([[0, 99]], "bounds"),
     ([[0, 3], [2, 5]], "overlap"),

@@ -1,10 +1,11 @@
 import logging
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codecomp import cotrain
 from codecomp.concepts import NEGATIVE, POSITIVE, UNLABELED, load_lexicons, process_document
 from codecomp.context import HashedWindowProvider, load_precomputed
 from codecomp.corpus import Document, SampleSpec, sample_labeled
@@ -38,6 +39,10 @@ from codecomp.synthetic import decomposable_corpus
 
 def _logit(p):
     return float(np.log(p / (1.0 - p)))
+
+
+def _view_names(n):
+    return tuple(f"view{j}" for j in range(n))
 
 
 def _bias_model(probs, neutral=0.5):
@@ -151,7 +156,7 @@ def _simple_examples():
 class TestCotrainFit:
     def test_k0_equals_independent_training(self):
         labeled, unlabeled, cfg = _simple_examples()
-        model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=0), cfg)
+        model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=0), cfg, _view_names(2))
         expected0 = train_logreg(np.array([[1.0], [-1.0]]), [1, 0], cfg)
         np.testing.assert_array_equal(model.classifiers[0].weights, expected0.weights)
         assert model.classifiers[0].bias == expected0.bias
@@ -159,8 +164,8 @@ class TestCotrainFit:
 
     def test_empty_unlabeled_any_k_equals_k0(self):
         labeled, _, cfg = _simple_examples()
-        a = cotrain_fit(labeled, [], 2, CoConfig(iterations=0), cfg)
-        b = cotrain_fit(labeled, [], 2, CoConfig(iterations=7), cfg)
+        a = cotrain_fit(labeled, [], 2, CoConfig(iterations=0), cfg, _view_names(2))
+        b = cotrain_fit(labeled, [], 2, CoConfig(iterations=7), cfg, _view_names(2))
         for ca, cb in zip(a.classifiers, b.classifiers):
             np.testing.assert_array_equal(ca.weights, cb.weights)
             assert ca.bias == cb.bias
@@ -173,7 +178,7 @@ class TestCotrainFit:
         # on exactly that pool, warm-started from the first fit, which pins
         # the labels instance by instance.
         labeled, unlabeled, cfg = _simple_examples()
-        model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=2), cfg)
+        model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=2), cfg, _view_names(2))
 
         first = model.iteration_log[0]
         by_kind = {p["kind"]: p for p in first.promotions}
@@ -196,7 +201,7 @@ class TestCotrainFit:
         cfg = TrainConfig(epochs=5)
         labeled = [Example("L1", [ViewInstances(np.array([[1.0]]), [POSITIVE])])]
         with pytest.raises(CotrainError, match="view 0"):
-            cotrain_fit(labeled, [], 1, CoConfig(iterations=0), cfg)
+            cotrain_fit(labeled, [], 1, CoConfig(iterations=0), cfg, _view_names(1))
         with pytest.raises(CotrainError, match=r"view 0 \(disease\) needs"):
             cotrain_fit(labeled, [], 1, CoConfig(iterations=0), cfg,
                         kcs_names=("disease",))
@@ -204,11 +209,22 @@ class TestCotrainFit:
     def test_view_count_validated(self):
         labeled, unlabeled, cfg = _simple_examples()
         with pytest.raises(CotrainError, match="views"):
-            cotrain_fit(labeled, unlabeled, 3, CoConfig(iterations=0), cfg)
+            cotrain_fit(labeled, unlabeled, 3, CoConfig(iterations=0), cfg, _view_names(3))
+
+    @pytest.mark.parametrize("names", [("a", "b", "c"), ("a",)])
+    def test_view_names_must_match_the_view_count(self, monkeypatch, names):
+        labeled, unlabeled, cfg = _simple_examples()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a view was fitted")
+
+        monkeypatch.setattr(cotrain, "train_logreg", no_fit)
+        with pytest.raises(CotrainError, match=f"2 views, but {len(names)} view names"):
+            cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg, names)
 
     def test_caller_examples_not_mutated(self):
         labeled, unlabeled, cfg = _simple_examples()
-        cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=3), cfg)
+        cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=3), cfg, _view_names(2))
         assert unlabeled[0].views[0].labels == [UNLABELED]
         assert unlabeled[1].views[1].labels == [UNLABELED, UNLABELED]
 
@@ -244,7 +260,7 @@ def test_duplicate_documents_score_alike_and_tie_to_lower_doc_id():
     labeled = [example(f"L{i:02d}", X[i], POSITIVE if y[i] else NEGATIVE)
                for i in range(len(y))]
     unlabeled = [example(f"U{i:02d}", row, UNLABELED) for i, row in enumerate(rows)]
-    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg, _view_names(2))
     positives = {p["view"]: p for p in model.iteration_log[0].promotions
                  if p["kind"] == "positive"}
     assert positives["view0"]["doc_id"] == "U05"
@@ -329,13 +345,13 @@ def test_cotraining_rejects_documents_of_another_width():
     with pytest.raises(CotrainError,
                        match="^view 1: document 'L1' has vectors of width 3, "
                              "document 'L0' has 2$"):
-        cotrain_fit(labeled, [], 2, CoConfig(), TrainConfig())
+        cotrain_fit(labeled, [], 2, CoConfig(), TrainConfig(), _view_names(2))
     labeled = [doc("L0", (2, 2), [POSITIVE, NEGATIVE])]
     unlabeled = [doc("U0", (2, 3), [UNLABELED])]
     with pytest.raises(CotrainError,
                        match="^view 1: document 'U0' has vectors of width 3, "
                              "the classifier takes 2$"):
-        cotrain_fit(labeled, unlabeled, 2, CoConfig(), TrainConfig())
+        cotrain_fit(labeled, unlabeled, 2, CoConfig(), TrainConfig(), _view_names(2))
 
 
 def _synthetic_pools(n_docs=150, n_labeled=40, seed=5):
@@ -672,7 +688,8 @@ def test_labeled_pools_match_the_rebuilding_loop(pools):
     cfg = TrainConfig(epochs=40, convergence_tolerance=0.0)
     stripped = [Example(ex.doc_id, [ViewInstances(v.vectors, [UNLABELED] * v.size)
                                     for v in ex.views]) for ex in unlabeled]
-    model = cotrain_fit(labeled, unlabeled, n_views, co_config, cfg)
+    model = cotrain_fit(labeled, unlabeled, n_views, co_config, cfg,
+                        _view_names(n_views))
     _assert_same_fit(
         model, _reference_cotrain_fit(labeled, stripped, n_views, co_config, cfg))
     # every shorter run is a prefix of this one; a longer run is one too,
@@ -680,7 +697,7 @@ def test_labeled_pools_match_the_rebuilding_loop(pools):
     stopped = bool(model.iteration_log) and not model.iteration_log[-1].promotions
     for k in ks:
         run = cotrain_fit(labeled, unlabeled, n_views,
-                          replace(co_config, iterations=k), cfg)
+                          replace(co_config, iterations=k), cfg, _view_names(n_views))
         if k > co_config.iterations and not stopped:
             _assert_same_fit(_stage(run, co_config.iterations), model)
         else:
@@ -694,8 +711,8 @@ class TestAblationVariants:
         labeled, unlabeled, examples, names = _synthetic_pools(n_docs=100,
                                                                n_labeled=30)
         test = examples[70:]
-        variants = ablation_variants(labeled, unlabeled[:30], 2, CoConfig(),
-                                     self.CFG, [2, 3], test, kcs_names=names)
+        variants = ablation_variants(labeled, unlabeled[:30], names, CoConfig(),
+                                     self.CFG, [2, 3], test)
         assert list(variants) == ["alpha-cl", "beta-cl", "combined",
                                   "+2-itr", "+3-itr"]
         base = cotrain_fit(labeled, unlabeled[:30], 2, CoConfig(iterations=0),
@@ -712,8 +729,8 @@ class TestAblationVariants:
     def test_iteration_counts_validated(self):
         labeled, unlabeled, _, names = _synthetic_pools(n_docs=60, n_labeled=20)
         with pytest.raises(CotrainError, match=">= 1"):
-            ablation_variants(labeled, unlabeled, 2, CoConfig(), self.CFG,
-                              [0, 2], [], kcs_names=names)
+            ablation_variants(labeled, unlabeled, names, CoConfig(), self.CFG,
+                              [0, 2], [])
 
 
 def test_build_examples_against_precomputed_keys(tmp_path, lexicons):
@@ -747,8 +764,9 @@ def test_build_examples_batch_equals_one_document_at_a_time(lexicons):
     docs.insert(7, Document(id="no-mentions", text="plain words only"))
     pdocs = [process_document(d, preset, lexicons) for d in docs]
     provider = HashedWindowProvider(window=2, dim=16)
-    batch = build_examples(pdocs, provider)
-    single = [build_examples([pdoc], provider)[0] for pdoc in pdocs]
+    names = tuple(k.name for k in preset.kcs_list)
+    batch = build_examples(pdocs, provider, names)
+    single = [build_examples([pdoc], provider, names)[0] for pdoc in pdocs]
     assert [ex.doc_id for ex in batch] == [ex.doc_id for ex in single]
     assert any(v.size == 0 for ex in batch for v in ex.views)
     for a, b in zip(batch, single):
@@ -757,13 +775,14 @@ def test_build_examples_batch_equals_one_document_at_a_time(lexicons):
             assert va.vectors.shape == vb.vectors.shape
             assert va.vectors.tobytes() == vb.vectors.tobytes()
             assert va.labels == vb.labels
-    assert build_examples([], provider) == []
+    assert build_examples([], provider, names) == []
 
 
 def test_build_examples_vectors_are_read_only(lexicons):
     docs, preset = decomposable_corpus(6, seed=2)
     pdocs = [process_document(d, preset, lexicons) for d in docs]
-    examples = build_examples(pdocs, HashedWindowProvider(window=2, dim=8))
+    examples = build_examples(pdocs, HashedWindowProvider(window=2, dim=8),
+                              tuple(k.name for k in preset.kcs_list))
     first = next(v for ex in examples for v in ex.views if v.size)
     before = [v.vectors.copy() for ex in examples for v in ex.views]
     with pytest.raises(ValueError, match="read-only"):
@@ -776,7 +795,7 @@ def test_build_examples_vectors_are_read_only(lexicons):
 
 def test_model_serialization_roundtrip(tmp_path):
     labeled, unlabeled, cfg = _simple_examples()
-    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg, _view_names(2))
     model.provider_spec = {"kind": "hashed", "window": 2, "dim": 1}
     blob = model.to_dict()
     again = CoDecompModel.from_dict(blob)
@@ -789,7 +808,7 @@ def test_model_serialization_roundtrip(tmp_path):
 
 def test_failed_save_keeps_the_previous_file(tmp_path):
     labeled, unlabeled, cfg = _simple_examples()
-    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg, _view_names(2))
     model.provider_spec = {"kind": "hashed", "window": 2, "dim": 1}
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -805,7 +824,7 @@ def test_failed_save_keeps_the_previous_file(tmp_path):
 
 def test_loaded_model_has_no_trajectory():
     labeled, unlabeled, cfg = _simple_examples()
-    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg, _view_names(2))
     assert model.snapshots and model.iteration_log
     loaded = CoDecompModel.from_dict(model.to_dict())
     assert (loaded.snapshots, loaded.iteration_log) == ([], [])
@@ -818,48 +837,12 @@ def test_loaded_model_has_no_trajectory():
 ])
 def test_model_dict_mismatches_rejected(corrupt, message):
     labeled, unlabeled, cfg = _simple_examples()
-    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
+    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg, _view_names(2))
     model.provider_spec = {"kind": "hashed", "window": 2, "dim": 1}
     blob = model.to_dict()
     corrupt(blob)
     with pytest.raises(CotrainError, match=message):
         CoDecompModel.from_dict(blob)
-
-
-def test_model_with_legacy_seed_loads():
-    # model files written while TrainConfig had a (never read) seed field
-    labeled, unlabeled, cfg = _simple_examples()
-    model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=1), cfg)
-    blob = model.to_dict()
-    blob["train_config"]["seed"] = 7
-    for c in blob["classifiers"]:
-        c["config"]["seed"] = 7
-    again = CoDecompModel.from_dict(blob)
-    assert again.train_config == model.train_config
-    assert [c.config for c in again.classifiers] == [c.config for c in model.classifiers]
-
-
-def test_model_from_the_gradient_descent_learner_loads():
-    # a model.json as the gradient-descent learner wrote it: its configs
-    # carry learning_rate and epochs, its fits epochs_run but no converged
-    config = {"learning_rate": 4.0, "epochs": 1500, "l2_lambda": 1e-3,
-              "convergence_tolerance": 1e-6}
-    blob = {
-        "kind": "codecomp", "version": 1, "kcs_names": ["alpha", "beta"],
-        "classifiers": [
-            {"kind": "logreg", "version": 1, "weights": [0.5, -1.25],
-             "bias": 0.125, "config": config, "final_loss": 0.25,
-             "epochs_run": 321}
-            for _ in range(2)],
-        "co_config": asdict(CoConfig()), "train_config": config,
-        "provider_spec": {"kind": "hashed", "window": 2, "dim": 2},
-    }
-    model = CoDecompModel.from_dict(blob)
-    assert model.train_config == TrainConfig(**config)
-    for clf in model.classifiers:
-        np.testing.assert_array_equal(clf.weights, [0.5, -1.25])
-        assert (clf.bias, clf.epochs_run, clf.converged) == (0.125, 321, False)
-    assert model.to_dict()["classifiers"][0]["converged"] is False
 
 
 def test_predict_many_keys():

@@ -19,11 +19,13 @@ from codecomp.evaluation import (
     ablation_csv,
     ablation_table,
     compute_metrics,
+    config_fingerprint,
     run_experiment,
     sweep_csv,
     training_size_sweep,
 )
 from codecomp.learners import TrainConfig
+from codecomp.presets import load_preset_file
 from codecomp.synthetic import decomposable_corpus
 
 FAST_TRAIN = TrainConfig(epochs=300, convergence_tolerance=1e-6)
@@ -449,6 +451,25 @@ def test_report_json_parses(small_corpus):
     assert payload["model"] == "nb"
     assert len(payload["runs"]) == 4
     assert payload["config_fingerprint"] == report.config_fingerprint
+
+
+def test_codecomp_fingerprint_reads_the_views_not_the_preset_name(tmp_path,
+                                                                  monkeypatch):
+    # a preset file is named by its path as written: the same file by two
+    # paths is one configuration, and an edit of it in place is another
+    path = tmp_path / "p.ini"
+    text = "[human]\nkind = human\nmask_token = HUM_TOK\n[drug]\nkeywords = advil\n"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def fingerprint(where):
+        return config_fingerprint(CoDecompSpec(preset=load_preset_file(where)).describe())
+
+    first = fingerprint("p.ini")
+    assert fingerprint(path.resolve()) == first
+    for edit in ("advil, tylenol", "advil\nmask_token = DRUG_TOK"):
+        path.write_text(text.replace("advil", edit), encoding="utf-8")
+        assert fingerprint("p.ini") != first
 
 
 def test_em_spec_describes_every_em_config_field():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from codecomp import learners
 from codecomp.learners import (
+    FeatureCounts,
     LearnerError,
     LogRegModel,
     TrainConfig,
@@ -482,7 +483,7 @@ class TestNaiveBayes:
         # vocabulary {sick, flu, "sick flu", shot, "flu shot"}, alpha=1:
         # P(sick|+) = 2/9, P(sick|-) = 1/9, equal priors -> posterior 2/3
         docs = [ngram_counts(["sick", "flu"]), ngram_counts(["flu", "shot"])]
-        model = train_nb(docs, ["positive", "negative"], alpha=1.0)
+        model = train_nb(FeatureCounts.from_multisets(docs), ["positive", "negative"], alpha=1.0)
         post = nb_predict_proba(model, Counter({"sick": 1}))
         assert post == pytest.approx(2 / 3, abs=1e-12)
 
@@ -498,7 +499,7 @@ class TestNaiveBayes:
         if len(set(labels)) < 2:
             labels[0] = "positive"
             labels[1] = "negative"
-        model = train_nb(docs, labels, alpha=0.7)
+        model = train_nb(FeatureCounts.from_multisets(docs), labels, alpha=0.7)
         oracle = _oracle_nb(docs, labels, alpha=0.7)
         for _ in range(50):
             tokens = [vocab[rng.integers(8)] for _ in range(int(rng.integers(0, 6)))]
@@ -508,14 +509,14 @@ class TestNaiveBayes:
 
     def test_unseen_token_gets_smoothing_mass(self):
         docs = [Counter({"a": 2}), Counter({"b": 2})]
-        model = train_nb(docs, ["positive", "negative"])
+        model = train_nb(FeatureCounts.from_multisets(docs), ["positive", "negative"])
         p = nb_predict_proba(model, Counter({"never-seen": 3}))
         assert 0.0 < p < 1.0
         assert p == pytest.approx(0.5)  # symmetric training data
 
     def test_priors_proportional_to_counts(self):
         docs = [Counter({"a": 1})] * 3 + [Counter({"b": 1})]
-        model = train_nb(docs, ["positive"] * 3 + ["negative"])
+        model = train_nb(FeatureCounts.from_multisets(docs), ["positive"] * 3 + ["negative"])
         np.testing.assert_allclose(np.exp(model.log_priors), [0.25, 0.75])
 
     def test_likelihoods_sum_to_one(self):
@@ -523,7 +524,7 @@ class TestNaiveBayes:
         docs = [ngram_counts([f"t{rng.integers(10)}" for _ in range(5)])
                 for _ in range(20)]
         labels = ["positive" if i % 2 else "negative" for i in range(20)]
-        model = train_nb(docs, labels, alpha=0.5)
+        model = train_nb(FeatureCounts.from_multisets(docs), labels, alpha=0.5)
         for ci in range(2):
             total = sum(np.exp(v[ci]) for v in model.log_likelihoods.values())
             total += np.exp(model.log_oov[ci])
@@ -531,32 +532,32 @@ class TestNaiveBayes:
 
     def test_posterior_complements_sum_to_one(self):
         docs = [Counter({"a": 1}), Counter({"b": 1})]
-        model = train_nb(docs, ["positive", "negative"])
+        model = train_nb(FeatureCounts.from_multisets(docs), ["positive", "negative"])
         for counts in (Counter({"a": 2}), Counter({"a": 1, "b": 1})):
             p = nb_predict_proba(model, counts)
-            flipped = train_nb(docs, ["negative", "positive"])
+            flipped = train_nb(FeatureCounts.from_multisets(docs), ["negative", "positive"])
             q = nb_predict_proba(flipped, counts)
             assert p + q == pytest.approx(1.0, abs=1e-12)
 
     def test_no_underflow_on_long_documents(self):
         docs = [Counter({"a": 1, "b": 2}), Counter({"c": 1})]
-        model = train_nb(docs, ["positive", "negative"])
+        model = train_nb(FeatureCounts.from_multisets(docs), ["positive", "negative"])
         long_doc = Counter({"a": 4000, "b": 3000, "c": 3000})
         p = nb_predict_proba(model, long_doc)
         assert np.isfinite(p) and 0.0 < p < 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(LearnerError, match="both classes"):
-            train_nb([Counter({"a": 1})], ["positive"])
+            train_nb(FeatureCounts.from_multisets([Counter({"a": 1})]), ["positive"])
 
     def test_alpha_positive(self):
         with pytest.raises(LearnerError, match="alpha"):
-            train_nb([Counter({"a": 1}), Counter({"b": 1})],
+            train_nb(FeatureCounts.from_multisets([Counter({"a": 1}), Counter({"b": 1})]),
                      ["positive", "negative"], alpha=0.0)
 
     def test_likelihoods_are_a_read_only_mapping(self):
         docs = [ngram_counts(["sick", "flu"]), ngram_counts(["flu", "shot"])]
-        model = train_nb(docs, ["positive", "negative"])
+        model = train_nb(FeatureCounts.from_multisets(docs), ["positive", "negative"])
         likelihoods = model.log_likelihoods
         assert list(likelihoods) == ["sick", "flu", "sick flu", "shot", "flu shot"]
         assert likelihoods.get("never") is None and "never" not in likelihoods
@@ -583,7 +584,8 @@ def test_load_model_unknown_kind(tmp_path):
 
 
 def test_save_model_rejects_models_it_cannot_load_back(tmp_path):
-    nb = train_nb([Counter({"flu": 1}), Counter({"sick": 1})], ["positive", "negative"])
+    nb = train_nb(FeatureCounts.from_multisets([Counter({"flu": 1}), Counter({"sick": 1})]),
+                  ["positive", "negative"])
     logreg = _zero_model(3)
     kept = tmp_path / "kept.json"
     kept.write_bytes(b"previous")
