@@ -104,6 +104,17 @@ class Lexicons:
     common_adjectives: frozenset
     past_participles: frozenset
 
+    @cached_property
+    def human_words(self) -> frozenset:
+        """Pronouns and person words: the human mentions other than @-handles."""
+        return self.pronouns | self.person_dictionary
+
+    @cached_property
+    def _opener_rewrites(self) -> dict:
+        # sentence opener -> the rewrite it fires, filled by _sentence_rewrite;
+        # a cache of a pure function of (opener, these lexicons)
+        return {}
+
 
 def load_wordlist(path) -> tuple[str, ...]:
     """One entry per line, UTF-8, '#' comments; entries lowercased, unique."""
@@ -190,14 +201,6 @@ class Bag:
     instances: tuple[tuple[Mention, str], ...]  # (mention, label)
 
 
-def _is_human_word(surface: str, lexicons: Lexicons) -> bool:
-    return (
-        surface in lexicons.pronouns
-        or surface.startswith("@")
-        or surface in lexicons.person_dictionary
-    )
-
-
 def extract_human_mentions(surfaces, lexicons: Lexicons, doc_id: str = "",
                            kcs_name: str = "human", synthetic=()) -> list[Mention]:
     """Single-token human mentions: lexicon pronouns, @-handles, person words.
@@ -206,11 +209,11 @@ def extract_human_mentions(surfaces, lexicons: Lexicons, doc_id: str = "",
     ``synthetic`` holds the positions of the tokens a sentence-start rewrite
     inserted; a mention there is synthetic.
     """
+    human = lexicons.human_words
     return [
-        Mention(doc_id=doc_id, kcs_name=kcs_name, token_range=(i, i + 1),
-                surface=surfaces[i], synthetic=i in synthetic)
+        Mention(doc_id, kcs_name, (i, i + 1), surface, i in synthetic)
         for i, surface in enumerate(surfaces)
-        if _is_human_word(surface, lexicons)
+        if surface in human or surface[0] == "@"
     ]
 
 
@@ -227,7 +230,16 @@ def _is_present_continuous(word: str) -> bool:
 def _sentence_rewrite(first: str, lexicons: Lexicons):
     """The rewrite that fires on a sentence opening with ``first``: the
     tokens it inserts and how many of the sentence's own tokens they
-    replace, or None."""
+    replace, or None. Worked out once per opener and lexicons."""
+    memo = lexicons._opener_rewrites
+    try:
+        return memo[first]
+    except KeyError:
+        rewrite = memo[first] = _opener_rule(first, lexicons)
+        return rewrite
+
+
+def _opener_rule(first: str, lexicons: Lexicons):
     if _is_past_tense(first, lexicons):
         return ("i",), 0
     if first in lexicons.common_adjectives:
@@ -267,17 +279,20 @@ def synthesize_document(surfaces, text: str, lexicons: Lexicons):
     surface list and the rewrites made, each as (position of its first
     inserted token in the new list, tokens inserted, tokens replaced).
     """
+    human = lexicons.human_words
     out, rewrites = [], []
-    cursor = 0
-    for start, end in sentence_spans(surfaces, text):
-        if _is_human_word(surfaces[start], lexicons):
+    cursor = 0  # the next token of ``surfaces`` not yet in ``out``
+    for start, _ in sentence_spans(surfaces, text):
+        first = surfaces[start]
+        if first in human or first[0] == "@":
             continue
-        sentence, rewrite = synthesize_human_mention(surfaces[start:end], lexicons)
+        rewrite = _sentence_rewrite(first, lexicons)
         if rewrite:
+            inserted, replaced = rewrite
             out += surfaces[cursor:start]
-            rewrites.append((len(out), len(rewrite[0]), rewrite[1]))
-            out += sentence
-            cursor = end
+            rewrites.append((len(out), len(inserted), replaced))
+            out += inserted
+            cursor = start + replaced
     if not rewrites:
         return surfaces, ()
     out += surfaces[cursor:]
@@ -318,10 +333,7 @@ def extract_keyword_mentions(surfaces, kcs: KeyConceptSet, doc_id: str = "") -> 
         for seq in index[surfaces[i]]:
             if tuple(surfaces[i : i + len(seq)]) == seq:
                 covered = i + len(seq)
-                mentions.append(
-                    Mention(doc_id=doc_id, kcs_name=kcs.name, token_range=(i, covered),
-                            surface=" ".join(seq))
-                )
+                mentions.append(Mention(doc_id, kcs.name, (i, covered), " ".join(seq)))
                 break
     return mentions
 
@@ -367,7 +379,7 @@ class TaskPreset:
         if len(set(names)) != len(names):
             raise ConceptError(f"preset {self.name!r}: duplicate view names")
 
-    @property
+    @cached_property
     def has_human_view(self) -> bool:
         return any(k.kind == "human" for k in self.kcs_list)
 
@@ -457,7 +469,8 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
     rewrites = ()
     if preset.has_human_view:
         surfaces, rewrites = synthesize_document(surfaces, doc.text, lexicons)
-    inserted = {position + k for position, n, _ in rewrites for k in range(n)}
+    inserted = ({position + k for position, n, _ in rewrites for k in range(n)}
+                if rewrites else ())
 
     view_mentions = {}
     for kcs in preset.kcs_list:
@@ -476,22 +489,29 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
         mentions = view_mentions[kcs.name]
         labels = instance_labels(kcs, mentions, offsets, doc.gold_label,
                                  doc.positive_human_spans, doc_id=doc.id)
-        bags.append(Bag(doc_id=doc.id, kcs_name=kcs.name,
-                        instances=tuple(zip(mentions, labels))))
+        bags.append(Bag(doc.id, kcs.name, tuple(zip(mentions, labels))))
 
     replacements = [
         (m.token_range, kcs.mask_token)
         for kcs in preset.kcs_list if kcs.mask_token
         for m in view_mentions[kcs.name]
     ]
-    masked_tokens, index_map = _masked_tokens_with_map(surfaces, replacements)
-    masked_ranges = {
-        kcs.name: [
-            (index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
-            for m in view_mentions[kcs.name]
-        ]
-        for kcs in preset.kcs_list
-    }
+    if len({s for (s, e), _ in replacements if e - s == 1}) == len(replacements):
+        # one-token masks at distinct positions move no token
+        masked_tokens = list(surfaces)
+        for (s, _), mask_token in replacements:
+            masked_tokens[s] = mask_token
+        masked_ranges = {kcs.name: [m.token_range for m in view_mentions[kcs.name]]
+                         for kcs in preset.kcs_list}
+    else:
+        masked_tokens, index_map = _masked_tokens_with_map(surfaces, replacements)
+        masked_ranges = {
+            kcs.name: [
+                (index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
+                for m in view_mentions[kcs.name]
+            ]
+            for kcs in preset.kcs_list
+        }
     return ProcessedDocument(
         document=doc,
         surfaces=tuple(surfaces),

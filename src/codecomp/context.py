@@ -7,8 +7,11 @@ occurrence_index)``, where ``masked_tokens`` are the document's masked
 token surfaces (strings). Two providers ship here: a hashed window-of-words
 provider that needs no external resources, and a loader for vectors
 computed elsewhere (e.g. by a contextual encoder) keyed by (doc_id, view,
-occurrence). Both are read-only after construction and safe to query
-concurrently.
+occurrence). Both are deterministic and safe to share. The precomputed
+table is read-only after construction; the hashed provider fills one
+surface -> bucket table per side as it meets surfaces, a cache of a pure
+function that grows with the context vocabulary, as NB's feature table
+does.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class HashedWindowProvider:
             raise ContextError(f"bad provider config: window={window}, dim={dim}")
         self.window = window
         self.dim = dim
+        # surface -> bucket, one table per side, filled as surfaces are met
+        self._left, self._right = {}, {}
 
     @property
     def dimension(self) -> int:
@@ -50,26 +55,27 @@ class HashedWindowProvider:
         Mention tokens themselves are excluded; left and right neighbors
         hash into distinct buckets. Each row's counts are L2-normalized; a
         mention with no neighbors in range yields the zero row. Each
-        distinct (side, surface) is hashed once per call.
+        distinct (side, surface) is hashed once in the provider's life.
         """
-        buckets = {"L": {}, "R": {}}  # side -> surface -> bucket
-        rows, cols = [], []
+        window, dim, left, right = self.window, self.dim, self._left, self._right
+        cells = []  # row * dim + bucket, one per neighbour
         for row, (surfaces, mention, _) in enumerate(occurrences):
             s, e = mention.token_range
             if not 0 <= s < e <= len(surfaces):
                 raise ContextError(f"mention range [{s}, {e}) outside token list")
-            for side, neighbors in (("L", surfaces[max(0, s - self.window):s]),
-                                    ("R", surfaces[e:e + self.window])):
-                seen = buckets[side]
-                for surface in neighbors:
-                    col = seen.get(surface)
-                    if col is None:
-                        col = seen[surface] = _bucket(side, surface, self.dim)
-                    cols.append(col)
-                rows += [row] * len(neighbors)
-        counts = np.zeros((len(occurrences), self.dim))
-        np.add.at(counts, (np.array(rows, dtype=np.intp),
-                           np.array(cols, dtype=np.intp)), 1.0)
+            base = row * dim
+            for surface in surfaces[max(0, s - window):s]:
+                col = left.get(surface)
+                if col is None:
+                    col = left[surface] = _bucket("L", surface, dim)
+                cells.append(base + col)
+            for surface in surfaces[e:e + window]:
+                col = right.get(surface)
+                if col is None:
+                    col = right[surface] = _bucket("R", surface, dim)
+                cells.append(base + col)
+        counts = np.zeros((len(occurrences), dim))
+        np.add.at(counts.reshape(-1), np.array(cells, dtype=np.intp), 1.0)
         norms = np.linalg.norm(counts, axis=1, keepdims=True)
         np.divide(counts, norms, out=counts, where=norms > 0)
         return counts

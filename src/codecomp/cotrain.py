@@ -199,16 +199,16 @@ class _StackedBags:
     def __init__(self, examples, view: int):
         self.view, self.examples = view, list(examples)
         mats = [ex.views[view].vectors for ex in self.examples]
-        for ex, m in zip(self.examples, mats):
-            if m.shape[1] != mats[0].shape[1]:
+        lengths, widths = zip(*[m.shape for m in mats]) if mats else ((), ())
+        for ex, width in zip(self.examples, widths):
+            if width != widths[0]:
                 raise CotrainError(
                     f"view {view}: document {ex.doc_id!r} has vectors of width "
-                    f"{m.shape[1]}, document {self.examples[0].doc_id!r} has "
-                    f"{mats[0].shape[1]}"
+                    f"{width}, document {self.examples[0].doc_id!r} has {widths[0]}"
                 )
-        self.lengths = np.array([m.shape[0] for m in mats], dtype=int)
+        self.lengths = np.array(lengths, dtype=int)
         self.starts = np.cumsum(self.lengths) - self.lengths
-        self.matrix = np.vstack(mats) if mats else np.empty((0, 0))
+        self.matrix = np.concatenate(mats) if mats else np.empty((0, 0))
 
     def labeled_rows(self):
         """The rows labeled POSITIVE or NEGATIVE and their 0/1 targets, in

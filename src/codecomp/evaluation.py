@@ -38,6 +38,7 @@ from .corpus import (
 )
 from .cotrain import (
     CoConfig,
+    CotrainError,
     ablation_variants,
     build_examples,
     cotrain_fit,
@@ -298,7 +299,8 @@ def _repetition(corpus, runner, k_folds, sizes, dev_fold, rep, seed_r):
     folds and samples derive from ``seed_r``. The fold plan and the one
     gold-hidden copy of the corpus that every fold takes its unlabeled
     documents from serve every size. A variant that labels a whole test
-    fold one class logs a warning."""
+    fold one class logs a warning; a fold that cannot train raises
+    ``CotrainError`` naming its repetition, fold and labeled-set size."""
     plan = stratified_folds(corpus, k_folds, seed_r)
     by_id = {d.id: d for d in corpus}
     hidden = {d.id: hide_gold(d) for d in corpus}
@@ -311,7 +313,11 @@ def _repetition(corpus, runner, k_folds, sizes, dev_fold, rep, seed_r):
         for n in sizes:
             labeled, unlabeled = sample_labeled(
                 train, SampleSpec(n, seed_r * 8191 + fold), hidden)
-            variants = runner.predictions(labeled, unlabeled, test)
+            try:
+                variants = runner.predictions(labeled, unlabeled, test)
+            except CotrainError as exc:
+                raise CotrainError(f"repetition {rep}, fold {fold}, n_labeled={n}: "
+                                   f"{exc}") from exc
             for variant, predictions in variants.items():
                 labels = set(predictions.values())
                 if len(labels) == 1:

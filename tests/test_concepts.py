@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import logging
 import pickle
+import re
 import shutil
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from codecomp.concepts import (
     Mention,
     NEGATIVE,
     POSITIVE,
+    TaskPreset,
     Token,
     UNLABELED,
     _masked_tokens_with_map,
@@ -665,6 +667,127 @@ def test_pickled_lexicons_process_alike_in_a_worker(lexicons):
                             [lexicons] * len(docs)))
     assert got == expected
     assert [p.tokens for p in got] == [p.tokens for p in expected]
+
+
+# process_document before the per-lexicon human-word set, the opener memo
+# and in-place masking: a function call with two set lookups per token,
+# each sentence opener's rule worked out again, and every document masked
+# through the index map.
+def _frozen_process_document(doc, preset, lexicons):
+    def human(surface):
+        return (surface in lexicons.pronouns or surface.startswith("@")
+                or surface in lexicons.person_dictionary)
+
+    def rewrite_of(first):
+        if concepts._is_past_tense(first, lexicons):
+            return ("i",), 0
+        if first in lexicons.common_adjectives:
+            return ("i", "am"), 0
+        if first in lexicons.past_participles:
+            return ("i", "have"), 0
+        if concepts._is_present_continuous(first):
+            return ("i", "am"), 0
+        if first == "is":
+            return ("i", "am"), 1
+        return None
+
+    def synthesize(surfaces, text):
+        out, rewrites, cursor = [], [], 0
+        for start, end in sentence_spans(surfaces, text):
+            if human(surfaces[start]):
+                continue
+            rewrite = rewrite_of(surfaces[start])
+            if rewrite:
+                inserted, replaced = rewrite
+                out += surfaces[cursor:start]
+                rewrites.append((len(out), len(inserted), replaced))
+                out += [*inserted, *surfaces[start + replaced:end]]
+                cursor = end
+        if not rewrites:
+            return surfaces, ()
+        return out + surfaces[cursor:], tuple(rewrites)
+
+    surfaces = token_surfaces(doc.text)
+    rewrites = ()
+    if any(k.kind == "human" for k in preset.kcs_list):
+        surfaces, rewrites = synthesize(surfaces, doc.text)
+    inserted = {position + k for position, n, _ in rewrites for k in range(n)}
+    view_mentions = {
+        kcs.name: ([Mention(doc.id, kcs.name, (i, i + 1), s, i in inserted)
+                    for i, s in enumerate(surfaces) if human(s)]
+                   if kcs.kind == "human" else
+                   extract_keyword_mentions(surfaces, kcs, doc_id=doc.id))
+        for kcs in preset.kcs_list
+    }
+
+    def offsets():
+        return concepts._tokens_with_offsets(doc.text, surfaces, rewrites)
+
+    bags = tuple(
+        concepts.Bag(doc.id, kcs.name, tuple(zip(view_mentions[kcs.name], concepts.instance_labels(
+            kcs, view_mentions[kcs.name], offsets, doc.gold_label,
+            doc.positive_human_spans, doc_id=doc.id))))
+        for kcs in preset.kcs_list)
+    masked, index_map = _masked_tokens_with_map(
+        surfaces, [(m.token_range, kcs.mask_token) for kcs in preset.kcs_list
+                   if kcs.mask_token for m in view_mentions[kcs.name]])
+    ranges = {kcs.name: [(index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
+                         for m in view_mentions[kcs.name]]
+              for kcs in preset.kcs_list}
+    return surfaces, rewrites, bags, masked, ranges
+
+
+# pronouns, @-handles and person words; openers that fire each rule (past
+# tense, adjective, participle, -ing, "is") and openers that fire none;
+# single- and multi-word drug names; the phm-flu keyword; terminators
+_STREAM_WORDS = st.sampled_from([
+    "i", "My", "me", "we", "it", "@bob", "@Amy_1", "mom", "Doctor", "sister",
+    "went", "Felt", "walked", "sick", "tired", "diagnosed", "been", "coughing",
+    "nothing", "is", "IS", "the", "and", "took", "advil", "Tylenol", "xanax",
+    "pepto bismol", "Pepto-Bismol", "flu", ".", "!", "?", "...", ",",
+])
+_STREAM_SEPARATORS = st.sampled_from([" ", " ", " ", "\n", "\r\n", " \n\n "])
+_STREAM_PRESETS = {name: task_preset(name) for name in ("adr", "phm-flu")}
+# a keyword view masking a person word: a document naming "mom" masks one
+# token twice, which fails in both implementations
+_STREAM_PRESETS["overlap"] = TaskPreset("overlap", (
+    KeyConceptSet(name="human", kind="human", mask_token=HUM_TOK),
+    KeyConceptSet(name="kin", kind="keyword", keywords=("mom", "advil"),
+                  mask_token="KIN_TOK")))
+
+
+@st.composite
+def _stream_documents(draw):
+    text = "".join(w + sep for w, sep in draw(
+        st.lists(st.tuples(_STREAM_WORDS, _STREAM_SEPARATORS), max_size=20)))
+    gold = draw(st.sampled_from([None, NEGATIVE, POSITIVE, POSITIVE]))
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=6))) \
+        if gold == POSITIVE else []
+    return Document(id="s", text=text, gold_label=gold,
+                    positive_human_spans=tuple(zip(cuts[::2], cuts[1::2])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_stream_documents(), min_size=1, max_size=3),
+       st.sampled_from(sorted(_STREAM_PRESETS)))
+def test_process_document_equals_its_frozen_copy(lexicons, docs, preset_name):
+    preset = _STREAM_PRESETS[preset_name]
+    for doc in docs:
+        try:
+            want = _frozen_process_document(doc, preset, lexicons)
+        except ConceptError as exc:
+            with pytest.raises(ConceptError, match=re.escape(str(exc))):
+                process_document(doc, preset, lexicons)
+            continue
+        surfaces, rewrites, bags, masked, ranges = want
+        pdoc = process_document(doc, preset, lexicons)
+        assert pdoc.surfaces == tuple(surfaces)
+        assert pdoc.rewrites == rewrites
+        assert pdoc.bags == bags  # every Mention field and label
+        assert pdoc.masked_tokens == tuple(masked)
+        assert pdoc.masked_ranges == ranges
+        assert pdoc.tokens == tuple(concepts._tokens_with_offsets(
+            doc.text, surfaces, rewrites))
 
 
 def test_wordlists_are_lowercase_and_unique(lexicons):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,8 +108,9 @@ class TestHashedWindow:
                 context_of(provider, [good, _occurrence(_toks("a", "b"), bad)])
 
 
-def _assert_matches_reference(occurrences, window, dim):
-    got = context_of(HashedWindowProvider(window=window, dim=dim), occurrences)
+def _assert_matches_reference(occurrences, window, dim, provider=None):
+    got = context_of(provider or HashedWindowProvider(window=window, dim=dim),
+                     occurrences)
     want = np.array([_reference_hashed_window(t, m.token_range, window, dim)
                      for t, m, _ in occurrences]).reshape(len(occurrences), dim)
     assert got.shape == want.shape
@@ -151,6 +154,28 @@ def test_batched_hashed_vectors_match_the_per_occurrence_loop(batch):
         "dim-128", "empty-batch"])
 def test_hashed_vector_edge_cases(window, dim, occurrences):
     _assert_matches_reference(occurrences, window, dim)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_hashed_batches(), _hashed_batches())
+def test_a_filled_bucket_table_changes_no_vector(first, second):
+    """Batch B's rows from a provider whose tables batch A filled equal the
+    per-occurrence loop, as a fresh provider's do."""
+    (a, _, _), (b, window, dim) = first, second
+    warmed = HashedWindowProvider(window=window, dim=dim)
+    context_of(warmed, a)
+    _assert_matches_reference(b, window, dim, warmed)
+
+
+def test_a_pickled_provider_returns_the_same_rows():
+    tokens = _toks("my", "mom", "took", "DRUG_TOK", "and", "felt", "sick")
+    batch = [_occurrence(tokens, (s, s + 1), s) for s in range(len(tokens))]
+    provider = HashedWindowProvider(window=2, dim=16)
+    want = context_of(provider, batch)
+    for copy in (pickle.loads(pickle.dumps(provider)),
+                 pickle.loads(pickle.dumps(HashedWindowProvider(window=2, dim=16)))):
+        assert context_of(copy, batch).tobytes() == want.tobytes()
+        assert copy.spec() == provider.spec()
 
 
 def _write_vectors(tmp_path, lines, header="dim 4"):

@@ -1,14 +1,15 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from codecomp import baselines, evaluation
-from codecomp.concepts import load_lexicons
+from codecomp.concepts import KeyConceptSet, TaskPreset, load_lexicons
 from codecomp.context import HashedWindowProvider
 from codecomp.corpus import NEGATIVE, POSITIVE, SampleSpec
-from codecomp.cotrain import CoConfig
+from codecomp.cotrain import CoConfig, CotrainError
 from codecomp.evaluation import (
     CoDecompSpec,
     EMSpec,
@@ -285,6 +286,20 @@ class TestDriver:
         report, messages = warnings(1e-3)
         assert report.mean["f1"] > 0.0
         assert messages == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_fold_that_cannot_train_names_itself(self, small_corpus, jobs):
+        # a one-word anchor view on a word that only negative documents hold:
+        # no labeled sample has a positive instance in it
+        docs, _ = small_corpus
+        docs = [d if d.gold_label == POSITIVE else replace(d, text=d.text + " zeta")
+                for d in docs]
+        preset = TaskPreset("anchored", (
+            KeyConceptSet(name="alpha", kind="keyword", keywords=("alpha",)),
+            KeyConceptSet(name="zeta", kind="keyword", keywords=("zeta",))))
+        with pytest.raises(CotrainError, match=r"^repetition 0, fold 0, n_labeled=40: "
+                           r"view 1 \(zeta\) needs at least one positive"):
+            run_experiment(docs, _codecomp_spec(preset), **self.KWARGS, jobs=jobs)
 
     def test_codecomp_parallel_equals_sequential(self, small_corpus, processed):
         docs, preset = small_corpus
