@@ -19,7 +19,6 @@ from .concepts import (
     extract_keyword_mentions,
     load_lexicons,
     process_document,
-    synthesize_human_mention,
     token_surfaces,
     tokenize,
 )

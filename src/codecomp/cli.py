@@ -233,12 +233,12 @@ def _enriched_record(pdoc, preset) -> dict:
                 "instances": [
                     {
                         "token_range": list(m.token_range),
-                        "masked_token_range": list(pdoc.masked_ranges[bag.kcs_name][i]),
+                        "masked_token_range": list(masked_range),
                         "surface": m.surface,
                         "synthetic": m.synthetic,
                         "label": label,
                     }
-                    for i, (m, label) in enumerate(bag.instances)
+                    for (m, label), masked_range in zip(bag.instances, bag.masked_ranges)
                 ],
             }
             for bag, kcs in zip(pdoc.bags, preset.kcs_list)

@@ -185,8 +185,6 @@ class KeyConceptSet:
 
 @dataclass(frozen=True)
 class Mention:
-    doc_id: str
-    kcs_name: str
     token_range: tuple[int, int]  # [start, end) token indices
     surface: str
     synthetic: bool = False  # inserted by a sentence-start rewrite
@@ -194,15 +192,19 @@ class Mention:
 
 @dataclass(frozen=True)
 class Bag:
-    """All mention occurrences of one concept view within one document."""
+    """All mention occurrences of one concept view within one document.
 
-    doc_id: str
+    ``masked_ranges[i]`` is instance i's [start, end) range within the
+    document's ``masked_tokens``: masking collapses a multi-token mention
+    to one token, which shifts the positions after it.
+    """
+
     kcs_name: str
     instances: tuple[tuple[Mention, str], ...]  # (mention, label)
+    masked_ranges: tuple[tuple[int, int], ...]
 
 
-def extract_human_mentions(surfaces, lexicons: Lexicons, doc_id: str = "",
-                           kcs_name: str = "human", synthetic=()) -> list[Mention]:
+def extract_human_mentions(surfaces, lexicons: Lexicons, synthetic=()) -> list[Mention]:
     """Single-token human mentions: lexicon pronouns, @-handles, person words.
 
     "it" never matches -- it is deliberately absent from the pronoun lexicon.
@@ -211,7 +213,7 @@ def extract_human_mentions(surfaces, lexicons: Lexicons, doc_id: str = "",
     """
     human = lexicons.human_words
     return [
-        Mention(doc_id, kcs_name, (i, i + 1), surface, i in synthetic)
+        Mention((i, i + 1), surface, i in synthetic)
         for i, surface in enumerate(surfaces)
         if surface in human or surface[0] == "@"
     ]
@@ -253,31 +255,18 @@ def _opener_rule(first: str, lexicons: Lexicons):
     return None
 
 
-def synthesize_human_mention(sentence, lexicons: Lexicons):
-    """Insert an elided first-person mention at the start of a sentence.
-
-    Exactly one of five rewrites may fire, checked in order against the
-    first surface: past-tense verb -> prepend "i"; adjective -> prepend
-    "i am"; past participle -> prepend "i have"; -ing verb -> prepend
-    "i am"; literal "is" -> replace with "i am". Returns the (possibly
-    modified) surface list and the rewrite that fired, as (tokens inserted,
-    how many of the sentence's own tokens they replace), or None.
-    Idempotent: "i" matches no rule.
-    """
-    rewrite = _sentence_rewrite(sentence[0], lexicons) if sentence else None
-    if rewrite is None:
-        return list(sentence), None
-    inserted, replaced = rewrite
-    return [*inserted, *sentence[replaced:]], rewrite
-
-
 def synthesize_document(surfaces, text: str, lexicons: Lexicons):
-    """Run the synthesizer over every sentence of a document.
+    """Insert the elided first-person mention of every sentence that
+    opens without a human mention.
 
-    ``surfaces`` are the surfaces of ``tokenize(text)``. Sentences that
-    already open with a human mention are left alone. Returns the new
-    surface list and the rewrites made, each as (position of its first
-    inserted token in the new list, tokens inserted, tokens replaced).
+    ``surfaces`` are the surfaces of ``tokenize(text)``. At most one of five
+    rewrites fires per sentence, checked in order against its first
+    surface: past-tense verb -> prepend "i"; adjective -> prepend "i am";
+    past participle -> prepend "i have"; -ing verb -> prepend "i am";
+    literal "is" -> replace with "i am". Returns the new surface list and
+    the rewrites made, each as (position of its first inserted token in the
+    new list, tokens inserted, tokens replaced). Idempotent: "i" is a human
+    mention and matches no rule.
     """
     human = lexicons.human_words
     out, rewrites = [], []
@@ -316,7 +305,7 @@ def _tokens_with_offsets(text: str, surfaces, rewrites) -> list[Token]:
     return out
 
 
-def extract_keyword_mentions(surfaces, kcs: KeyConceptSet, doc_id: str = "") -> list[Mention]:
+def extract_keyword_mentions(surfaces, kcs: KeyConceptSet) -> list[Mention]:
     """Case-insensitive exact-token keyword occurrences, in document order.
 
     Multi-token keywords match contiguous token runs; overlapping matches
@@ -333,7 +322,7 @@ def extract_keyword_mentions(surfaces, kcs: KeyConceptSet, doc_id: str = "") -> 
         for seq in index[surfaces[i]]:
             if tuple(surfaces[i : i + len(seq)]) == seq:
                 covered = i + len(seq)
-                mentions.append(Mention(doc_id, kcs.name, (i, covered), " ".join(seq)))
+                mentions.append(Mention((i, covered), " ".join(seq)))
                 break
     return mentions
 
@@ -392,9 +381,9 @@ class ProcessedDocument:
     ``surfaces`` are the lowercased tokens after the sentence-start
     rewrites, each recorded in ``rewrites`` as (position of its first
     inserted token, tokens inserted, tokens replaced); ``tokens`` adds
-    their character ranges, computed when first read. ``masked_ranges[
-    kcs_name][i]`` is instance i's token range within ``masked_tokens``
-    (masking can collapse multi-token mentions, shifting positions).
+    their character ranges, computed when first read. ``bags`` follow the
+    preset's view order, and each bag holds its instances' ranges within
+    ``masked_tokens``.
     """
 
     document: Document
@@ -402,27 +391,35 @@ class ProcessedDocument:
     rewrites: tuple[tuple[int, int, int], ...]
     bags: tuple[Bag, ...]
     masked_tokens: tuple[str, ...]
-    masked_ranges: dict
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
         return tuple(_tokens_with_offsets(self.document.text, self.surfaces,
                                           self.rewrites))
 
-    def bag(self, kcs_name: str) -> Bag:
-        for b in self.bags:
-            if b.kcs_name == kcs_name:
-                return b
-        raise KeyError(kcs_name)
 
-    def masked_instances(self, kcs_name: str) -> list[tuple[Mention, str]]:
-        """One view's (mention, label) pairs in bag order, each mention's
-        token range shifted into ``masked_tokens``; a mention that masking
-        did not move is returned as it is."""
-        return [(m if m.token_range == r else
-                 Mention(m.doc_id, m.kcs_name, tuple(r), m.surface, m.synthetic), label)
-                for (m, label), r in zip(self.bag(kcs_name).instances,
-                                         self.masked_ranges[kcs_name])]
+def view_occurrences(processed_docs, kcs_name: str):
+    """One view's mention occurrences across ``processed_docs``, in
+    document then bag order, and the bag of each document.
+
+    An occurrence is ``(masked_tokens, masked_range, key)``: the document's
+    masked token surfaces, the instance's [start, end) range within them,
+    and ``key = (doc_id, kcs_name, i)`` for the bag's i-th instance, the
+    record key of a precomputed vector file. Raises KeyError where a
+    document has no bag of that name.
+    """
+    occurrences, bags = [], []
+    for pdoc in processed_docs:
+        for bag in pdoc.bags:
+            if bag.kcs_name == kcs_name:
+                break
+        else:
+            raise KeyError(kcs_name)
+        tokens, doc_id = pdoc.masked_tokens, pdoc.document.id
+        occurrences += [(tokens, r, (doc_id, kcs_name, i))
+                        for i, r in enumerate(bag.masked_ranges)]
+        bags.append(bag)
+    return occurrences, bags
 
 
 def _span_overlap(tokens, token_range, spans) -> bool:
@@ -472,51 +469,43 @@ def process_document(doc: Document, preset: TaskPreset, lexicons: Lexicons) -> P
     inserted = ({position + k for position, n, _ in rewrites for k in range(n)}
                 if rewrites else ())
 
-    view_mentions = {}
-    for kcs in preset.kcs_list:
-        if kcs.kind == "human":
-            found = extract_human_mentions(surfaces, lexicons, doc_id=doc.id,
-                                           kcs_name=kcs.name, synthetic=inserted)
-        else:
-            found = extract_keyword_mentions(surfaces, kcs, doc_id=doc.id)
-        view_mentions[kcs.name] = found
+    view_mentions = [
+        extract_human_mentions(surfaces, lexicons, synthetic=inserted)
+        if kcs.kind == "human" else extract_keyword_mentions(surfaces, kcs)
+        for kcs in preset.kcs_list
+    ]
 
     def offsets():
         return _tokens_with_offsets(doc.text, surfaces, rewrites)
 
-    bags = []
-    for kcs in preset.kcs_list:
-        mentions = view_mentions[kcs.name]
-        labels = instance_labels(kcs, mentions, offsets, doc.gold_label,
-                                 doc.positive_human_spans, doc_id=doc.id)
-        bags.append(Bag(doc.id, kcs.name, tuple(zip(mentions, labels))))
+    instances = [
+        tuple(zip(mentions, instance_labels(kcs, mentions, offsets, doc.gold_label,
+                                            doc.positive_human_spans, doc_id=doc.id)))
+        for kcs, mentions in zip(preset.kcs_list, view_mentions)
+    ]
 
     replacements = [
         (m.token_range, kcs.mask_token)
-        for kcs in preset.kcs_list if kcs.mask_token
-        for m in view_mentions[kcs.name]
+        for kcs, mentions in zip(preset.kcs_list, view_mentions) if kcs.mask_token
+        for m in mentions
     ]
     if len({s for (s, e), _ in replacements if e - s == 1}) == len(replacements):
         # one-token masks at distinct positions move no token
         masked_tokens = list(surfaces)
         for (s, _), mask_token in replacements:
             masked_tokens[s] = mask_token
-        masked_ranges = {kcs.name: [m.token_range for m in view_mentions[kcs.name]]
-                         for kcs in preset.kcs_list}
+        masked_ranges = [tuple(m.token_range for m in mentions)
+                         for mentions in view_mentions]
     else:
         masked_tokens, index_map = _masked_tokens_with_map(surfaces, replacements)
-        masked_ranges = {
-            kcs.name: [
-                (index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
-                for m in view_mentions[kcs.name]
-            ]
-            for kcs in preset.kcs_list
-        }
+        masked_ranges = [tuple((index_map[m.token_range[0]],
+                                index_map[m.token_range[1] - 1] + 1) for m in mentions)
+                         for mentions in view_mentions]
     return ProcessedDocument(
         document=doc,
         surfaces=tuple(surfaces),
         rewrites=rewrites,
-        bags=tuple(bags),
+        bags=tuple(Bag(kcs.name, pairs, ranges) for kcs, pairs, ranges
+                   in zip(preset.kcs_list, instances, masked_ranges)),
         masked_tokens=tuple(masked_tokens),
-        masked_ranges=masked_ranges,
     )

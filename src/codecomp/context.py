@@ -2,16 +2,17 @@
 
 A provider has a ``dimension``, a ``spec()`` for the model file, and
 ``vectors(occurrences)``, which turns a batch of m mention occurrences into
-one (m, dimension) matrix; an occurrence is ``(masked_tokens, mention,
-occurrence_index)``, where ``masked_tokens`` are the document's masked
-token surfaces (strings). Two providers ship here: a hashed window-of-words
-provider that needs no external resources, and a loader for vectors
-computed elsewhere (e.g. by a contextual encoder) keyed by (doc_id, view,
-occurrence). Both are deterministic and safe to share. The precomputed
-table is read-only after construction; the hashed provider fills one
-surface -> bucket table per side as it meets surfaces, a cache of a pure
-function that grows with the context vocabulary, as NB's feature table
-does.
+one (m, dimension) matrix; an occurrence is ``(masked_tokens, masked_range,
+key)``, as ``concepts.view_occurrences`` builds it: the document's masked
+token surfaces (strings), the mention's [start, end) range within them, and
+``key = (doc_id, view, occurrence_index)``. Two providers ship here: a
+hashed window-of-words provider that reads the range and needs no external
+resources, and a loader for vectors computed elsewhere (e.g. by a
+contextual encoder) that looks the key up. Both are deterministic and safe
+to share. The precomputed table is read-only after construction; the
+hashed provider fills one surface -> bucket table per side as it meets
+surfaces, a cache of a pure function that grows with the context
+vocabulary, as NB's feature table does.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .concepts import view_occurrences
 
 
 class ContextError(ValueError):
@@ -59,8 +62,7 @@ class HashedWindowProvider:
         """
         window, dim, left, right = self.window, self.dim, self._left, self._right
         cells = []  # row * dim + bucket, one per neighbour
-        for row, (surfaces, mention, _) in enumerate(occurrences):
-            s, e = mention.token_range
+        for row, (surfaces, (s, e), _) in enumerate(occurrences):
             if not 0 <= s < e <= len(surfaces):
                 raise ContextError(f"mention range [{s}, {e}) outside token list")
             base = row * dim
@@ -85,7 +87,8 @@ class HashedWindowProvider:
 
 
 class PrecomputedProvider:
-    """Vectors computed outside this package, looked up by occurrence key.
+    """Vectors computed outside this package, looked up by occurrence key,
+    ``(doc_id, kcs_name, occurrence_index)``.
 
     File format: a header line ``dim N`` followed by one record per line,
     ``doc_id<TAB>kcs_name<TAB>occurrence_index<TAB>v1 v2 ... vN``.
@@ -102,8 +105,7 @@ class PrecomputedProvider:
 
     def vectors(self, occurrences) -> np.ndarray:
         rows = []
-        for _, mention, occurrence in occurrences:
-            key = (mention.doc_id, mention.kcs_name, occurrence)
+        for _, _, key in occurrences:
             try:
                 rows.append(self._table[key])
             except KeyError:
@@ -155,10 +157,11 @@ def load_precomputed(path) -> PrecomputedProvider:
 def context_of(provider, occurrences) -> np.ndarray:
     """The context vectors of many mention occurrences, one row each.
 
-    An occurrence is ``(masked_tokens, mention, occurrence_index)``, with
-    the masked token surfaces as strings. Mask tokens in the surrounding
-    text are ordinary vocabulary items. Row i depends only on occurrence i;
-    deterministic per (provider, occurrence).
+    An occurrence is ``(masked_tokens, masked_range, key)``, as
+    ``concepts.view_occurrences`` builds it, with the masked token surfaces
+    as strings. Mask tokens in the surrounding text are ordinary vocabulary
+    items. Row i depends only on occurrence i; deterministic per (provider,
+    occurrence).
     """
     matrix = np.asarray(provider.vectors(occurrences), dtype=float)
     want = (len(occurrences), provider.dimension)
@@ -224,11 +227,7 @@ def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
     if metric not in DISTANCES:
         raise ContextError(f"metric must be one of {', '.join(DISTANCES)}, "
                            f"got {metric!r}")
-    occurrences = [
-        (pdoc.masked_tokens, mention, occ)
-        for pdoc in processed_docs
-        for occ, (mention, _) in enumerate(pdoc.masked_instances(kcs_name))
-    ]
+    occurrences, _ = view_occurrences(processed_docs, kcs_name)
     if len(occurrences) < 2:
         raise ContextError(
             f"view {kcs_name!r} has {len(occurrences)} mention(s); need at least 2"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .concepts import POSITIVE, NEGATIVE
+from .concepts import POSITIVE, NEGATIVE, view_occurrences
 from .context import context_of
 from .learners import LogRegModel, TrainConfig, predict_proba_batch, train_logreg
 
@@ -149,26 +149,26 @@ def build_examples(processed_docs, provider, kcs_names) -> list[Example]:
     """Vectorize processed documents into per-view instance matrices, one
     view per name of ``kcs_names``, in that order.
 
-    Each view's occurrences across the whole batch go to the provider in
-    one ``context_of`` call, and each document's rows are a slice of that
-    read-only matrix. Context vectors come from the fully masked token
-    list; instance order follows the bags, so occurrence indices line up
-    with precomputed-vector keys.
+    Each view's occurrences across the whole batch, from
+    ``view_occurrences``, go to the provider in one ``context_of`` call,
+    and each document's rows are a slice of that read-only matrix, in the
+    order of its bag's instances, so row i is the occurrence keyed
+    ``(doc_id, view, i)``.
     """
     processed_docs = list(processed_docs)
     per_view = []
     for name in kcs_names:
-        occurrences, labels, bounds = [], [], [0]
-        for pdoc in processed_docs:
-            for occ, (mention, label) in enumerate(pdoc.masked_instances(name)):
-                occurrences.append((pdoc.masked_tokens, mention, occ))
-                labels.append(label)
-            bounds.append(len(occurrences))
+        occurrences, bags = view_occurrences(processed_docs, name)
         matrix = context_of(provider, occurrences)
         matrix.flags.writeable = False
-        per_view.append([ViewInstances(vectors=matrix[a:b], labels=labels[a:b])
-                         for a, b in zip(bounds, bounds[1:])])
-    return [Example(doc_id=pdoc.document.id, views=[bags[i] for bags in per_view])
+        views, a = [], 0
+        for bag in bags:
+            b = a + len(bag.instances)
+            views.append(ViewInstances(vectors=matrix[a:b],
+                                       labels=[label for _, label in bag.instances]))
+            a = b
+        per_view.append(views)
+    return [Example(doc_id=pdoc.document.id, views=[views[i] for views in per_view])
             for i, pdoc in enumerate(processed_docs)]
 
 

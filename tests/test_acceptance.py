@@ -22,7 +22,7 @@ from codecomp.concepts import (
     load_lexicons,
     extract_human_mentions,
     process_document,
-    synthesize_human_mention,
+    synthesize_document,
     token_surfaces,
 )
 from codecomp.context import HashedWindowProvider
@@ -302,7 +302,7 @@ def test_criterion_09_rule_fidelity():
     start = time.perf_counter()
 
     def rewritten(text):
-        out, _ = synthesize_human_mention(token_surfaces(text), LEXICONS)
+        out, _ = synthesize_document(token_surfaces(text), text, LEXICONS)
         return out
 
     # the five sentence-start rewrites

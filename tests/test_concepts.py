@@ -4,7 +4,6 @@ import logging
 import pickle
 import re
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,10 +29,10 @@ from codecomp.concepts import (
     load_wordlist,
     process_document,
     sentence_spans,
-    synthesize_human_mention,
     synthesize_document,
     token_surfaces,
     tokenize,
+    view_occurrences,
 )
 from codecomp.corpus import Document
 from codecomp.presets import DRUG_TOK, HUM_TOK, load_preset_file, task_preset
@@ -113,10 +112,10 @@ class TestHumanMentions:
 
 class TestSynthesizer:
     def _run(self, text, lexicons):
-        return synthesize_human_mention(token_surfaces(text), lexicons)
+        return synthesize_document(token_surfaces(text), text, lexicons)
 
     def test_past_tense_prepends_i(self, lexicons):
-        _, fired = synthesize_human_mention(token_surfaces("went to the er"), lexicons)
+        _, fired = self._run("went to the er", lexicons)
         tokens = process_document(Document(id="x", text="went to the er"),
                                   task_preset("phm-cancer"), lexicons).tokens
         assert fired
@@ -150,15 +149,14 @@ class TestSynthesizer:
         assert out[:3] == ["i", "am", "tired"]
 
     def test_idempotent_on_own_output(self, lexicons):
-        first, fired = synthesize_human_mention(
-            token_surfaces("diagnosed with flu"), lexicons)
+        first, fired = self._run("diagnosed with flu", lexicons)
         assert fired
-        second, again = synthesize_human_mention(first, lexicons)
+        second, again = synthesize_document(first, " ".join(first), lexicons)
         assert not again
         assert second == first
 
     def test_empty_sentence(self, lexicons):
-        out, fired = synthesize_human_mention([], lexicons)
+        out, fired = self._run("", lexicons)
         assert out == [] and not fired
 
     def test_document_gate_skips_initial_mentions(self, lexicons):
@@ -179,7 +177,7 @@ class TestSynthesizer:
         doc = Document(id="z", text=text)
         preset = task_preset("phm-cancer")
         pdoc = process_document(doc, preset, lexicons)
-        human = [m for m, _ in pdoc.bag("human").instances]
+        human = [m for m, _ in pdoc.bags[0].instances]  # the preset's first view
         assert [(m.surface, m.synthetic) for m in human] == [
             ("i", True), ("my", False), ("mom", False), ("i", True), ("@bob", False),
             ("i", False)]
@@ -283,7 +281,7 @@ class TestKeywordMentions:
 
 # the matcher before views were compiled: every keyword re-tokenised, sorted
 # longest first with ties in tuple order, and tried at every token
-def _scan_keyword_mentions(tokens, kcs, doc_id=""):
+def _scan_keyword_mentions(tokens, kcs):
     seqs = {tuple(t.surface for t in tokenize(kw)) for kw in kcs.keywords}
     seqs.discard(())
     sequences = sorted(seqs, key=lambda s: (-len(s), s))
@@ -300,8 +298,7 @@ def _scan_keyword_mentions(tokens, kcs, doc_id=""):
             i += 1
             continue
         mentions.append(
-            Mention(doc_id=doc_id, kcs_name=kcs.name, token_range=(i, i + len(matched)),
-                    surface=" ".join(matched))
+            Mention(token_range=(i, i + len(matched)), surface=" ".join(matched))
         )
         i += len(matched)
     return mentions
@@ -322,8 +319,7 @@ _PHRASES = st.builds(
 def test_indexed_matcher_equals_the_full_scan(keywords, text):
     kcs = KeyConceptSet(name="k", kind="keyword", keywords=tuple(keywords))
     tokens = token_surfaces(text)
-    assert (extract_keyword_mentions(tokens, kcs, doc_id="d")
-            == _scan_keyword_mentions(tokens, kcs, doc_id="d"))
+    assert extract_keyword_mentions(tokens, kcs) == _scan_keyword_mentions(tokens, kcs)
 
 
 def _masked_surfaces(tokens, mentions, mask_token):
@@ -362,7 +358,7 @@ class TestMask:
                         for _ in range(n)]
             tokens = surfaces
             mentions = [
-                Mention(doc_id="", kcs_name="k", token_range=(i, i + 1), surface="x")
+                Mention(token_range=(i, i + 1), surface="x")
                 for i, s in enumerate(surfaces) if s == "x"
             ]
             masked = _masked_surfaces(tokens, mentions, "M")
@@ -464,15 +460,14 @@ def test_masked_ranges_follow_collapse(lexicons):
     pdoc = process_document(doc, preset, lexicons)
     masked = list(pdoc.masked_tokens)
     assert masked == ["HUM_TOK", "HUM_TOK", "took", DRUG_TOK, "and", DRUG_TOK]
-    drug_ranges = pdoc.masked_ranges["drug"]
-    assert [masked[s:e] for s, e in drug_ranges] == [[DRUG_TOK], [DRUG_TOK]]
-    shifted = pdoc.masked_instances("drug")
-    assert [m.token_range for m, _ in shifted] == [tuple(r) for r in drug_ranges]
-    assert [(m.surface, label) for m, label in shifted] == [
-        (m.surface, label) for m, label in pdoc.bag("drug").instances]
-    assert [m for m, _ in shifted] == [
-        replace(m, token_range=tuple(r))
-        for (m, _), r in zip(pdoc.bag("drug").instances, drug_ranges)]
+    _, drug = pdoc.bags
+    assert [m.token_range for m, _ in drug.instances] == [(3, 5), (6, 7)]
+    assert drug.masked_ranges == ((3, 4), (5, 6))
+    assert [masked[s:e] for s, e in drug.masked_ranges] == [[DRUG_TOK], [DRUG_TOK]]
+    occurrences, bags = view_occurrences([pdoc], "drug")
+    assert bags == [drug]
+    assert occurrences == [(pdoc.masked_tokens, (3, 4), ("1", "drug", 0)),
+                           (pdoc.masked_tokens, (5, 6), ("1", "drug", 1))]
 
 
 # The pipeline before documents became surface lists: one Token per regex
@@ -524,10 +519,10 @@ def _reference_process_document(doc, preset, lexicons):
             out.extend(sentence if human(sentence[0].surface) else rewrite(sentence))
         tokens = out
     view_mentions = {
-        kcs.name: ([Mention(doc.id, kcs.name, (i, i + 1), t.surface, t.start == t.end)
+        kcs.name: ([Mention((i, i + 1), t.surface, t.start == t.end)
                     for i, t in enumerate(tokens) if human(t.surface)]
                    if kcs.kind == "human" else
-                   _scan_keyword_mentions([t.surface for t in tokens], kcs, doc.id))
+                   _scan_keyword_mentions([t.surface for t in tokens], kcs))
         for kcs in preset.kcs_list
     }
 
@@ -544,9 +539,6 @@ def _reference_process_document(doc, preset, lexicons):
         hit = any(lo < b and a < hi for a, b in doc.positive_human_spans)
         return POSITIVE if hit and not m.synthetic else NEGATIVE
 
-    bags = tuple(concepts.Bag(doc.id, kcs.name,
-                              tuple((m, label(kcs, m)) for m in view_mentions[kcs.name]))
-                 for kcs in preset.kcs_list)
     replacements = sorted(((m.token_range, kcs.mask_token) for kcs in preset.kcs_list
                            if kcs.mask_token for m in view_mentions[kcs.name]),
                           key=lambda r: r[0])
@@ -568,6 +560,10 @@ def _reference_process_document(doc, preset, lexicons):
     ranges = {kcs.name: [(index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
                          for m in view_mentions[kcs.name]]
               for kcs in preset.kcs_list}
+    bags = tuple(concepts.Bag(kcs.name,
+                              tuple((m, label(kcs, m)) for m in view_mentions[kcs.name]),
+                              tuple(ranges[kcs.name]))
+                 for kcs in preset.kcs_list)
     return tokens, bags, masked, ranges
 
 
@@ -642,13 +638,13 @@ def test_surface_pipeline_equals_the_token_pipeline(lexicons, docs, preset_name)
         assert pdoc.surfaces == tuple(t.surface for t in tokens)
         assert pdoc.bags == bags
         assert pdoc.masked_tokens == tuple(t.surface for t in masked)
-        assert pdoc.masked_ranges == ranges
+        assert {b.kcs_name: list(b.masked_ranges) for b in pdoc.bags} == ranges
         assert json.dumps(cli._enriched_record(pdoc, preset)) == json.dumps(
             _reference_enriched_record(doc, preset, tokens, bags, masked, ranges))
-        for kcs, bag, view in zip(preset.kcs_list, bags, example.views):
-            assert pdoc.masked_instances(kcs.name) == [
-                (replace(m, token_range=r), label)
-                for (m, label), r in zip(bag.instances, ranges[kcs.name])]
+        for kcs, view in zip(preset.kcs_list, example.views):
+            occurrences, _ = view_occurrences([pdoc], kcs.name)
+            assert occurrences == [(pdoc.masked_tokens, r, (doc.id, kcs.name, i))
+                                   for i, r in enumerate(ranges[kcs.name])]
             want = np.array([_reference_vector(masked, r, 2, 16)
                              for r in ranges[kcs.name]]).reshape(-1, 16)
             assert view.vectors.tobytes() == want.tobytes()
@@ -713,27 +709,29 @@ def _frozen_process_document(doc, preset, lexicons):
         surfaces, rewrites = synthesize(surfaces, doc.text)
     inserted = {position + k for position, n, _ in rewrites for k in range(n)}
     view_mentions = {
-        kcs.name: ([Mention(doc.id, kcs.name, (i, i + 1), s, i in inserted)
+        kcs.name: ([Mention((i, i + 1), s, i in inserted)
                     for i, s in enumerate(surfaces) if human(s)]
                    if kcs.kind == "human" else
-                   extract_keyword_mentions(surfaces, kcs, doc_id=doc.id))
+                   extract_keyword_mentions(surfaces, kcs))
         for kcs in preset.kcs_list
     }
 
     def offsets():
         return concepts._tokens_with_offsets(doc.text, surfaces, rewrites)
 
-    bags = tuple(
-        concepts.Bag(doc.id, kcs.name, tuple(zip(view_mentions[kcs.name], concepts.instance_labels(
+    instances = [
+        tuple(zip(view_mentions[kcs.name], concepts.instance_labels(
             kcs, view_mentions[kcs.name], offsets, doc.gold_label,
-            doc.positive_human_spans, doc_id=doc.id))))
-        for kcs in preset.kcs_list)
+            doc.positive_human_spans, doc_id=doc.id)))
+        for kcs in preset.kcs_list]
     masked, index_map = _masked_tokens_with_map(
         surfaces, [(m.token_range, kcs.mask_token) for kcs in preset.kcs_list
                    if kcs.mask_token for m in view_mentions[kcs.name]])
     ranges = {kcs.name: [(index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
                          for m in view_mentions[kcs.name]]
               for kcs in preset.kcs_list}
+    bags = tuple(concepts.Bag(kcs.name, pairs, tuple(ranges[kcs.name]))
+                 for kcs, pairs in zip(preset.kcs_list, instances))
     return surfaces, rewrites, bags, masked, ranges
 
 
@@ -783,9 +781,9 @@ def test_process_document_equals_its_frozen_copy(lexicons, docs, preset_name):
         pdoc = process_document(doc, preset, lexicons)
         assert pdoc.surfaces == tuple(surfaces)
         assert pdoc.rewrites == rewrites
-        assert pdoc.bags == bags  # every Mention field and label
+        assert pdoc.bags == bags  # every Mention field, label and masked range
         assert pdoc.masked_tokens == tuple(masked)
-        assert pdoc.masked_ranges == ranges
+        assert {b.kcs_name: list(b.masked_ranges) for b in pdoc.bags} == ranges
         assert pdoc.tokens == tuple(concepts._tokens_with_offsets(
             doc.text, surfaces, rewrites))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codecomp.concepts import Mention, process_document
+from codecomp.concepts import process_document
 from codecomp.context import (
     ContextError,
     GammaReport,
@@ -23,9 +23,7 @@ def _toks(*surfaces):
 
 
 def _occurrence(tokens, position_range, occurrence=0, doc_id="1", kcs_name="d"):
-    mention = Mention(doc_id=doc_id, kcs_name=kcs_name, token_range=position_range,
-                      surface="x")
-    return tokens, mention, occurrence
+    return tokens, position_range, (doc_id, kcs_name, occurrence)
 
 
 def _reference_hashed_window(tokens, position_range, window, dim):
@@ -111,8 +109,8 @@ class TestHashedWindow:
 def _assert_matches_reference(occurrences, window, dim, provider=None):
     got = context_of(provider or HashedWindowProvider(window=window, dim=dim),
                      occurrences)
-    want = np.array([_reference_hashed_window(t, m.token_range, window, dim)
-                     for t, m, _ in occurrences]).reshape(len(occurrences), dim)
+    want = np.array([_reference_hashed_window(t, r, window, dim)
+                     for t, r, _ in occurrences]).reshape(len(occurrences), dim)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

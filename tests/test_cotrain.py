@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from codecomp import cotrain
 from codecomp.concepts import NEGATIVE, POSITIVE, UNLABELED, load_lexicons, process_document
-from codecomp.context import HashedWindowProvider, load_precomputed
+from codecomp.context import HashedWindowProvider, load_precomputed, validate_kcs_gamma
 from codecomp.corpus import Document, SampleSpec, sample_labeled
 from codecomp.cotrain import (
     CoConfig,
@@ -34,6 +34,7 @@ from codecomp.learners import (
     save_model,
     train_logreg,
 )
+from codecomp.presets import task_preset
 from codecomp.synthetic import decomposable_corpus
 
 
@@ -733,30 +734,52 @@ class TestAblationVariants:
                               [0, 2], [])
 
 
+class _KeyReader:
+    """A provider passing each batch to ``inner`` and recording its keys."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.read = inner, inner.dimension, []
+
+    def vectors(self, occurrences):
+        self.read += [key for _, _, key in occurrences]
+        return self.inner.vectors(occurrences)
+
+
 def test_build_examples_against_precomputed_keys(tmp_path, lexicons):
-    docs, preset = decomposable_corpus(3, seed=1)
-    names = tuple(k.name for k in preset.kcs_list)
-    pdocs = [process_document(d, preset, lexicons) for d in docs]
-    rng = np.random.default_rng(0)
-    lines = ["dim 3"]
-    stored = {}
-    for pdoc in pdocs:
+    # a two-view corpus, and ADR posts whose two-word drug masks to one token
+    adr = [Document(id="a1", text="my friend took pepto bismol and advil"),
+           Document(id="a2", text="Pepto Bismol twice. felt sick after advil"),
+           Document(id="a3", text="no drugs here")]
+    for docs, preset in (decomposable_corpus(3, seed=1), (adr, task_preset("adr"))):
+        names = tuple(k.name for k in preset.kcs_list)
+        pdocs = [process_document(d, preset, lexicons) for d in docs]
+        rng = np.random.default_rng(0)
+        lines = ["dim 3"]
+        stored = {}
+        for pdoc in pdocs:
+            for name, bag in zip(names, pdoc.bags):
+                for occ in range(len(bag.instances)):
+                    vec = rng.normal(size=3).round(6)
+                    stored[(pdoc.document.id, name, occ)] = vec
+                    lines.append(f"{pdoc.document.id}\t{name}\t{occ}\t"
+                                 + " ".join(str(v) for v in vec))
+        path = tmp_path / f"{preset.name}.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        provider = _KeyReader(load_precomputed(path))
+        examples = build_examples(pdocs, provider, names)
+        assert sorted(provider.read) == sorted(stored)
+        for pdoc, example in zip(pdocs, examples):
+            for j, name in enumerate(names):
+                for occ in range(example.views[j].size):
+                    np.testing.assert_array_equal(
+                        example.views[j].vectors[occ],
+                        stored[(pdoc.document.id, name, occ)])
         for name in names:
-            for occ in range(len(pdoc.bag(name).instances)):
-                vec = rng.normal(size=3).round(6)
-                stored[(pdoc.document.id, name, occ)] = vec
-                lines.append(f"{pdoc.document.id}\t{name}\t{occ}\t"
-                             + " ".join(str(v) for v in vec))
-    path = tmp_path / "vectors.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    provider = load_precomputed(path)
-    examples = build_examples(pdocs, provider, names)
-    for pdoc, example in zip(pdocs, examples):
-        for j, name in enumerate(names):
-            for occ in range(example.views[j].size):
-                np.testing.assert_array_equal(
-                    example.views[j].vectors[occ],
-                    stored[(pdoc.document.id, name, occ)])
+            provider.read = []
+            validate_kcs_gamma(provider, pdocs, name, 1.0, 200, seed=0)
+            assert sorted(provider.read) == sorted(k for k in stored if k[1] == name)
+    drug = pdocs[0].bags[1]  # the ADR posts' drug mask moved a range
+    assert drug.masked_ranges != tuple(m.token_range for m, _ in drug.instances)
 
 
 def test_build_examples_batch_equals_one_document_at_a_time(lexicons):
