@@ -183,8 +183,7 @@ class KeyConceptSet:
         object.__setattr__(self, "_by_first_token", index)
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     token_range: tuple[int, int]  # [start, end) token indices
     surface: str
     synthetic: bool = False  # inserted by a sentence-start rewrite

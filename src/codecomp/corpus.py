@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import types
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,17 +147,6 @@ def _by_class(docs):
     return classes
 
 
-def _fold_classes(corpus, k):
-    """The ids of each class of a corpus that k stratified folds can split."""
-    if k < 2:
-        raise CorpusError(f"k must be >= 2, got {k}")
-    classes = _by_class(corpus)
-    for label, ids in classes.items():
-        if len(ids) < k:
-            raise CorpusError(f"class {label!r} has {len(ids)} documents, fewer than k={k}")
-    return classes
-
-
 def stratified_folds(corpus: list[Document], k: int, seed: int) -> FoldPlan:
     """Split a fully labeled corpus into k folds, stratified by class.
 
@@ -165,7 +155,12 @@ def stratified_folds(corpus: list[Document], k: int, seed: int) -> FoldPlan:
     ratio tracks the corpus ratio. Assignment depends on the document id
     set, not on corpus order.
     """
-    classes = _fold_classes(corpus, k)
+    if k < 2:
+        raise CorpusError(f"k must be >= 2, got {k}")
+    classes = _by_class(corpus)
+    for label, ids in classes.items():
+        if len(ids) < k:
+            raise CorpusError(f"class {label!r} has {len(ids)} documents, fewer than k={k}")
     rng = np.random.default_rng(seed)
     assignments = {}
     for label in (POSITIVE, NEGATIVE):
@@ -178,10 +173,10 @@ def stratified_folds(corpus: list[Document], k: int, seed: int) -> FoldPlan:
 
 def fold_sizes(corpus: list[Document], k: int) -> list[int]:
     """The document count of each fold of ``stratified_folds(corpus, k,
-    seed)``, whatever the seed: every class deals its first ``len % k``
-    surplus ids to the lowest folds."""
-    counts = [len(ids) for ids in _fold_classes(corpus, k).values()]
-    return [sum(n // k + (fold < n % k) for n in counts) for fold in range(k)]
+    seed)``, whatever the seed: the round-robin deal fixes how many ids of
+    each class every fold gets, and the seed only which ones."""
+    counts = Counter(stratified_folds(corpus, k, 0).assignments.values())
+    return [counts[fold] for fold in range(k)]
 
 
 def _stratified_counts(n_take: int, n_pos: int, n_neg: int) -> tuple[int, int]:

@@ -408,12 +408,4 @@ def ablation_variants(labeled, unlabeled, kcs_names, co_config: CoConfig,
 
 def iteration_log_lines(records) -> list[str]:
     """One JSON object per iteration, ready for a .jsonl audit file."""
-    return [
-        json.dumps({
-            "iteration": r.iteration,
-            "promotions": r.promotions,
-            "labeled_examples": r.labeled_examples,
-            "unlabeled_examples": r.unlabeled_examples,
-        }, sort_keys=True)
-        for r in records
-    ]
+    return [json.dumps(asdict(r), sort_keys=True) for r in records]

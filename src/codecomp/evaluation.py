@@ -165,6 +165,9 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # Model specs and their fit/predict runners
 # ---------------------------------------------------------------------------
+# A spec has a ``name``, a ``describe()`` dict that its reports' fingerprint
+# hashes, and ``runner(corpus)``, whose ``predictions(labeled, unlabeled,
+# test)`` returns ``{variant: {doc_id: label}}`` for one fold.
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,12 @@ class NBSpec:
     def describe(self) -> dict:
         return {"model": "nb", "alpha": self.alpha}
 
+    def fit(self, labeled, unlabeled, features):
+        return nb_baseline_fit(labeled, alpha=self.alpha, features=features)
+
+    def runner(self, corpus):
+        return _DocumentRunner(corpus, self)
+
 
 @dataclass(frozen=True)
 class EMSpec:
@@ -190,6 +199,13 @@ class EMSpec:
 
     def describe(self) -> dict:
         return {"model": "em", **asdict(self.em_config)}
+
+    def fit(self, labeled, unlabeled, features):
+        model, _ = em_fit(labeled, unlabeled, self.em_config, features=features)
+        return model
+
+    def runner(self, corpus):
+        return _DocumentRunner(corpus, self)
 
 
 @dataclass(frozen=True)
@@ -212,11 +228,14 @@ class CoDecompSpec:
             "train_config": asdict(self.train_config),
         }
 
+    def runner(self, corpus):
+        return _CoDecompRunner(corpus, self)
+
 
 class _DocumentRunner:
-    """NB or EM over unigram+bigram counts, counted once per corpus into one
-    table that every fit takes its documents' rows of; test documents are
-    scored from their own counts."""
+    """NB or EM, as the spec's ``fit``, over unigram+bigram counts, counted
+    once per corpus into one table that every fit takes its documents' rows
+    of; test documents are scored from their own counts."""
 
     def __init__(self, corpus, spec):
         self.spec = spec
@@ -225,12 +244,7 @@ class _DocumentRunner:
                                                   ids=self.features)
 
     def predictions(self, labeled, unlabeled, test):
-        if isinstance(self.spec, EMSpec):
-            model, _ = em_fit(labeled, unlabeled, self.spec.em_config,
-                              features=self.table)
-        else:
-            model = nb_baseline_fit(labeled, alpha=self.spec.alpha,
-                                    features=self.table)
+        model = self.spec.fit(labeled, unlabeled, self.table)
         return {self.spec.name: {
             d.id: POSITIVE if nb_predict_proba(model, self.features[d.id]) >= 0.5
             else NEGATIVE
@@ -276,16 +290,6 @@ class _CoDecompRunner:
             return {self.spec.name: predict_many(model, test)}
         return ablation_variants(labeled, unlabeled, self.kcs_names, *configs,
                                  self.iteration_settings, test)
-
-
-def _make_runner(corpus, model_spec, iteration_settings=None):
-    if isinstance(model_spec, CoDecompSpec):
-        return _CoDecompRunner(corpus, model_spec, iteration_settings)
-    if iteration_settings is not None:
-        raise EvalError(f"an ablation needs a codecomp spec, got {type(model_spec).__name__}")
-    if isinstance(model_spec, (NBSpec, EMSpec)):
-        return _DocumentRunner(corpus, model_spec)
-    raise EvalError(f"unknown model spec {type(model_spec).__name__}")
 
 
 def config_fingerprint(payload: dict) -> str:
@@ -375,19 +379,19 @@ def _shared_repetition(rep_seed):
     return list(_repetition(*_shared, *rep_seed))
 
 
-def _fold_pass(corpus, model_spec, k_folds: int, sizes, master_seed: int,
-               repetitions: int, dev_fold: int | None, jobs: int,
-               iteration_settings=None) -> dict:
+def _fold_pass(corpus, build_runner, k_folds: int, sizes, master_seed: int,
+               repetitions: int, dev_fold: int | None, jobs: int) -> dict:
     """The experiment loop: ``(n_labeled, variant) -> [(rep, fold, Metrics)]``
     over every repetition, fold and labeled-set size of ``sizes``.
 
-    The protocol is checked before the runner processes the corpus, once.
-    Repetition r draws its folds and samples from (master seed + r). With
-    ``jobs > 1`` repetitions run in worker processes that receive the
-    already-built runner, so no worker processes the corpus again.
+    The protocol is checked once, before ``build_runner(corpus)`` builds
+    the runner. Repetition r draws its folds and samples from (master seed
+    + r). With ``jobs > 1`` repetitions run in worker processes that
+    receive the already-built runner, so no worker processes the corpus
+    again.
     """
     _check_protocol(corpus, k_folds, repetitions, dev_fold, jobs, sizes)
-    runner = _make_runner(corpus, model_spec, iteration_settings)
+    runner = build_runner(corpus)
     protocol = (corpus, runner, k_folds, tuple(dict.fromkeys(sizes)), dev_fold)
     rep_seeds = [(rep, master_seed + rep) for rep in range(repetitions)]
     if jobs > 1 and repetitions > 1:
@@ -432,9 +436,11 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     if any(k < 1 for k in iteration_settings):
         raise EvalError(
             f"iteration settings must be >= 1, got {list(iteration_settings)}")
-    rows = _fold_pass(corpus, spec, k_folds, [sample_spec.n_labeled],
-                      sample_spec.seed, repetitions, dev_fold, jobs,
-                      iteration_settings)
+    if not isinstance(spec, CoDecompSpec):
+        raise EvalError(f"an ablation needs a codecomp spec, got {type(spec).__name__}")
+    rows = _fold_pass(corpus, lambda c: _CoDecompRunner(c, spec, iteration_settings),
+                      k_folds, [sample_spec.n_labeled], sample_spec.seed,
+                      repetitions, dev_fold, jobs)
     return {variant: _mean_of(runs) for (_, variant), runs in rows.items()}
 
 
@@ -461,7 +467,7 @@ def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise EvalError("sizes must be ascending")
-    rows = _fold_pass(corpus, model_spec, k_folds, sizes, master_seed,
+    rows = _fold_pass(corpus, model_spec.runner, k_folds, sizes, master_seed,
                       repetitions, dev_fold, jobs)
     reports = []
     for n in sizes:

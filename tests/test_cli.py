@@ -108,6 +108,26 @@ def phm_setup(tmp_path):
 
 
 class TestConfig:
+    def test_settable_keys_by_section(self):
+        # the whole settable surface, 32 values: a change that adds or
+        # removes a config key edits this list on purpose
+        cfg = ExperimentConfig()
+        assert {section.name: [f.name for f in fields(getattr(cfg, section.name))]
+                for section in fields(cfg)} == {
+            "experiment": ["task", "corpus", "output", "k_folds", "n_labeled",
+                           "repetitions", "master_seed", "dev_fold", "jobs", "model"],
+            "provider": ["kind", "path", "window", "dim"],
+            "cotrain": ["iterations", "promotions_per_view", "confidence_floor",
+                        "neutral_prob"],
+            "learner": ["learning_rate", "epochs", "l2_lambda", "convergence_tolerance"],
+            "nb": ["alpha"],
+            "em": ["alpha", "max_iterations", "unlabeled_weight",
+                   "convergence_tolerance"],
+            "gamma": ["threshold", "sample_pairs", "metric"],
+            "ablation": ["iterations"],
+            "sweep": ["sizes"],
+        }
+
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(
             experiment=RunConfig(task="phm-cancer", corpus="c.jsonl", output="o",

@@ -169,6 +169,8 @@ def test_folds_partition_property():
 
 
 def test_fold_sizes_match_every_plan():
+    # fold_sizes reads one seed's plan; the protocol check takes its sizes
+    # for every repetition's seed
     for n_pos, n_neg, k in ((23, 77, 4), (50, 50, 10), (7, 3, 3), (5, 9, 2)):
         docs = _balanced_corpus(n_pos, n_neg)
         for seed in range(5):

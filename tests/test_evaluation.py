@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,26 @@ def featurised(monkeypatch, small_corpus):
     monkeypatch.setattr(evaluation, "document_features", counted)
     monkeypatch.setattr(baselines, "document_features", counted)
     return calls
+
+
+class MajoritySpec:
+    """A model the fold loop was not written for: every test document gets
+    the labeled sample's majority label, ties to positive."""
+
+    name = "majority"
+
+    def describe(self) -> dict:
+        return {"model": "majority"}
+
+    def runner(self, corpus):
+        return _MajorityRunner()
+
+
+class _MajorityRunner:
+    def predictions(self, labeled, unlabeled, test):
+        counts = Counter(d.gold_label for d in labeled)
+        label = POSITIVE if counts[POSITIVE] >= counts[NEGATIVE] else NEGATIVE
+        return {"majority": {d.id: label for d in test}}
 
 
 def _codecomp_spec(preset, iterations=3):
@@ -286,6 +307,32 @@ class TestDriver:
         report, messages = warnings(1e-3)
         assert report.mean["f1"] > 0.0
         assert messages == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_loop_runs_a_spec_it_has_never_seen(self, small_corpus, caplog, jobs):
+        # a spec is its name, describe() and runner(corpus); the loop needs
+        # nothing else of it
+        docs, _ = small_corpus
+        spec = MajoritySpec()
+        with caplog.at_level(logging.WARNING, logger="codecomp.evaluation"):
+            report = run_experiment(docs, spec, **self.KWARGS, jobs=jobs)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "codecomp.evaluation"]
+        [(n, swept)] = training_size_sweep(docs, spec, [40], k_folds=4, master_seed=3,
+                                           repetitions=2, jobs=jobs)
+        assert (n, swept) == (40, report)
+        assert report.model == "majority"
+        assert report.config_fingerprint == config_fingerprint({
+            **spec.describe(), "k_folds": 4, "n_labeled": 40, "repetitions": 2,
+            "master_seed": 3, "dev_fold": None})
+        assert [(rep, fold) for rep, fold, _ in report.runs] == [
+            (rep, fold) for rep in range(2) for fold in range(4)]
+        assert report.mean["f1"] == 0.0
+        if jobs == 1:  # a pool worker logs in its own process
+            assert messages == [
+                f"majority at n_labeled=40 labeled all {m.tp + m.fp + m.fn + m.tn} "
+                f"test documents of repetition {rep}, fold {fold}, negative"
+                for rep, fold, m in report.runs]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_fold_that_cannot_train_names_itself(self, small_corpus, jobs):
