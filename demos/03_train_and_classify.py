@@ -26,7 +26,7 @@ lexicons = load_lexicons()
 provider = HashedWindowProvider(window=2, dim=64)
 # the view names state the views: build_examples makes one view per name,
 # and cotrain_fit rejects a view count other than len(names)
-names = tuple(k.name for k in preset.kcs_list)
+names = preset.view_names
 
 held_out, pool = docs[:100], docs[100:]
 labeled_docs, unlabeled_docs = sample_labeled(pool, SampleSpec(n_labeled=60, seed=3))

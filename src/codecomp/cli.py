@@ -30,19 +30,7 @@ from .context import (
 from .corpus import POSITIVE, SampleSpec, load_corpus, sample_labeled
 from .cotrain import CoConfig, build_examples, cotrain_fit, iteration_log_lines
 from .learners import TrainConfig, save_model
-from .presets import load_preset_file, preset_names, task_preset
-
-
-def resolve_preset(task: str):
-    """A builtin preset name, or the path of a preset INI file."""
-    if task in preset_names():
-        return task_preset(task)
-    if Path(task).is_file():
-        return load_preset_file(task, name=task)
-    raise ConfigError(
-        f"unknown task {task!r}; available presets: {', '.join(preset_names())} "
-        "(or pass a preset file path)"
-    )
+from .presets import preset_names, task_preset
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -192,7 +180,7 @@ class ExperimentConfig:
         if name == "em":
             return evaluation.EMSpec(em_config=self.em)
         return evaluation.CoDecompSpec(
-            preset=resolve_preset(self.experiment.task),
+            preset=task_preset(self.experiment.task),
             provider=self.provider.build(),
             co_config=self.cotrain,
             train_config=self.learner,
@@ -248,13 +236,13 @@ def _enriched_record(pdoc, preset) -> dict:
 
 def cmd_prepare(args) -> int:
     cfg = _load_config(args)
-    preset = resolve_preset(cfg.experiment.task)
+    preset = task_preset(cfg.experiment.task)
     lexicons = load_lexicons()
     docs = _load_documents(cfg)
     out = Path(args.enriched_out or _out_dir(cfg) / "enriched.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
-    mention_counts = {k.name: 0 for k in preset.kcs_list}
-    empty_bags = {k.name: 0 for k in preset.kcs_list}
+    mention_counts = dict.fromkeys(preset.view_names, 0)
+    empty_bags = dict.fromkeys(preset.view_names, 0)
     with open(out, "w", encoding="utf-8") as fh:
         for doc in docs:
             pdoc = process_document(doc, preset, lexicons)
@@ -344,22 +332,20 @@ def cmd_annotate(args, stdin=None, stdout=None) -> int:
 
 def cmd_validate_kcs(args) -> int:
     cfg = _load_config(args)
-    preset = resolve_preset(cfg.experiment.task)
-    lexicons = load_lexicons()
-    provider = cfg.provider.build()
+    spec = cfg.model_spec("codecomp")
     docs = _load_documents(cfg)
-    pdocs = [process_document(d, preset, lexicons) for d in docs]
+    pdocs = [process_document(d, spec.preset, spec.lexicons) for d in docs]
     reports = []
-    for kcs in preset.kcs_list:
+    for name in spec.preset.view_names:
         report = validate_kcs_gamma(
-            provider, pdocs, kcs.name, cfg.gamma.threshold, cfg.gamma.sample_pairs,
+            spec.provider, pdocs, name, cfg.gamma.threshold, cfg.gamma.sample_pairs,
             cfg.experiment.master_seed, metric=cfg.gamma.metric)
         reports.append(report)
         if cfg.gamma.threshold == float("inf"):
             flag = "report only"
         else:
             flag = "ok" if report.satisfied else "WARNING: above threshold"
-        print(f"{kcs.name}: max={report.max_distance:.4f} "
+        print(f"{name}: max={report.max_distance:.4f} "
               f"q95={report.quantile95_distance:.4f} [{flag}]")
     out = _out_dir(cfg) / "gamma.json"
     out.write_text(json.dumps([r.to_dict() for r in reports], sort_keys=True,
@@ -379,21 +365,19 @@ def _training_pools(run, docs):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    preset = resolve_preset(cfg.experiment.task)
-    lexicons = load_lexicons()
-    provider = cfg.provider.build()
+    spec = cfg.model_spec("codecomp")
     docs = _load_documents(cfg)
     labeled_docs, unlabeled_docs = _training_pools(cfg.experiment, docs)
-    kcs_names = tuple(k.name for k in preset.kcs_list)
+    names = spec.preset.view_names
     labeled = build_examples(
-        [process_document(d, preset, lexicons) for d in labeled_docs],
-        provider, kcs_names)
+        [process_document(d, spec.preset, spec.lexicons) for d in labeled_docs],
+        spec.provider, names)
     unlabeled = build_examples(
-        [process_document(d, preset, lexicons) for d in unlabeled_docs],
-        provider, kcs_names)
-    model = cotrain_fit(labeled, unlabeled, len(kcs_names), cfg.cotrain,
-                        cfg.learner, kcs_names=kcs_names)
-    model.provider_spec = provider.spec()
+        [process_document(d, spec.preset, spec.lexicons) for d in unlabeled_docs],
+        spec.provider, names)
+    model = cotrain_fit(labeled, unlabeled, len(names), spec.co_config,
+                        spec.train_config, kcs_names=names)
+    model.provider_spec = spec.provider.spec()
     out = _out_dir(cfg)
     save_model(model, out / "model.json")
     (out / "iterations.jsonl").write_text(

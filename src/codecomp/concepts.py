@@ -363,13 +363,16 @@ class TaskPreset:
     kcs_list: tuple[KeyConceptSet, ...]
 
     def __post_init__(self):
-        names = [k.name for k in self.kcs_list]
-        if len(set(names)) != len(names):
+        if len(set(self.view_names)) != len(self.view_names):
             raise ConceptError(f"preset {self.name!r}: duplicate view names")
 
     @cached_property
     def has_human_view(self) -> bool:
         return any(k.kind == "human" for k in self.kcs_list)
+
+    @cached_property
+    def view_names(self) -> tuple[str, ...]:
+        return tuple(k.name for k in self.kcs_list)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import io
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .baselines import EMConfig, document_features, em_fit, nb_baseline_fit
 from .concepts import (
@@ -214,7 +214,7 @@ class CoDecompSpec:
     provider: object = field(default_factory=HashedWindowProvider)
     co_config: CoConfig = field(default_factory=CoConfig)
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    lexicons: Lexicons | None = None
+    lexicons: Lexicons = field(default_factory=load_lexicons)
     name = "codecomp"
 
     def describe(self) -> dict:
@@ -223,6 +223,8 @@ class CoDecompSpec:
             "model": "codecomp",
             "views": [{"name": k.name, "kind": k.kind, "keywords": list(k.keywords),
                        "mask_token": k.mask_token} for k in self.preset.kcs_list],
+            "lexicons": {f.name: sorted(getattr(self.lexicons, f.name))
+                         for f in fields(self.lexicons)},
             "provider": self.provider.spec(),
             "co_config": asdict(self.co_config),
             "train_config": asdict(self.train_config),
@@ -270,13 +272,11 @@ class _CoDecompRunner:
     def __init__(self, corpus, spec: CoDecompSpec, iteration_settings=None):
         self.spec = spec
         self.iteration_settings = iteration_settings
-        lexicons = spec.lexicons if spec.lexicons is not None else load_lexicons()
-        self.kcs_names = tuple(k.name for k in spec.preset.kcs_list)
         self.examples = {}
         for start in range(0, len(corpus), _CHUNK):
-            pdocs = [process_document(doc, spec.preset, lexicons)
+            pdocs = [process_document(doc, spec.preset, spec.lexicons)
                      for doc in corpus[start:start + _CHUNK]]
-            for example in build_examples(pdocs, spec.provider, self.kcs_names):
+            for example in build_examples(pdocs, spec.provider, spec.preset.view_names):
                 self.examples[example.doc_id] = example
 
     def predictions(self, labeled, unlabeled, test):
@@ -284,11 +284,11 @@ class _CoDecompRunner:
         unlabeled = [self.examples[d.id] for d in unlabeled]
         configs = (self.spec.co_config, self.spec.train_config)
         test = [self.examples[d.id] for d in test]
+        names = self.spec.preset.view_names
         if self.iteration_settings is None:
-            model = cotrain_fit(labeled, unlabeled, len(self.kcs_names), *configs,
-                                self.kcs_names)
+            model = cotrain_fit(labeled, unlabeled, len(names), *configs, names)
             return {self.spec.name: predict_many(model, test)}
-        return ablation_variants(labeled, unlabeled, self.kcs_names, *configs,
+        return ablation_variants(labeled, unlabeled, names, *configs,
                                  self.iteration_settings, test)
 
 

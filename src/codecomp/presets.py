@@ -4,66 +4,54 @@ Each preset names the concept views of one detection task: personal health
 mentions pair the human view with a disease keyword view, crisis reports
 pair it with incident keywords, and adverse drug reactions pair it with the
 drug-name list. Custom tasks load from an INI-style file with one section
-per view.
+per view; ``task_preset`` takes a built-in name or such a file's path.
 """
 
 from __future__ import annotations
 
 import configparser
+from pathlib import Path
 
 from .concepts import ConceptError, KeyConceptSet, TaskPreset, lexicon_dir, load_wordlist
 
 HUM_TOK = "HUM_TOK"
 DRUG_TOK = "DRUG_TOK"
 
-_DISEASE_KEYWORDS = {
-    "phm-flu": ("flu",),
-    "phm-cancer": ("cancer",),
-    "phm-alzheimers": ("alzheimer's", "alzheimers"),
-    "phm-heart-attack": ("heart attack",),
-    "phm-parkinsons": ("parkinson's", "parkinsons"),
-    "phm-depression": ("depression",),
-    "phm-stroke": ("stroke",),
+# task -> (its keyword view's name, keywords, mask token); each built-in
+# pairs that view with the human view. A keywords string names a lexicon
+# file, read from lexicon_dir() when the preset is built.
+_BUILTINS = {
+    "phm-flu": ("disease", ("flu",), None),
+    "phm-cancer": ("disease", ("cancer",), None),
+    "phm-alzheimers": ("disease", ("alzheimer's", "alzheimers"), None),
+    "phm-heart-attack": ("disease", ("heart attack",), None),
+    "phm-parkinsons": ("disease", ("parkinson's", "parkinsons"), None),
+    "phm-depression": ("disease", ("depression",), None),
+    "phm-stroke": ("disease", ("stroke",), None),
+    "crisis-earthquake": ("crisis", ("earthquake", "quake"), None),
+    "adr": ("drug", "drug_names.txt", DRUG_TOK),
 }
 
 
-def _human_kcs() -> KeyConceptSet:
-    return KeyConceptSet(name="human", kind="human", mask_token=HUM_TOK)
-
-
-def _phm_preset(name: str) -> TaskPreset:
-    disease = KeyConceptSet(name="disease", kind="keyword",
-                            keywords=_DISEASE_KEYWORDS[name])
-    return TaskPreset(name=name, kcs_list=(_human_kcs(), disease))
-
-
-def _crisis_preset(name: str) -> TaskPreset:
-    crisis = KeyConceptSet(name="crisis", kind="keyword",
-                           keywords=("earthquake", "quake"))
-    return TaskPreset(name=name, kcs_list=(_human_kcs(), crisis))
-
-
-def _adr_preset(name: str) -> TaskPreset:
-    drugs = load_wordlist(lexicon_dir() / "drug_names.txt")
-    drug = KeyConceptSet(name="drug", kind="keyword", keywords=drugs,
-                         mask_token=DRUG_TOK)
-    return TaskPreset(name=name, kcs_list=(_human_kcs(), drug))
-
-
 def preset_names() -> list[str]:
-    return sorted(list(_DISEASE_KEYWORDS) + ["crisis-earthquake", "adr"])
+    return sorted(_BUILTINS)
 
 
-def task_preset(name: str) -> TaskPreset:
-    """Look up a built-in preset by task name."""
-    if name in _DISEASE_KEYWORDS:
-        return _phm_preset(name)
-    if name == "crisis-earthquake":
-        return _crisis_preset(name)
-    if name == "adr":
-        return _adr_preset(name)
+def task_preset(task) -> TaskPreset:
+    """A built-in preset by task name, or the preset file at path ``task``."""
+    if task in _BUILTINS:
+        view, keywords, mask_token = _BUILTINS[task]
+        if isinstance(keywords, str):
+            keywords = load_wordlist(lexicon_dir() / keywords)
+        return TaskPreset(name=task, kcs_list=(
+            KeyConceptSet(name="human", kind="human", mask_token=HUM_TOK),
+            KeyConceptSet(name=view, kind="keyword", keywords=keywords,
+                          mask_token=mask_token)))
+    if Path(task).is_file():
+        return load_preset_file(task, name=task)
     raise ConceptError(
-        f"unknown task {name!r}; available presets: {', '.join(preset_names())}"
+        f"unknown task {task!r}; available presets: {', '.join(preset_names())} "
+        "(or pass a preset file path)"
     )
 
 

@@ -4,11 +4,11 @@ and a rewrite must not route the work around them."""
 
 from pathlib import Path
 
-from codecomp import concepts, cotrain
+from codecomp import cli, concepts, cotrain
 from codecomp.cotrain import CoConfig, Example
 from codecomp.baselines import EMConfig
 from codecomp.context import HashedWindowProvider
-from codecomp.corpus import Document, SampleSpec
+from codecomp.corpus import Document, SampleSpec, load_corpus
 from codecomp.evaluation import CoDecompSpec, EMSpec, NBSpec, ablation_table, run_experiment
 from codecomp.learners import NBModel, TrainConfig
 from codecomp.presets import task_preset
@@ -154,6 +154,31 @@ def test_ablation_folds_reach_the_sites_the_benchmark_records(monkeypatch, tmp_p
     # fold by fold, and within a fold in the table's variant order
     checks.check_fold_counts(workloads._fold_rows(calls["compute_metrics"], list(table)),
                              table, {d.id: d.gold_label for d in docs}, k)
+
+
+def test_codecomp_train_reaches_the_sites_the_benchmark_records(monkeypatch, tmp_path):
+    # the classify-adr checker reads the training pools from the one
+    # co-training run that ``codecomp train`` makes through ``cli.cotrain_fit``;
+    # a fit called by another module's name would leave it no call to read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import taps
+    import workloads
+
+    workload = workloads.ClassifyAdr(seed=3, workdir=tmp_path)
+    workload.generate()
+    recorder = taps.Recorder()
+    workload.tap(recorder)
+    try:
+        workload.setup()
+    finally:
+        recorder.remove()
+    [((labeled, unlabeled, n_views, *_), model)] = recorder.calls["cotrain_fit"]
+    cfg = cli.ExperimentConfig.from_file(workload.config)
+    pools = cli._training_pools(cfg.experiment, load_corpus(cfg.experiment.corpus))
+    assert [[ex.doc_id for ex in pool] for pool in (labeled, unlabeled)] == [
+        [d.id for d in pool] for pool in pools]
+    assert len(labeled) == workload.n_labeled and n_views == 2
+    assert model.kcs_names == workload.model.kcs_names == ("human", "drug")
 
 
 def test_an_ablation_reaches_every_cotrain_and_logreg_layer(monkeypatch):

@@ -17,11 +17,12 @@ from codecomp.cli import (
     RunConfig,
     SweepConfig,
     main,
-    resolve_preset,
 )
+from codecomp.concepts import ConceptError, load_lexicons, process_document, view_occurrences
 from codecomp.corpus import load_corpus
 from codecomp.cotrain import CoConfig
 from codecomp.learners import TrainConfig, load_model
+from codecomp.presets import task_preset
 from codecomp.synthetic import decomposable_corpus
 
 
@@ -216,8 +217,8 @@ class TestConfig:
             sweep=SweepConfig(sizes=(100, 200, 400)))
 
     def test_unknown_task_lists_presets(self):
-        with pytest.raises(ConfigError, match="phm-cancer"):
-            resolve_preset("not-a-task")
+        with pytest.raises(ConceptError, match="phm-cancer"):
+            task_preset("not-a-task")
 
 
 class TestPrepare:
@@ -268,7 +269,7 @@ class TestPrepare:
         assert "Traceback" not in err
 
     def test_traceback_flag_reraises(self, phm_setup, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="available presets"):
+        with pytest.raises(ConceptError, match="available presets"):
             main(["--traceback", "prepare", "--task", "nope", "--corpus", str(phm_setup),
                   "--out", str(tmp_path / "o")])
         assert "error: " not in capsys.readouterr().err
@@ -366,6 +367,54 @@ def test_validate_kcs_writes_report(synth_setup, capsys):
     assert {r["kcs_name"] for r in payload} == {"alpha", "beta"}
     printed = capsys.readouterr().out
     assert "q95=" in printed
+
+
+@pytest.mark.parametrize("threshold, flag", [(1e9, "ok"), (0.0, "WARNING: above threshold")])
+def test_validate_kcs_flags_each_view_against_a_finite_threshold(synth_setup, capsys,
+                                                                threshold, flag):
+    config, out = synth_setup
+    config.write_text(config.read_text(encoding="utf-8")
+                      + f"\n[gamma]\nthreshold = {threshold}\n", encoding="utf-8")
+    assert main(["validate-kcs", "--config", str(config)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    payload = json.loads((out / "gamma.json").read_text(encoding="utf-8"))
+    assert [r["kcs_name"] for r in payload] == ["alpha", "beta"]
+    for report, line in zip(payload, printed):
+        assert report["gamma"] == threshold
+        assert report["satisfied"] is (flag == "ok")
+        assert line.startswith(f"{report['kcs_name']}: max=")
+        assert line.endswith(f"[{flag}]")
+
+
+def test_train_and_evaluate_read_precomputed_vectors(synth_setup, tmp_path):
+    # one vector per mention occurrence, keyed as view_occurrences keys it;
+    # the vector is the occurrence's hashed context, so the views still
+    # separate the classes
+    config, out = synth_setup
+    text = config.read_text(encoding="utf-8")
+    run = ExperimentConfig.from_file(config).experiment
+    preset = task_preset(run.task)
+    pdocs = [process_document(d, preset, load_lexicons()) for d in load_corpus(run.corpus)]
+    hashed = ProviderConfig(window=2, dim=8).build()
+    vectors = tmp_path / "vectors.tsv"
+    with open(vectors, "w", encoding="utf-8") as fh:
+        fh.write("dim 8\n")
+        for name in preset.view_names:
+            occurrences, _ = view_occurrences(pdocs, name)
+            for (_, _, key), row in zip(occurrences, hashed.vectors(occurrences)):
+                fh.write("\t".join([*map(str, key), " ".join(map(repr, row.tolist()))]) + "\n")
+    config.write_text(text.replace("kind = hashed\n",
+                                   f"kind = precomputed\npath = {vectors}\n"),
+                      encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 0
+    model = load_model(out / "model.json")
+    assert model.provider_spec == {"kind": "precomputed", "path": str(vectors)}
+    assert json.loads((out / "model.json").read_text(encoding="utf-8"))[
+        "provider_spec"] == model.provider_spec
+    assert model.classifiers[0].weights.shape == (8,)
+    assert main(["evaluate", "--config", str(config), "--model", "codecomp"]) == 0
+    report = json.loads((out / "report_codecomp.json").read_text(encoding="utf-8"))
+    assert len(report["runs"]) == 3 and report["mean"]["f1"] > 0
 
 
 def test_train_writes_model_and_log(synth_setup, capsys):

@@ -857,3 +857,21 @@ def test_preset_file_rejects_keywords_next_to_a_keywords_file(tmp_path):
                        match=r"preset\.ini, \[disease\]: give keywords or "
                              "keywords_file, not both"):
         load_preset_file(path)
+
+
+def test_task_preset_reads_a_preset_file_with_a_keywords_file(tmp_path):
+    words = tmp_path / "drugs.txt"
+    words.write_text("# drugs\nAdvil\nMega Cillin  # two words\n", encoding="utf-8")
+    path = tmp_path / "preset.ini"
+    path.write_text(f"[human]\nkind = human\nmask_token = HUM_TOK\n"
+                    f"[drug]\nkeywords_file = {words}\nmask_token = DRUG_TOK\n",
+                    encoding="utf-8")
+    preset = task_preset(str(path))
+    assert preset.name == str(path) and preset.view_names == ("human", "drug")
+    drug = preset.kcs_list[1]
+    assert (drug.kind, drug.keywords, drug.mask_token) == (
+        "keyword", ("advil", "mega cillin"), DRUG_TOK)
+    words.write_text("advil\nADVIL\n", encoding="utf-8")
+    with pytest.raises(ConceptError, match=rf"{re.escape(str(words))}: duplicate "
+                                           "entry 'advil' at line 2"):
+        task_preset(str(path))

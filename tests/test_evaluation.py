@@ -534,6 +534,21 @@ def test_codecomp_fingerprint_reads_the_views_not_the_preset_name(tmp_path,
         assert fingerprint("p.ini") != first
 
 
+def test_codecomp_fingerprint_reads_every_lexicon_word(small_corpus):
+    # the human view and the rewrites read the lexicons, so two specs that
+    # differ by one person word are two configurations
+    _, preset = small_corpus
+    lexicons = load_lexicons()
+    fewer = replace(lexicons, person_dictionary=lexicons.person_dictionary - {"mom"})
+
+    def fingerprint(lexicons):
+        return config_fingerprint(CoDecompSpec(preset=preset, lexicons=lexicons).describe())
+
+    assert fingerprint(load_lexicons()) == fingerprint(lexicons)
+    assert fingerprint(CoDecompSpec(preset=preset).lexicons) == fingerprint(lexicons)
+    assert fingerprint(fewer) != fingerprint(lexicons)
+
+
 def test_em_spec_describes_every_em_config_field():
     spec = EMSpec(em_config=baselines.EMConfig(
         alpha=0.5, max_iterations=7, unlabeled_weight=0.25,
