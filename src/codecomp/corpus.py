@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import types
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def _stratified_counts(n_take: int, n_pos: int, n_neg: int) -> tuple[int, int]:
 
 def hide_gold(doc: Document) -> Document:
     """Copy of a document with its gold label and spans removed."""
-    return replace(doc, gold_label=None, positive_human_spans=())
+    return Document(id=doc.id, text=doc.text, task=doc.task)
 
 
 def sample_labeled(train_split: list[Document], spec: SampleSpec,

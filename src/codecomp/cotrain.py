@@ -3,10 +3,13 @@
 Training alternates between the per-view classifiers: each iteration
 scores the unlabeled documents through the most-confident-instance rule,
 promotes the top positive and top negative documents of every view into
-the labeled pool, and retrains every view on the grown pool. Each view's
-pool is one pair of arrays that a promoting iteration appends to, and each
-retrain warm-starts from the view's previous classifier: the same
-regularized optimum, reached in fewer Newton steps.
+the labeled pool, and retrains every view on the grown pool. The unlabeled
+pool is stacked once per view, and which documents are promotable (no
+empty bag) is read from those stacks; each iteration scores each view's
+stack once, and promotion reuses those scores. Each view's labeled pool is
+one pair of arrays that a promoting iteration appends to, and each retrain
+warm-starts from the view's previous classifier: the same regularized
+optimum, reached in fewer Newton steps.
 A promoted positive contributes its winning instance plus the most probable
 counterpart instance in every other view; a promoted negative must look
 confidently negative to all views at once and contributes every instance.
@@ -192,23 +195,28 @@ class _StackedBags:
     Bag i is rows ``starts[i] : starts[i] + lengths[i]`` of ``matrix``. Every
     bag must have the first bag's width, and the stack scores only with a
     classifier of that width. A row's probability does not depend on the
-    rows around it, so a bag's maximum here is the one ``mil_example_score``
-    gives it alone.
+    rows around it, so a bag's slice of ``probabilities`` is what
+    ``predict_proba_batch`` gives the bag alone, and its maximum here is the
+    one ``mil_example_score`` gives it.
     """
 
     def __init__(self, examples, view: int):
         self.view, self.examples = view, list(examples)
         mats = [ex.views[view].vectors for ex in self.examples]
-        lengths, widths = zip(*[m.shape for m in mats]) if mats else ((), ())
-        for ex, width in zip(self.examples, widths):
-            if width != widths[0]:
-                raise CotrainError(
-                    f"view {view}: document {ex.doc_id!r} has vectors of width "
-                    f"{width}, document {self.examples[0].doc_id!r} has {widths[0]}"
-                )
-        self.lengths = np.array(lengths, dtype=int)
+        self.lengths = np.fromiter(map(len, mats), dtype=int, count=len(mats))
         self.starts = np.cumsum(self.lengths) - self.lengths
-        self.matrix = np.concatenate(mats) if mats else np.empty((0, 0))
+        try:
+            self.matrix = np.concatenate(mats) if mats else np.empty((0, 0))
+        except ValueError:
+            # concatenate refuses bags of different widths; name the first
+            for ex, mat in zip(self.examples, mats):
+                if mat.shape[1] != mats[0].shape[1]:
+                    raise CotrainError(
+                        f"view {view}: document {ex.doc_id!r} has vectors of width "
+                        f"{mat.shape[1]}, document {self.examples[0].doc_id!r} has "
+                        f"{mats[0].shape[1]}"
+                    ) from None
+            raise
 
     def labeled_rows(self):
         """The rows labeled POSITIVE or NEGATIVE and their 0/1 targets, in
@@ -218,20 +226,33 @@ class _StackedBags:
         keep = (labels == POSITIVE) | (labels == NEGATIVE)
         return self.matrix[keep], (labels[keep] == POSITIVE).astype(float)
 
-    def score(self, classifier, neutral_prob: float) -> np.ndarray:
-        """Each bag's highest instance probability; an empty bag scores
-        ``neutral_prob``."""
+    def probabilities(self, classifier) -> np.ndarray:
+        """Every row's probability under ``classifier``, in stack order."""
         dim = classifier.weights.shape[0]
         if self.examples and self.matrix.shape[1] != dim:
             raise CotrainError(
                 f"view {self.view}: document {self.examples[0].doc_id!r} has vectors "
                 f"of width {self.matrix.shape[1]}, the classifier takes {dim}"
             )
+        return predict_proba_batch(classifier, self.matrix)
+
+    def maxima(self, probs, neutral_prob: float) -> np.ndarray:
+        """Each bag's highest row of ``probs``; an empty bag scores
+        ``neutral_prob``."""
         maxes = np.full(self.lengths.size, float(neutral_prob))
         full = self.lengths > 0
-        maxes[full] = np.maximum.reduceat(predict_proba_batch(classifier, self.matrix),
-                                          self.starts[full])
+        maxes[full] = np.maximum.reduceat(probs, self.starts[full])
         return maxes
+
+    def winner(self, probs, i: int) -> int:
+        """The instance of bag i that ``mil_example_score`` picks from its
+        slice of ``probs``."""
+        return mil_example_score(probs[self.starts[i]:self.starts[i] + self.lengths[i]])[1]
+
+    def score(self, classifier, neutral_prob: float) -> np.ndarray:
+        """Each bag's highest instance probability; an empty bag scores
+        ``neutral_prob``."""
+        return self.maxima(self.probabilities(classifier), neutral_prob)
 
 
 def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
@@ -244,7 +265,11 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     Each iteration scores the unlabeled documents, promotes each view's most
     confident positive and negative documents (those clearing the confidence
     floor) into the labeled pool, and retrains the views on it. Stops early
-    once nothing qualifies. With ``iterations=0`` the result is just the
+    once nothing qualifies. The unlabeled pool is stacked once per view, and
+    only documents whose bags are all non-empty, as the stacks' bag lengths
+    show, are promotable. Each iteration makes one ``predict_proba_batch``
+    call per view; a promoted positive's winning instances are read from
+    that call's row probabilities. With ``iterations=0`` the result is just the
     independently trained per-view classifiers. ``snapshots`` keeps the
     classifiers of every step: a run of k iterations returns
     ``snapshots[min(k, len(snapshots) - 1)]``. A first iteration that
@@ -252,7 +277,8 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     """
     if n_views != len(kcs_names):
         raise CotrainError(f"{n_views} views, but {len(kcs_names)} view names")
-    for ex in list(labeled) + list(unlabeled):
+    labeled, unlabeled = list(labeled), list(unlabeled)
+    for ex in labeled + unlabeled:
         if len(ex.views) != n_views:
             raise CotrainError(
                 f"document {ex.doc_id!r} has {len(ex.views)} views, expected {n_views}"
@@ -264,47 +290,59 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
     pools = [_StackedBags(labeled, j).labeled_rows() for j in range(n_views)]
     snapshots = [_train_views(pools, train_config, kcs_names, [None] * n_views)]
 
-    # Documents with an empty bag in any view never qualify for promotion;
-    # they stay unlabeled and fall back to the neutral score at test time.
-    # The rest are stacked once; promotion clears their ``alive`` flag. The
-    # instance labels of unlabeled documents are never read.
-    promotable = [ex for ex in unlabeled if all(v.size > 0 for v in ex.views)]
-    bags = [_StackedBags(promotable, j) for j in range(n_views)]
-    alive = np.ones(len(promotable), dtype=bool)
-    id_rank = np.argsort(sorted(range(len(promotable)),
-                                key=lambda p: promotable[p].doc_id))
+    # The unlabeled pool is stacked once per view. Documents with an empty
+    # bag in any view never qualify for promotion, so ``alive`` starts as
+    # "every bag non-empty", read from the stacks; they stay unlabeled and
+    # fall back to the neutral score at test time. Promotion clears a
+    # document's flag. The instance labels of unlabeled documents are never
+    # read.
+    bags = [_StackedBags(unlabeled, j) for j in range(n_views)]
+    alive = np.ones(len(unlabeled), dtype=bool)
+    for stack in bags:
+        alive &= stack.lengths > 0
+    promotable = int(np.count_nonzero(alive))
+    id_rank = np.argsort(sorted(range(len(unlabeled)), key=lambda p: unlabeled[p].doc_id))
     log = []
     floor = co_config.confidence_floor
 
     for iteration in range(1, co_config.iterations + 1):
         classifiers = snapshots[-1]
-        maxes = np.vstack([bags[j].score(classifiers[j], co_config.neutral_prob)
-                           for j in range(n_views)])        # (J, n_promotable)
+        # one scoring pass per view: its row probabilities give both every
+        # bag's maximum and a promoted positive's winning instance
+        probs = [stack.probabilities(clf) for stack, clf in zip(bags, classifiers)]
+        maxes = np.vstack([stack.maxima(row_probs, co_config.neutral_prob)
+                           for stack, row_probs in zip(bags, probs)])  # (J, n_unlabeled)
         confidently_negative = alive & np.all(maxes < 1.0 - floor, axis=0)
 
-        # Each view takes its most confident documents not yet taken this
-        # iteration: positives by descending score, then negatives by
-        # ascending score, ties to the lower doc id.
-        taken = np.zeros(len(promotable), dtype=bool)
+        # Each view takes its ``promotions_per_view`` most confident
+        # documents not yet taken this iteration: positives by descending
+        # score, then negatives by ascending score, ties to the lower doc id.
+        # A repeated minimum over the open candidates' keys takes them
+        # without sorting the pool.
+        taken = np.zeros(alive.size, dtype=bool)
         picks = []
         for kind, sign, eligible in (("positive", -1.0, alive & (maxes >= floor)),
                                      ("negative", 1.0, [confidently_negative] * n_views)):
             for j in range(n_views):
-                cand = np.flatnonzero(eligible[j] & ~taken)
-                cand = cand[np.lexsort((id_rank[cand], sign * maxes[j, cand]))]
-                cand = cand[:co_config.promotions_per_view]
-                taken[cand] = True
-                picks.extend((int(p), kind, j) for p in cand)
+                key = np.where(eligible[j] & ~taken, sign * maxes[j], np.inf)
+                for _ in range(co_config.promotions_per_view):
+                    best = key.min(initial=np.inf)
+                    if best == np.inf:
+                        break
+                    tied = np.flatnonzero(key == best)
+                    p = int(tied[np.argmin(id_rank[tied])])
+                    key[p] = np.inf
+                    taken[p] = True
+                    picks.append((p, kind, j))
 
         promotions = []
         grown = [([X], [y]) for X, y in pools]
         for p, kind, j in sorted(picks):
-            ex = promotable[p]
-            for view, (rows, targets), clf in zip(ex.views, grown, classifiers):
+            ex = unlabeled[p]
+            for view, (rows, targets), stack, view_probs in zip(ex.views, grown, bags, probs):
                 if kind == "positive":
                     # the winning instance of every view, as a positive
-                    winner = mil_example_score(predict_proba_batch(clf, view.vectors))[1]
-                    rows.append(view.vectors[winner][None])
+                    rows.append(view.vectors[stack.winner(view_probs, p)][None])
                     targets.append(np.ones(1))
                 else:
                     rows.append(view.vectors)
@@ -315,7 +353,7 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
                 "doc_id": ex.doc_id, "confidence": float(maxes[j, p]),
             })
 
-        promoted = int(np.count_nonzero(~alive))
+        promoted = promotable - int(np.count_nonzero(alive))
         log.append(IterationRecord(
             iteration=iteration,
             promotions=promotions,
@@ -324,11 +362,11 @@ def cotrain_fit(labeled, unlabeled, n_views: int, co_config: CoConfig,
         ))
         if not promotions:
             if iteration == 1:
-                tops = zip(kcs_names, maxes.max(axis=1, initial=0.0))
+                tops = zip(kcs_names, maxes.max(axis=1, where=alive, initial=0.0))
                 logging.getLogger(__name__).warning(
                     "co-training promoted nothing in its first iteration: the top bag "
                     "probability of %d promotable documents is %s, against a confidence "
-                    "floor of %g", len(promotable),
+                    "floor of %g", promotable,
                     ", ".join(f"{name} {top:.3g}" for name, top in tops), floor)
             break
         pools = [(np.concatenate(rows), np.concatenate(targets))

@@ -112,6 +112,22 @@ def _gradient_hessian(design, y, theta, penalty, z):
     return grad, hess
 
 
+def _augmented(X, weights, bias, l2_lambda):
+    """The system ``train_logreg`` steps in: the design ``[X, 1]``, theta =
+    (weights, bias) and the penalty, ``l2_lambda`` per weight and 0 for the
+    bias. Each is filled into one new array."""
+    n, d = X.shape
+    design = np.empty((n, d + 1))
+    design[:, :d] = X
+    design[:, d] = 1.0
+    theta = np.empty(d + 1)
+    theta[:d] = weights
+    theta[d] = bias
+    penalty = np.full(d + 1, float(l2_lambda))
+    penalty[d] = 0.0
+    return design, theta, penalty
+
+
 def loss_gradient(model: LogRegModel, X, y) -> tuple[float, np.ndarray]:
     """Regularized log-loss and its analytic gradient in (weights, bias),
     from the function ``train_logreg`` steps by.
@@ -126,9 +142,7 @@ def loss_gradient(model: LogRegModel, X, y) -> tuple[float, np.ndarray]:
             f"dimension mismatch: model has {model.weights.shape[0]}, data has {X.shape[1]}"
         )
     w, lam = model.weights, model.config.l2_lambda
-    design = np.column_stack([X, np.ones(len(y))])
-    theta = np.append(w, model.bias)
-    penalty = np.append(np.full(len(w), lam), 0.0)
+    design, theta, penalty = _augmented(X, w, model.bias, lam)
     z = design @ theta
     grad, _ = _gradient_hessian(design, y, theta, penalty, z)
     return _log_loss(z, y, w, lam), grad
@@ -190,20 +204,15 @@ def train_logreg(X, y, cfg: TrainConfig, start: LogRegModel | None = None) -> Lo
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise LearnerError(f"bad training shapes: X {X.shape}, y {y.shape}")
-    if len(np.unique(y)) < 2:
+    if (y == y[0]).all():
         raise LearnerError("training data contains a single class")
     n, d = X.shape
-    design = np.column_stack([X, np.ones(n)])  # the bias is the last coefficient
-    penalty = np.append(np.full(d, cfg.l2_lambda), 0.0)
-    if start is None:
-        theta = np.zeros(d + 1)
-        z = np.zeros(n)
-    else:
-        if start.weights.shape != (d,):
-            raise LearnerError(f"start has {start.weights.shape[0]} weights, data has "
-                               f"{d} columns")
-        theta = np.append(start.weights, start.bias)
-        z = design @ theta
+    if start is not None and start.weights.shape != (d,):
+        raise LearnerError(f"start has {start.weights.shape[0]} weights, data has "
+                           f"{d} columns")
+    weights, bias = (0.0, 0.0) if start is None else (start.weights, start.bias)
+    design, theta, penalty = _augmented(X, weights, bias, cfg.l2_lambda)
+    z = np.zeros(n) if start is None else design @ theta
     loss = _log_loss(z, y, theta[:d], cfg.l2_lambda)
     steps = 0
     converged = False

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from codecomp.corpus import (
     POSITIVE,
     SampleSpec,
     fold_sizes,
+    hide_gold,
     load_corpus,
     sample_labeled,
     stratified_folds,
@@ -211,6 +213,18 @@ def test_sample_labeled_partition_and_sealing():
     for doc in unlabeled:
         assert doc.gold_label is None
         assert doc.positive_human_spans == ()
+
+
+def test_hide_gold_copies_every_field_but_the_gold():
+    docs = [Document("p", "my sister got married", POSITIVE, ((3, 9),), task="phm"),
+            Document("n", "a wedding", NEGATIVE, task="phm"),
+            Document("u", "no gold here")]
+    for doc in docs:
+        copy = hide_gold(doc)
+        expected = replace(doc, gold_label=None, positive_human_spans=())
+        assert type(copy) is Document and copy is not doc
+        for f in fields(Document):
+            assert getattr(copy, f.name) == getattr(expected, f.name), f.name
 
 
 def test_sample_labeled_boundary_and_errors():

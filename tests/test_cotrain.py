@@ -269,6 +269,28 @@ def test_duplicate_documents_score_alike_and_tie_to_lower_doc_id():
     assert positives["view0"]["confidence"] == positives["view1"]["confidence"]
 
 
+def test_top_k_picks_break_ties_by_doc_id_against_pool_order():
+    # doc ids run against pool order and every score comes three times, so
+    # which copies each view takes is decided by the doc-id rule alone; the
+    # two views are alike, so view 0 takes the best two and view 1 the next
+    labeled, _, cfg = _simple_examples()
+    values = (2.0, 1.5, 0.1, -1.5, -2.0)
+    unlabeled = [Example(f"U{99 - i}", [ViewInstances(np.array([[values[i % 5]]]),
+                                                      [UNLABELED])] * 2)
+                 for i in range(15)]
+    co_config = CoConfig(iterations=1, promotions_per_view=2)
+    model = cotrain_fit(labeled, unlabeled, 2, co_config, cfg, _view_names(2))
+    base = replace(model, classifiers=model.snapshots[0])
+    score = {ex.doc_id: predict(base, ex)[1][0] for ex in unlabeled}
+    for kind, order in (("positive", -1.0), ("negative", 1.0)):
+        ranked = sorted(score, key=lambda d: (order * score[d], d))[:4]
+        picks = {(p["view"], p["doc_id"]) for p in model.iteration_log[0].promotions
+                 if p["kind"] == kind}
+        assert picks == {("view0", ranked[0]), ("view0", ranked[1]),
+                         ("view1", ranked[2]), ("view1", ranked[3])}
+    _assert_same_fit(model, _reference_cotrain_fit(labeled, unlabeled, 2, co_config, cfg))
+
+
 def _odd_offset_copy(a, offset):
     """``a`` copied into a buffer ``offset`` floats past its start."""
     buffer = np.empty(a.size + offset)
@@ -445,7 +467,9 @@ class TestCotrainBookkeeping:
     def test_a_first_iteration_that_promotes_nothing_logs_one_warning(self, caplog):
         # at l2_lambda=0.1 no bag clears the confidence floor and none looks
         # negative to both views, so co-training stops at once; at the
-        # default l2_lambda it runs all 25 iterations
+        # default l2_lambda it runs all 25 iterations. A decoy whose beta bag
+        # is empty and whose alpha bag outscores every promotable document
+        # is not promotable: neither the warning nor the log counts it.
         docs, preset = decomposable_corpus(400, 3, positive_rate=0.4, ambiguity=0.15)
         names = tuple(k.name for k in preset.kcs_list)
         lexicons = load_lexicons()
@@ -454,19 +478,30 @@ class TestCotrainBookkeeping:
                            HashedWindowProvider(), names)
             for part in sample_labeled(docs, SampleSpec(30, 3)))
 
-        def fit(l2_lambda):
+        def fit(l2_lambda, pool):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="codecomp.cotrain"):
-                model = cotrain_fit(labeled, unlabeled, 2, CoConfig(),
+                model = cotrain_fit(labeled, pool, 2, CoConfig(),
                                     TrainConfig(l2_lambda=l2_lambda), kcs_names=names)
             return model, [r for r in caplog.records if r.name == "codecomp.cotrain"]
 
-        model, records = fit(0.1)
+        def with_decoy(l2_lambda):
+            # an alpha row at logit 50 plus the bias of the base alpha fit
+            alpha = fit(l2_lambda, [])[0].classifiers[0].weights
+            row = 50.0 * alpha / (alpha @ alpha)
+            decoy = Example("decoy", [ViewInstances(row[None], [UNLABELED]),
+                                      ViewInstances(np.empty((0, row.size)), [])])
+            return [decoy] + unlabeled
+
+        pool = with_decoy(0.1)
+        model, records = fit(0.1, pool)
         assert [len(r.promotions) for r in model.iteration_log] == [0]
+        assert model.iteration_log[0].unlabeled_examples == len(pool)
         [record] = records
         assert record.levelno == logging.WARNING
         promotable = [ex for ex in unlabeled if all(v.size for v in ex.views)]
         tops = np.max([predict(model, ex)[1] for ex in promotable], axis=0)
+        assert predict(model, pool[0])[1][0] > max(0.7, tops[0])
         assert record.getMessage() == (
             "co-training promoted nothing in its first iteration: the top bag "
             f"probability of {len(promotable)} promotable documents is "
@@ -474,10 +509,64 @@ class TestCotrainBookkeeping:
             "floor of 0.7")
         assert max(tops) < 0.7
 
-        model, records = fit(1e-3)
+        model, records = fit(1e-3, unlabeled)
         assert len(model.iteration_log) == 25
         assert len(model.iteration_log[0].promotions) == 4
         assert records == []
+        # the decoy changes nothing but the count of unlabeled documents
+        decoyed, records = fit(1e-3, with_decoy(1e-3))
+        assert records == []
+        assert [(r.promotions, r.labeled_examples, r.unlabeled_examples - 1)
+                for r in decoyed.iteration_log] == [
+            (r.promotions, r.labeled_examples, r.unlabeled_examples)
+            for r in model.iteration_log]
+        for a, b in zip(decoyed.classifiers, model.classifiers):
+            assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+
+    @pytest.mark.parametrize("pool", ["empty", "no promotable document"])
+    def test_a_pool_without_promotable_documents_keeps_the_base_fit(self, pool, caplog):
+        # U1's view-0 bag alone would be promoted, but a document with an
+        # empty bag in any view never is
+        labeled, unlabeled, cfg = _simple_examples()
+        empty = ViewInstances(np.empty((0, 1)), [])
+        unlabeled = [] if pool == "empty" else [
+            Example("E0", [unlabeled[0].views[0], empty]),
+            Example("E1", [empty, unlabeled[0].views[1]]),
+            Example("E2", [empty, empty]),
+        ]
+        base = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=0), cfg,
+                           _view_names(2))
+        with caplog.at_level(logging.WARNING, logger="codecomp.cotrain"):
+            model = cotrain_fit(labeled, unlabeled, 2, CoConfig(iterations=3), cfg,
+                                _view_names(2))
+        assert len(model.snapshots) == 1
+        for a, b in zip(model.classifiers, base.classifiers):
+            assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+        assert model.iteration_log == [IterationRecord(1, [], 2, len(unlabeled))]
+        assert [r.getMessage() for r in caplog.records if r.name == "codecomp.cotrain"] == [
+            "co-training promoted nothing in its first iteration: the top bag "
+            "probability of 0 promotable documents is view0 0, view1 0, against "
+            "a confidence floor of 0.7"]
+
+    def test_each_iteration_scores_each_view_once(self, monkeypatch):
+        # one predict_proba_batch call per view and iteration, over the whole
+        # stacked pool; a promoted positive's winning instances come from
+        # that call's row probabilities, not from scoring its bags again
+        labeled, unlabeled, _, names = _synthetic_pools()
+        calls = []
+
+        def counting(classifier, X):
+            calls.append(len(X))
+            return predict_proba_batch(classifier, X)
+
+        monkeypatch.setattr(cotrain, "predict_proba_batch", counting)
+        model = cotrain_fit(labeled, unlabeled, 2,
+                            CoConfig(iterations=4, promotions_per_view=2),
+                            self.CFG, kcs_names=names)
+        assert any(p["kind"] == "positive"
+                   for r in model.iteration_log for p in r.promotions)
+        rows = [sum(ex.views[j].size for ex in unlabeled) for j in range(2)]
+        assert calls == rows * len(model.iteration_log)
 
     def test_confidence_floor_respected(self):
         labeled, unlabeled, _, names = _synthetic_pools()
