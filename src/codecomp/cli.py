@@ -4,31 +4,28 @@ Subcommands: prepare (corpus -> enriched mention file), annotate (batch
 span annotation of positive documents), validate-kcs (context-similarity
 reports), train, evaluate (a report, and a training-size curve from the
 same folds), ablate. Settings come from an INI config file with one
-section per subsystem; command-line flags override file values. Set
-CODECOMP_LEXICON_DIR to point at a custom lexicon directory.
+section per subsystem; command-line flags override file values. Each
+section but ``[experiment]`` (``RunConfig``) is the dataclass of the code
+that reads it, the one copy of its rules. Set CODECOMP_LEXICON_DIR to
+point at a custom lexicon directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import evaluation
 from .baselines import EMConfig
 from .concepts import load_lexicons, process_document
-from .context import (
-    DISTANCES,
-    HashedWindowProvider,
-    load_precomputed,
-    validate_kcs_gamma,
-)
+from .context import PROVIDERS, GammaConfig, ProviderConfig, validate_kcs_gamma
 from .corpus import POSITIVE, SampleSpec, load_corpus, sample_labeled
 from .cotrain import CoConfig, build_examples, cotrain_fit, iteration_log_lines
+from .evaluation import AblationConfig, SweepConfig
 from .learners import TrainConfig, save_model
 from .presets import preset_names, task_preset
 
@@ -45,6 +42,16 @@ _PARSERS = {
     "str": str, "int": int, "float": float, "int | None": int,
     "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
 }
+
+# the spec of each ``[experiment] model`` name, built from the whole config
+MODELS = {
+    "codecomp": lambda cfg: evaluation.CoDecompSpec(
+        preset=task_preset(cfg.experiment.task), provider=cfg.provider.build(),
+        co_config=cfg.cotrain, train_config=cfg.learner),
+    "nb": lambda cfg: cfg.nb,
+    "em": lambda cfg: evaluation.EMSpec(em_config=cfg.em),
+}
+_MODEL_NAMES = f"{', '.join(list(MODELS)[:-1])} or {list(MODELS)[-1]}"
 
 
 @dataclass(frozen=True)
@@ -63,66 +70,8 @@ class RunConfig:
     def __post_init__(self):
         evaluation.check_protocol_values(self.k_folds, self.repetitions, self.dev_fold,
                                          self.jobs, (self.n_labeled,))
-        if self.model not in ("codecomp", "nb", "em"):
-            raise ConfigError(f"model must be codecomp, nb or em, got {self.model!r}")
-
-
-@dataclass(frozen=True)
-class ProviderConfig:
-    """The ``[provider]`` section: ``path`` is read for precomputed vectors,
-    ``window`` and ``dim`` for hashed ones. Those two are checked by the
-    hashed provider's own rule whatever the kind."""
-
-    kind: str = "hashed"
-    path: str = ""
-    window: int = 3
-    dim: int = 64
-
-    def __post_init__(self):
-        if self.kind not in ("hashed", "precomputed"):
-            raise ConfigError(f"kind must be hashed or precomputed, got {self.kind!r}")
-        if self.kind == "precomputed" and not self.path:
-            raise ConfigError("path is required for precomputed vectors")
-        HashedWindowProvider(window=self.window, dim=self.dim)
-
-    def build(self):
-        if self.kind == "precomputed":
-            return load_precomputed(self.path)
-        return HashedWindowProvider(window=self.window, dim=self.dim)
-
-
-@dataclass(frozen=True)
-class GammaConfig:
-    threshold: float = float("inf")     # validate-kcs warns above it, if set
-    sample_pairs: int = 200
-    metric: str = "euclidean"
-
-    def __post_init__(self):
-        if self.sample_pairs < 1:
-            raise ConfigError(f"sample_pairs must be >= 1, got {self.sample_pairs}")
-        if self.metric not in DISTANCES:
-            raise ConfigError(f"metric must be one of {', '.join(DISTANCES)}, "
-                              f"got {self.metric!r}")
-
-
-@dataclass(frozen=True)
-class AblationConfig:
-    iterations: tuple[int, ...] = (13, 25, 50, 75)  # co-training iterations to report
-
-    def __post_init__(self):
-        if any(k < 1 for k in self.iterations):
-            raise ConfigError(f"iterations must be >= 1, got {list(self.iterations)}")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    sizes: tuple[int, ...] = ()     # labeled-set sizes, ascending
-
-    def __post_init__(self):
-        if any(n < 1 for n in self.sizes):
-            raise ConfigError(f"sizes must be >= 1, got {list(self.sizes)}")
-        if list(self.sizes) != sorted(self.sizes):
-            raise ConfigError(f"sizes must be ascending, got {list(self.sizes)}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be {_MODEL_NAMES}, got {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -174,17 +123,7 @@ class ExperimentConfig:
         return replace(cfg, **sections)
 
     def model_spec(self, name=None):
-        name = name or self.experiment.model
-        if name == "nb":
-            return self.nb
-        if name == "em":
-            return evaluation.EMSpec(em_config=self.em)
-        return evaluation.CoDecompSpec(
-            preset=task_preset(self.experiment.task),
-            provider=self.provider.build(),
-            co_config=self.cotrain,
-            train_config=self.learner,
-        )
+        return MODELS[name or self.experiment.model](self)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -333,18 +272,15 @@ def cmd_annotate(args, stdin=None, stdout=None) -> int:
 def cmd_validate_kcs(args) -> int:
     cfg = _load_config(args)
     spec = cfg.model_spec("codecomp")
-    docs = _load_documents(cfg)
-    pdocs = [process_document(d, spec.preset, spec.lexicons) for d in docs]
+    pdocs = [process_document(d, spec.preset, spec.lexicons) for d in _load_documents(cfg)]
     reports = []
     for name in spec.preset.view_names:
         report = validate_kcs_gamma(
             spec.provider, pdocs, name, cfg.gamma.threshold, cfg.gamma.sample_pairs,
             cfg.experiment.master_seed, metric=cfg.gamma.metric)
         reports.append(report)
-        if cfg.gamma.threshold == float("inf"):
-            flag = "report only"
-        else:
-            flag = "ok" if report.satisfied else "WARNING: above threshold"
+        flag = ("report only" if cfg.gamma.threshold == float("inf")
+                else "ok" if report.satisfied else "WARNING: above threshold")
         print(f"{name}: max={report.max_distance:.4f} "
               f"q95={report.quantile95_distance:.4f} [{flag}]")
     out = _out_dir(cfg) / "gamma.json"
@@ -355,26 +291,19 @@ def cmd_validate_kcs(args) -> int:
 
 
 def _training_pools(run, docs):
-    labeled = [d for d in docs if d.gold_label is not None]
-    unlabeled = [d for d in docs if d.gold_label is None]
-    if run.n_labeled < len(labeled):
-        labeled, hidden = sample_labeled(labeled, SampleSpec(run.n_labeled, run.master_seed))
-        unlabeled = unlabeled + hidden
-    return labeled, unlabeled
+    labeled, hidden = sample_labeled([d for d in docs if d.gold_label is not None],
+                                     SampleSpec(run.n_labeled, run.master_seed))
+    return labeled, [d for d in docs if d.gold_label is None] + hidden
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     spec = cfg.model_spec("codecomp")
-    docs = _load_documents(cfg)
-    labeled_docs, unlabeled_docs = _training_pools(cfg.experiment, docs)
     names = spec.preset.view_names
-    labeled = build_examples(
-        [process_document(d, spec.preset, spec.lexicons) for d in labeled_docs],
-        spec.provider, names)
-    unlabeled = build_examples(
-        [process_document(d, spec.preset, spec.lexicons) for d in unlabeled_docs],
-        spec.provider, names)
+    labeled, unlabeled = (
+        build_examples([process_document(d, spec.preset, spec.lexicons) for d in pool],
+                       spec.provider, names)
+        for pool in _training_pools(cfg.experiment, _load_documents(cfg)))
     model = cotrain_fit(labeled, unlabeled, len(names), spec.co_config,
                         spec.train_config, kcs_names=names)
     model.provider_spec = spec.provider.spec()
@@ -457,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
                 ("--reps", "experiment.repetitions", "experiment repetitions"),
                 ("--iters", "cotrain.iterations", "co-training iterations"),
                 ("--seed", "experiment.master_seed", "master seed"),
-                ("--model", "experiment.model", "codecomp, nb or em"),
+                ("--model", "experiment.model", _MODEL_NAMES),
                 ("--jobs", "experiment.jobs", "max parallel workers"),
-                ("--provider", "provider.kind", "hashed or precomputed"),
+                ("--provider", "provider.kind", " or ".join(PROVIDERS)),
                 ("--window", "provider.window", "hashed provider window"),
                 ("--dim", "provider.dim", "hashed provider dimension")):
             p.add_argument(flag, dest=dest, help=text)

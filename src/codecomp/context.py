@@ -9,10 +9,10 @@ token surfaces (strings), the mention's [start, end) range within them, and
 hashed window-of-words provider that reads the range and needs no external
 resources, and a loader for vectors computed elsewhere (e.g. by a
 contextual encoder) that looks the key up. Both are deterministic and safe
-to share. The precomputed table is read-only after construction; the
-hashed provider fills one surface -> bucket table per side as it meets
-surfaces, a cache of a pure function that grows with the context
-vocabulary, as NB's feature table does.
+to share, and ``ProviderConfig(**provider.spec()).build()`` rebuilds
+either. The precomputed table is read-only; the hashed provider fills one
+surface -> bucket table per side as it meets surfaces, a cache of a pure
+function that grows with the context vocabulary, as NB's table does.
 """
 
 from __future__ import annotations
@@ -154,6 +154,34 @@ def load_precomputed(path) -> PrecomputedProvider:
     return PrecomputedProvider(dim=dim, table=table, path=path)
 
 
+# each provider kind, and how a ProviderConfig of that kind builds it
+PROVIDERS = {
+    "hashed": lambda c: HashedWindowProvider(window=c.window, dim=c.dim),
+    "precomputed": lambda c: load_precomputed(c.path),
+}
+
+
+@dataclass(frozen=True)
+class ProviderConfig:
+    """The ``[provider]`` section, keyed as each provider's ``spec()``;
+    ``window`` and ``dim`` pass the hashed provider's check whatever the kind."""
+
+    kind: str = "hashed"
+    path: str = ""
+    window: int = 3
+    dim: int = 64
+
+    def __post_init__(self):
+        if self.kind not in PROVIDERS:
+            raise ContextError(f"kind must be {' or '.join(PROVIDERS)}, got {self.kind!r}")
+        if self.kind == "precomputed" and not self.path:
+            raise ContextError("path is required for precomputed vectors")
+        HashedWindowProvider(window=self.window, dim=self.dim)
+
+    def build(self):
+        return PROVIDERS[self.kind](self)
+
+
 def context_of(provider, occurrences) -> np.ndarray:
     """The context vectors of many mention occurrences, one row each.
 
@@ -213,6 +241,21 @@ def _pair_distance(u, v, metric: str) -> float:
 DISTANCES = ("euclidean", "cosine")
 
 
+# the [gamma] section; validate_kcs_gamma checks its arguments by it
+@dataclass(frozen=True)
+class GammaConfig:
+    threshold: float = float("inf")     # validate-kcs warns above it, if set
+    sample_pairs: int = 200
+    metric: str = "euclidean"
+
+    def __post_init__(self):
+        if self.sample_pairs < 1:
+            raise ContextError(f"sample_pairs must be >= 1, got {self.sample_pairs}")
+        if self.metric not in DISTANCES:
+            raise ContextError(f"metric must be one of {', '.join(DISTANCES)}, "
+                               f"got {self.metric!r}")
+
+
 def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
                        sample_pairs: int, seed: int,
                        metric: str = "euclidean") -> GammaReport:
@@ -222,11 +265,7 @@ def validate_kcs_gamma(provider, processed_docs, kcs_name: str, gamma: float,
     max and 95th-percentile distance between their context vectors. The
     outcome is advisory; nothing downstream gates on it.
     """
-    if sample_pairs < 1:
-        raise ContextError(f"sample_pairs must be >= 1, got {sample_pairs}")
-    if metric not in DISTANCES:
-        raise ContextError(f"metric must be one of {', '.join(DISTANCES)}, "
-                           f"got {metric!r}")
+    GammaConfig(gamma, sample_pairs, metric)
     occurrences, _ = view_occurrences(processed_docs, kcs_name)
     if len(occurrences) < 2:
         raise ContextError(

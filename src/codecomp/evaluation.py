@@ -423,6 +423,16 @@ def run_experiment(corpus, model_spec, k_folds: int, sample_spec: SampleSpec,
     return report
 
 
+# the [ablation] section; ablation_table checks its settings by it
+@dataclass(frozen=True)
+class AblationConfig:
+    iterations: tuple[int, ...] = (13, 25, 50, 75)  # co-training iterations to report
+
+    def __post_init__(self):
+        if any(k < 1 for k in self.iterations):
+            raise EvalError(f"iterations must be >= 1, got {list(self.iterations)}")
+
+
 def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
                    k_folds: int, sample_spec: SampleSpec,
                    repetitions: int = 5, dev_fold: int | None = None,
@@ -432,10 +442,7 @@ def ablation_table(corpus, spec: CoDecompSpec, iteration_settings,
     Returns an ordered mapping: each single view, the no-promotion
     combination, then one entry per co-training iteration setting.
     """
-    iteration_settings = tuple(iteration_settings)
-    if any(k < 1 for k in iteration_settings):
-        raise EvalError(
-            f"iteration settings must be >= 1, got {list(iteration_settings)}")
+    iteration_settings = AblationConfig(tuple(iteration_settings)).iterations
     if not isinstance(spec, CoDecompSpec):
         raise EvalError(f"an ablation needs a codecomp spec, got {type(spec).__name__}")
     rows = _fold_pass(corpus, lambda c: _CoDecompRunner(c, spec, iteration_settings),
@@ -459,14 +466,24 @@ def ablation_csv(table: dict) -> str:
     return _means_csv("model", table.items())
 
 
+# the [sweep] section; training_size_sweep checks its sizes by it
+@dataclass(frozen=True)
+class SweepConfig:
+    sizes: tuple[int, ...] = ()     # labeled-set sizes, ascending
+
+    def __post_init__(self):
+        if any(n < 1 for n in self.sizes):
+            raise EvalError(f"sizes must be >= 1, got {list(self.sizes)}")
+        if list(self.sizes) != sorted(self.sizes):
+            raise EvalError(f"sizes must be ascending, got {list(self.sizes)}")
+
+
 def training_size_sweep(corpus, model_spec, sizes, k_folds: int,
                         master_seed: int, repetitions: int = 5,
                         dev_fold: int | None = None, jobs: int = 1) -> list:
     """One report per labeled-set size, from one fold pass: every size is
     trained and scored on the same folds and copies of each repetition."""
-    sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise EvalError("sizes must be ascending")
+    sizes = SweepConfig(tuple(sizes)).sizes
     rows = _fold_pass(corpus, model_spec.runner, k_folds, sizes, master_seed,
                       repetitions, dev_fold, jobs)
     reports = []

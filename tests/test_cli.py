@@ -4,23 +4,21 @@ from pathlib import Path
 
 import pytest
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 
 from codecomp import baselines, cli, evaluation
 from codecomp.baselines import EMConfig
-from codecomp.cli import (
-    AblationConfig,
-    ConfigError,
-    ExperimentConfig,
-    GammaConfig,
-    ProviderConfig,
-    RunConfig,
-    SweepConfig,
-    main,
-)
+from codecomp.cli import ConfigError, ExperimentConfig, RunConfig, main
 from codecomp.concepts import ConceptError, load_lexicons, process_document, view_occurrences
-from codecomp.corpus import load_corpus
+from codecomp.context import (
+    GammaConfig,
+    HashedWindowProvider,
+    ProviderConfig,
+    validate_kcs_gamma,
+)
+from codecomp.corpus import SampleSpec, hide_gold, load_corpus
 from codecomp.cotrain import CoConfig
+from codecomp.evaluation import AblationConfig, SweepConfig
 from codecomp.learners import TrainConfig, load_model
 from codecomp.presets import task_preset
 from codecomp.synthetic import decomposable_corpus
@@ -128,6 +126,18 @@ class TestConfig:
             "ablation": ["iterations"],
             "sweep": ["sizes"],
         }
+
+    def test_every_section_but_experiment_is_owned_outside_the_cli(self):
+        # a section's dataclass is the one copy of its rules, so it lives in
+        # the module whose code reads the section
+        cfg = ExperimentConfig()
+        owners = {section.name: type(getattr(cfg, section.name))
+                  for section in fields(cfg)}
+        assert owners.pop("experiment") is RunConfig
+        for name, owner in owners.items():
+            assert is_dataclass(owner), name
+            assert owner.__module__.startswith("codecomp."), name
+            assert owner.__module__ != cli.__name__, name
 
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(
@@ -429,6 +439,45 @@ def test_train_writes_model_and_log(synth_setup, capsys):
     assert first["iteration"] == 1
 
 
+def _partly_labeled(config, tmp_path):
+    """``config`` rewritten for a copy of its corpus whose last 30 documents
+    carry no gold, and the labeled documents' count."""
+    text = config.read_text(encoding="utf-8")
+    corpus = ExperimentConfig.from_file(config).experiment.corpus
+    docs = load_corpus(corpus)
+    _write_corpus(tmp_path, docs[:-30] + [hide_gold(d) for d in docs[-30:]],
+                  name="partly.jsonl")
+    config.write_text(text.replace(corpus, str(tmp_path / "partly.jsonl")),
+                      encoding="utf-8")
+    return len(docs) - 30
+
+
+def test_train_rejects_more_labeled_documents_than_the_corpus_has(synth_setup,
+                                                                  tmp_path, capsys):
+    config, out = synth_setup
+    n = _partly_labeled(config, tmp_path)
+    assert main(["train", "--config", str(config), "--n-labeled", str(n + 1)]) == 2
+    assert f"n_labeled={n + 1} exceeds split size {n}" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+def test_train_on_every_labeled_document_keeps_the_corpus_pools(synth_setup,
+                                                                tmp_path, monkeypatch):
+    # n_labeled equal to the labeled count trains on every labeled document,
+    # and the gold-free documents stay the unlabeled pool, in corpus order
+    config, out = synth_setup
+    n = _partly_labeled(config, tmp_path)
+    written = []
+    for pools in (cli._training_pools,
+                  lambda run, docs: ([d for d in docs if d.gold_label is not None],
+                                     [d for d in docs if d.gold_label is None])):
+        monkeypatch.setattr(cli, "_training_pools", pools)
+        assert main(["train", "--config", str(config), "--n-labeled", str(n)]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("model.json", "iterations.jsonl")])
+    assert written[0] == written[1]
+
+
 def test_train_reads_gradient_descent_learner_keys(synth_setup):
     # [learner] learning_rate and epochs, from configs written for the
     # gradient-descent learner: the fit ignores the first and caps its
@@ -613,6 +662,24 @@ def test_bad_value_fails_before_any_document_is_read(synth_setup, tmp_path, caps
     assert f"[{section}]" in err and key in err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value, library_call", [
+    ("validate-kcs", "gamma", "sample_pairs", "0",
+     lambda: validate_kcs_gamma(HashedWindowProvider(), [], "alpha", float("inf"), 0, 5)),
+    ("evaluate", "sweep", "sizes", "40,20",
+     lambda: evaluation.training_size_sweep([], evaluation.NBSpec(), [40, 20], 3, 5)),
+    ("ablate", "ablation", "iterations", "0",
+     lambda: evaluation.ablation_table([], evaluation.NBSpec(), [0], 3, SampleSpec(30, 5))),
+])
+def test_config_reader_and_library_give_one_message_per_rule(
+        tmp_path, capsys, command, section, key, value, library_call):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    assert main([command, "--config", str(bad)]) == 2
+    with pytest.raises(ValueError) as raised:
+        library_call()
+    assert capsys.readouterr().err == f"error: config section [{section}]: {raised.value}\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--window", "0"), ("--dim", "1")])

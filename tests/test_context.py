@@ -9,6 +9,7 @@ from codecomp.context import (
     ContextError,
     GammaReport,
     HashedWindowProvider,
+    ProviderConfig,
     _bucket,
     context_of,
     load_precomputed,
@@ -180,6 +181,21 @@ def _write_vectors(tmp_path, lines, header="dim 4"):
     path = tmp_path / "vectors.txt"
     path.write_text(header + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize("kind", ["hashed", "precomputed"])
+def test_provider_config_rebuilds_a_provider_from_its_spec(tmp_path, kind):
+    tokens = _toks("my", "mom", "took", "DRUG_TOK", "and", "felt", "sick")
+    batch = [_occurrence(tokens, (s, s + 1), s) for s in range(len(tokens))]
+    provider = HashedWindowProvider(window=2, dim=4)
+    if kind == "precomputed":
+        rows = context_of(provider, batch) * 3.7 - 1.1
+        provider = load_precomputed(_write_vectors(tmp_path, [
+            "\t".join([*map(str, key), " ".join(map(repr, row.tolist()))])
+            for (_, _, key), row in zip(batch, rows)]))
+    rebuilt = ProviderConfig(**provider.spec()).build()
+    assert type(rebuilt) is type(provider) and rebuilt.spec() == provider.spec()
+    assert context_of(rebuilt, batch).tobytes() == context_of(provider, batch).tobytes()
 
 
 class TestPrecomputed:
