@@ -6,8 +6,10 @@ reports), train, evaluate (a report, and a training-size curve from the
 same folds), ablate. Settings come from an INI config file with one
 section per subsystem; command-line flags override file values. Each
 section but ``[experiment]`` (``RunConfig``) is the dataclass of the code
-that reads it, the one copy of its rules. Set CODECOMP_LEXICON_DIR to
-point at a custom lexicon directory.
+that reads it, the one copy of its rules. validate-kcs, train, evaluate
+and ablate open the preset, lexicon and vector files their model spec
+names before they read the corpus. Set CODECOMP_LEXICON_DIR to point at a
+custom lexicon directory.
 """
 
 from __future__ import annotations
@@ -321,8 +323,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    docs = _load_documents(cfg)
     spec = cfg.model_spec()
+    docs = _load_documents(cfg)
     run = cfg.experiment
     sizes = cfg.sweep.sizes
     # the report's size and every sweep size share one fold pass
@@ -347,8 +349,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    docs = _load_documents(cfg)
     spec = cfg.model_spec("codecomp")
+    docs = _load_documents(cfg)
     run = cfg.experiment
     table = evaluation.ablation_table(
         docs, spec, cfg.ablation.iterations, run.k_folds,

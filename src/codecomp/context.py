@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -217,15 +217,8 @@ class GammaReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "kcs_name": self.kcs_name,
-            # an infinite threshold means "report only": keep the JSON strict
-            "gamma": self.gamma if math.isfinite(self.gamma) else None,
-            "sampled_pairs": self.sampled_pairs,
-            "max_distance": self.max_distance,
-            "quantile95_distance": self.quantile95_distance,
-            "satisfied": self.satisfied,
-        }
+        # an infinite threshold means "report only": keep the JSON strict
+        return {**asdict(self), "gamma": self.gamma if math.isfinite(self.gamma) else None}
 
 
 def _pair_distance(u, v, metric: str) -> float:

@@ -100,6 +100,7 @@ class CoDecompModel:
     def n_views(self) -> int:
         return len(self.kcs_names)
 
+    # by hand: ``snapshots`` and ``iteration_log`` are run state, not the file's
     def to_dict(self) -> dict:
         return {
             "kind": "codecomp",

@@ -78,10 +78,8 @@ class Metrics:
         return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-        }
+        return {**asdict(self), "precision": self.precision, "recall": self.recall,
+                "f1": self.f1}
 
 
 def compute_metrics(predictions: dict, gold: dict) -> Metrics:
@@ -130,20 +128,9 @@ class RunReport:
     repetitions: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "model": self.model,
-            "config_fingerprint": self.config_fingerprint,
-            "master_seed": self.master_seed,
-            "seeds": self.seeds,
-            "k_folds": self.k_folds,
-            "n_labeled": self.n_labeled,
-            "repetitions": self.repetitions,
-            "runs": [
-                {"repetition": rep, "fold": fold, **m.to_dict()}
-                for rep, fold, m in self.runs
-            ],
-            "mean": self.mean,
-        }, sort_keys=True, indent=2)
+        runs = [{"repetition": rep, "fold": fold, **m.to_dict()}
+                for rep, fold, m in self.runs]
+        return json.dumps({**asdict(self), "runs": runs}, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

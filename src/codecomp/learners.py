@@ -61,16 +61,8 @@ class LogRegModel:
     converged: bool = False  # the fit stopped on its tolerance, not its cap
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "logreg",
-            "version": 1,
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "config": asdict(self.config),
-            "final_loss": self.final_loss,
-            "epochs_run": self.epochs_run,
-            "converged": self.converged,
-        }
+        return {**asdict(self), "kind": "logreg", "version": 1,
+                "weights": self.weights.tolist()}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LogRegModel":

@@ -620,6 +620,33 @@ def test_jobs_checked_before_any_document_is_read(synth_setup, monkeypatch, caps
     assert read == [] and not out.exists()
 
 
+def _missing_vector_file(config, tmp_path):
+    missing = tmp_path / "missing-vectors.tsv"
+    config.write_text(config.read_text(encoding="utf-8").replace(
+        "kind = hashed\n", f"kind = precomputed\npath = {missing}\n"), encoding="utf-8")
+    return missing
+
+
+@pytest.mark.parametrize("command", ["validate-kcs", "train", "evaluate --model codecomp",
+                                     "ablate"])
+def test_vector_file_opened_before_any_document_is_read(synth_setup, tmp_path,
+                                                        monkeypatch, capsys, command):
+    config, out = synth_setup
+    missing = _missing_vector_file(config, tmp_path)
+    read = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *args: read.append(args))
+    assert main([*command.split(), "--config", str(config)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert read == []
+
+
+def test_evaluate_nb_opens_no_vector_file(synth_setup, tmp_path):
+    config, out = synth_setup
+    _missing_vector_file(config, tmp_path)
+    assert main(["evaluate", "--config", str(config), "--model", "nb"]) == 0
+    assert (out / "report_nb.json").exists()
+
+
 @pytest.mark.parametrize("model, edit", [
     ("em", lambda text: text + "\n[em]\nconvergence_tolerance = -1\n"),
     ("codecomp", lambda text: text.replace("convergence_tolerance = 1e-6",

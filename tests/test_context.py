@@ -1,4 +1,6 @@
+import math
 import pickle
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -334,6 +336,21 @@ class TestGamma:
                              max_distance=0.5, quantile95_distance=0.4,
                              satisfied=True)
         assert report.to_dict()["satisfied"] is True
+
+    def test_report_writes_every_field_and_null_for_an_infinite_gamma(self):
+        @dataclass(frozen=True)
+        class Noted(GammaReport):
+            note: str = "kept"
+
+        finite = GammaReport(kcs_name="d", gamma=1.0, sampled_pairs=5,
+                             max_distance=0.5, quantile95_distance=0.4,
+                             satisfied=True)
+        assert finite.to_dict() == {"kcs_name": "d", "gamma": 1.0, "sampled_pairs": 5,
+                                    "max_distance": 0.5, "quantile95_distance": 0.4,
+                                    "satisfied": True}
+        assert replace(finite, gamma=math.inf).to_dict() == {**finite.to_dict(),
+                                                             "gamma": None}
+        assert Noted(**vars(finite)).to_dict() == {**finite.to_dict(), "note": "kept"}
 
 
 class _Broken:

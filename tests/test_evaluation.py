@@ -1,7 +1,7 @@
 import json
 import logging
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from codecomp.evaluation import (
     EvalError,
     Metrics,
     NBSpec,
+    RunReport,
     _mean_of,
     ablation_csv,
     ablation_table,
@@ -513,6 +514,30 @@ def test_report_json_parses(small_corpus):
     assert payload["model"] == "nb"
     assert len(payload["runs"]) == 4
     assert payload["config_fingerprint"] == report.config_fingerprint
+
+
+def test_records_write_every_field(small_corpus):
+    @dataclass(frozen=True)
+    class NotedMetrics(Metrics):
+        note: str = "kept"
+
+    @dataclass
+    class NotedReport(RunReport):
+        note: str = "kept"
+
+    metrics = Metrics(tp=3, fp=1, fn=2, tn=4)
+    assert metrics.to_dict() == {"tp": 3, "fp": 1, "fn": 2, "tn": 4, "precision": 0.75,
+                                 "recall": 0.6, "f1": metrics.f1}
+    assert NotedMetrics(3, 1, 2, 4).to_dict() == {**metrics.to_dict(), "note": "kept"}
+    docs, _ = small_corpus
+    report = run_experiment(docs, NBSpec(), 4, SampleSpec(40, 3), repetitions=1)
+    payload = json.loads(report.to_json())
+    assert sorted(payload) == ["config_fingerprint", "k_folds", "master_seed", "mean",
+                               "model", "n_labeled", "repetitions", "runs", "seeds"]
+    assert payload["runs"][0] == {"repetition": 0, "fold": 0,
+                                  **report.runs[0][2].to_dict()}
+    assert json.loads(NotedReport(**vars(report)).to_json()) == {**payload,
+                                                                 "note": "kept"}
 
 
 def test_codecomp_fingerprint_reads_the_views_not_the_preset_name(tmp_path,

@@ -1,6 +1,7 @@
 import json
 import logging
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -248,6 +249,27 @@ class TestLogReg:
         assert again.bias == model.bias
         assert again.config == model.config
         assert (again.epochs_run, again.converged) == (model.epochs_run, True)
+
+    def test_record_writes_every_field_and_reads_back_bit_for_bit(self):
+        @dataclass
+        class Noted(LogRegModel):
+            note: str = "kept"
+
+        rng = np.random.default_rng(9)
+        weights = np.concatenate([rng.normal(size=6),
+                                  [0.1 + 0.2, -0.0, 5e-324, 1 / 3, -1e300]])
+        model = LogRegModel(weights=weights, bias=float(rng.normal()),
+                            config=TrainConfig(epochs=50), final_loss=0.25,
+                            epochs_run=3, converged=True)
+        raw = model.to_dict()
+        assert sorted(raw) == ["bias", "config", "converged", "epochs_run",
+                               "final_loss", "kind", "version", "weights"]
+        assert Noted(**vars(model)).to_dict() == {**raw, "note": "kept"}
+        for record in (raw, json.loads(json.dumps(raw))):
+            again = LogRegModel.from_dict(record)
+            assert again.weights.tobytes() == model.weights.tobytes()
+            assert ((again.bias, again.config, again.final_loss, again.epochs_run,
+                     again.converged) == (model.bias, model.config, 0.25, 3, True))
 
     def test_step_cap_reports_no_convergence(self):
         rng = np.random.default_rng(8)
