@@ -18,7 +18,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import evaluation
@@ -146,23 +146,19 @@ def _load_documents(cfg):
 
 
 def _enriched_record(pdoc, preset) -> dict:
-    doc = pdoc.document
+    # a tuple (a Token, a range) is written as a JSON array
     return {
-        "id": doc.id,
-        "text": doc.text,
-        "gold_label": doc.gold_label,
-        "positive_human_spans": [list(s) for s in doc.positive_human_spans],
-        "task": doc.task,
-        "tokens": [[t.surface, t.start, t.end] for t in pdoc.tokens],
-        "masked_tokens": list(pdoc.masked_tokens),
+        **asdict(pdoc.document),
+        "tokens": pdoc.tokens,
+        "masked_tokens": pdoc.masked_tokens,
         "bags": [
             {
                 "kcs": bag.kcs_name,
                 "kind": kcs.kind,
                 "instances": [
                     {
-                        "token_range": list(m.token_range),
-                        "masked_token_range": list(masked_range),
+                        "token_range": m.token_range,
+                        "masked_token_range": masked_range,
                         "surface": m.surface,
                         "synthetic": m.synthetic,
                         "label": label,

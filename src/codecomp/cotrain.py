@@ -427,9 +427,11 @@ def ablation_variants(labeled, unlabeled, kcs_names, co_config: CoConfig,
     combination without any promotion, and the co-trained model at each
     requested iteration count. All stages share one training trajectory.
     """
-    iteration_counts = sorted(set(int(k) for k in iteration_counts))
-    if any(k < 1 for k in iteration_counts):
-        raise CotrainError("iteration counts must be >= 1")
+    # the rule and message of evaluation.AblationConfig, which cotrain cannot import
+    given = list(iteration_counts)
+    if any(int(k) < 1 for k in given):
+        raise CotrainError(f"iterations must be >= 1, got {given}")
+    iteration_counts = sorted(set(int(k) for k in given))
     max_k = max(iteration_counts) if iteration_counts else 0
     model = cotrain_fit(labeled, unlabeled, len(kcs_names),
                         replace(co_config, iterations=max_k), train_config, kcs_names)

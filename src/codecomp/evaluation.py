@@ -51,6 +51,10 @@ class EvalError(ValueError):
     pass
 
 
+# the rates a Metrics derives from its counts, in report column order
+RATES = ("precision", "recall", "f1")
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Positive-class precision/recall/F1 plus the raw confusion counts."""
@@ -78,8 +82,7 @@ class Metrics:
         return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "precision": self.precision, "recall": self.recall,
-                "f1": self.f1}
+        return {**asdict(self), **{name: getattr(self, name) for name in RATES}}
 
 
 def compute_metrics(predictions: dict, gold: dict) -> Metrics:
@@ -110,7 +113,7 @@ def _mean_of(metric_rows) -> dict:
         name: [
             sum(getattr(m, name) for m in ms) / len(ms) for ms in by_rep.values()
         ]
-        for name in ("precision", "recall", "f1")
+        for name in RATES
     }
     return {name: sum(vals) / len(vals) for name, vals in rep_means.items()}
 
@@ -133,19 +136,18 @@ class RunReport:
         return json.dumps({**asdict(self), "runs": runs}, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
+        """One row per run, then the summed counts and the mean rates."""
+        counts = [f.name for f in fields(Metrics)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["model", "repetition", "fold", "tp", "fp", "fn", "tn",
-                         "precision", "recall", "f1"])
-        totals = [0, 0, 0, 0]
+        writer.writerow(["model", "repetition", "fold", *counts, *RATES])
         for rep, fold, m in self.runs:
-            writer.writerow([self.model, rep, fold, m.tp, m.fp, m.fn, m.tn,
-                             repr(m.precision), repr(m.recall), repr(m.f1)])
-            for i, v in enumerate((m.tp, m.fp, m.fn, m.tn)):
-                totals[i] += v
-        writer.writerow([self.model, "mean", "all", *totals,
-                         repr(self.mean["precision"]), repr(self.mean["recall"]),
-                         repr(self.mean["f1"])])
+            writer.writerow([self.model, rep, fold, *(getattr(m, name) for name in counts),
+                             *(repr(getattr(m, name)) for name in RATES)])
+        writer.writerow([self.model, "mean", "all",
+                         *(sum(getattr(m, name) for _, _, m in self.runs)
+                           for name in counts),
+                         *(repr(self.mean[name]) for name in RATES)])
         return buf.getvalue()
 
 
@@ -170,7 +172,7 @@ class NBSpec:
             raise EvalError(f"alpha must be > 0, got {self.alpha}")
 
     def describe(self) -> dict:
-        return {"model": "nb", "alpha": self.alpha}
+        return {"model": "nb", **asdict(self)}
 
     def fit(self, labeled, unlabeled, features):
         return nb_baseline_fit(labeled, alpha=self.alpha, features=features)
@@ -208,8 +210,8 @@ class CoDecompSpec:
         # the views, not the preset's name: a preset file is named by its path
         return {
             "model": "codecomp",
-            "views": [{"name": k.name, "kind": k.kind, "keywords": list(k.keywords),
-                       "mask_token": k.mask_token} for k in self.preset.kcs_list],
+            "views": [{f.name: getattr(k, f.name) for f in fields(k) if f.init}
+                      for k in self.preset.kcs_list],
             "lexicons": {f.name: sorted(getattr(self.lexicons, f.name))
                          for f in fields(self.lexicons)},
             "provider": self.provider.spec(),

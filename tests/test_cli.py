@@ -1,10 +1,11 @@
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from codecomp import baselines, cli, evaluation
 from codecomp.baselines import EMConfig
@@ -16,8 +17,8 @@ from codecomp.context import (
     ProviderConfig,
     validate_kcs_gamma,
 )
-from codecomp.corpus import SampleSpec, hide_gold, load_corpus
-from codecomp.cotrain import CoConfig
+from codecomp.corpus import Document, SampleSpec, hide_gold, load_corpus
+from codecomp.cotrain import CoConfig, ablation_variants
 from codecomp.evaluation import AblationConfig, SweepConfig
 from codecomp.learners import TrainConfig, load_model
 from codecomp.presets import task_preset
@@ -188,6 +189,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k_folds"):
             ExperimentConfig.from_file(path)
 
+    def test_unknown_model_named(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "config section [experiment]: model must be codecomp, nb or em, "
+                "got 'svm'")):
+            ExperimentConfig.from_file(None, [("experiment", "model", "svm")])
+
+    def test_missing_config_file_named(self, tmp_path):
+        path = tmp_path / "absent.ini"
+        with pytest.raises(ConfigError, match=re.escape(f"config file not found: {path}")):
+            ExperimentConfig.from_file(path)
+
+    def test_unknown_section_named(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[bananas]\nripe = 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape("unknown config section [bananas]")):
+            ExperimentConfig.from_file(path)
+
     def test_validation_bounds(self):
         # the protocol rule that evaluation applies, checked when read
         with pytest.raises(evaluation.EvalError, match="k_folds"):
@@ -349,6 +367,22 @@ class TestAnnotate:
         spans = {d.id: d.positive_human_spans for d in load_corpus(out)}
         assert len(spans["2"]) == 1
 
+    def test_non_integer_answer_reprompts(self, phm_setup, tmp_path):
+        from codecomp.cli import cmd_annotate
+
+        enriched = self._prepare(phm_setup, tmp_path)
+        out = tmp_path / "annotated.jsonl"
+
+        class Args:
+            enriched_in = str(enriched)
+            enriched_out = str(out)
+
+        stdout = io.StringIO()
+        cmd_annotate(Args(), stdin=io.StringIO("first\n0\n"), stdout=stdout)
+        assert stdout.getvalue().count("enter a mention index or 'none'\n") == 1
+        spans = {d.id: d.positive_human_spans for d in load_corpus(out)}
+        assert len(spans["2"]) == 1
+
     def test_resumable(self, phm_setup, tmp_path):
         from codecomp.cli import cmd_annotate
 
@@ -367,6 +401,25 @@ class TestAnnotate:
         cmd_annotate(Args(), stdin=io.StringIO("0\n"), stdout=io.StringIO())
         second_pass = [json.loads(l)["id"] for l in open(out, encoding="utf-8")]
         assert second_pass == ["1", "2", "3", "4"]
+
+
+def test_enriched_record_writes_every_document_field(lexicons):
+    @dataclass(frozen=True)
+    class NotedDocument(Document):
+        note: str = "kept"
+
+    preset = task_preset("phm-cancer")
+    doc = Document(id="1", text="my mom has cancer", gold_label="positive",
+                   positive_human_spans=((0, 2),), task="phm-cancer")
+
+    def record(doc):
+        return json.loads(json.dumps(
+            cli._enriched_record(process_document(doc, preset, lexicons), preset)))
+
+    plain = record(doc)
+    assert list(plain)[:len(fields(Document))] == [f.name for f in fields(Document)]
+    assert plain["positive_human_spans"] == [[0, 2]]
+    assert record(NotedDocument(**asdict(doc))) == {**plain, "note": "kept"}
 
 
 def test_validate_kcs_writes_report(synth_setup, capsys):
@@ -698,6 +751,8 @@ def test_bad_value_fails_before_any_document_is_read(synth_setup, tmp_path, caps
      lambda: evaluation.training_size_sweep([], evaluation.NBSpec(), [40, 20], 3, 5)),
     ("ablate", "ablation", "iterations", "0",
      lambda: evaluation.ablation_table([], evaluation.NBSpec(), [0], 3, SampleSpec(30, 5))),
+    ("ablate", "ablation", "iterations", "2,0",
+     lambda: ablation_variants([], [], ("alpha",), CoConfig(), TrainConfig(), [2, 0], [])),
 ])
 def test_config_reader_and_library_give_one_message_per_rule(
         tmp_path, capsys, command, section, key, value, library_call):

@@ -665,6 +665,28 @@ def test_pickled_lexicons_process_alike_in_a_worker(lexicons):
     assert [p.tokens for p in got] == [p.tokens for p in expected]
 
 
+# concepts._masked_tokens_with_map, frozen with the copy below, so that a
+# change to masking is compared with it and not with itself
+def _frozen_masked_tokens_with_map(surfaces, replacements):
+    replacements = sorted(replacements, key=lambda r: r[0])
+    for ((_, e1), _), ((s2, _), _) in zip(replacements, replacements[1:]):
+        if s2 < e1:
+            raise ConceptError("overlapping mentions cannot be masked")
+    out, index_map = [], []
+    cursor = 0
+    for (s, e), surface in replacements:
+        if not (0 <= s < e <= len(surfaces)):
+            raise ConceptError(f"mention range [{s}, {e}) outside token list")
+        index_map += range(len(out), len(out) + s - cursor)
+        out += surfaces[cursor:s]
+        index_map += [len(out)] * (e - s)
+        out.append(surface)
+        cursor = e
+    index_map += range(len(out), len(out) + len(surfaces) - cursor)
+    out += surfaces[cursor:]
+    return out, index_map
+
+
 # process_document before the per-lexicon human-word set, the opener memo
 # and in-place masking: a function call with two set lookups per token,
 # each sentence opener's rule worked out again, and every document masked
@@ -724,7 +746,7 @@ def _frozen_process_document(doc, preset, lexicons):
             kcs, view_mentions[kcs.name], offsets, doc.gold_label,
             doc.positive_human_spans, doc_id=doc.id)))
         for kcs in preset.kcs_list]
-    masked, index_map = _masked_tokens_with_map(
+    masked, index_map = _frozen_masked_tokens_with_map(
         surfaces, [(m.token_range, kcs.mask_token) for kcs in preset.kcs_list
                    if kcs.mask_token for m in view_mentions[kcs.name]])
     ranges = {kcs.name: [(index_map[m.token_range[0]], index_map[m.token_range[1] - 1] + 1)
@@ -832,6 +854,25 @@ def test_kcs_validation():
         KeyConceptSet(name="d", kind="keyword")
     with pytest.raises(ConceptError, match="kind"):
         KeyConceptSet(name="d", kind="verb")
+
+
+def test_human_view_given_keywords_rejected():
+    with pytest.raises(ConceptError, match="^kcs 'h': human view takes no keywords$"):
+        KeyConceptSet(name="h", kind="human", keywords=("mom",))
+
+
+def test_missing_preset_file_named(tmp_path):
+    path = tmp_path / "absent.ini"
+    with pytest.raises(ConceptError, match=re.escape(f"preset file not found: {path}")):
+        load_preset_file(path)
+
+
+def test_preset_file_without_views_rejected(tmp_path):
+    path = tmp_path / "preset.ini"
+    path.write_text("# no sections\n", encoding="utf-8")
+    with pytest.raises(ConceptError,
+                       match=re.escape(f"preset file {path} declares no views")):
+        load_preset_file(path)
 
 
 @pytest.mark.parametrize("section, key", [

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from codecomp.context import (
     HashedWindowProvider,
     ProviderConfig,
     _bucket,
+    _pair_distance,
     context_of,
     load_precomputed,
     validate_kcs_gamma,
@@ -200,6 +202,18 @@ def test_provider_config_rebuilds_a_provider_from_its_spec(tmp_path, kind):
     assert context_of(rebuilt, batch).tobytes() == context_of(provider, batch).tobytes()
 
 
+def test_provider_config_rejects_an_unknown_kind():
+    with pytest.raises(ContextError, match=re.escape(
+            "kind must be hashed or precomputed, got 'glove'")):
+        ProviderConfig(kind="glove")
+
+
+def test_provider_config_requires_a_path_for_precomputed_vectors():
+    with pytest.raises(ContextError,
+                       match="^path is required for precomputed vectors$"):
+        ProviderConfig(kind="precomputed")
+
+
 class TestPrecomputed:
     def test_roundtrip_fixture(self, tmp_path):
         # hand-written fixture: the loader must return the stored vectors
@@ -241,6 +255,28 @@ class TestPrecomputed:
         path = tmp_path / "bad.txt"
         path.write_text("dimension 4\n", encoding="utf-8")
         with pytest.raises(ContextError, match="dim N"):
+            load_precomputed(path)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = _write_vectors(tmp_path, [], header="dim 0")
+        with pytest.raises(ContextError, match=re.escape(
+                f"{path}:1: dimension must be positive")):
+            load_precomputed(path)
+
+    def test_record_without_four_fields_rejected(self, tmp_path):
+        path = _write_vectors(tmp_path, ["1\td\t0\t1 2 3 4", "1\td\t1 2 3 4"])
+        with pytest.raises(ContextError, match=re.escape(
+                f"{path}:3: expected doc<TAB>kcs<TAB>occurrence<TAB>values")):
+            load_precomputed(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = _write_vectors(tmp_path, ["", "1\td\t0\t1 2 3 4", "  ", ""])
+        provider = load_precomputed(path)
+        assert provider.spec() == {"kind": "precomputed", "path": str(path)}
+        np.testing.assert_array_equal(
+            context_of(provider, [_occurrence(_toks("x"), (0, 1))]), [[1, 2, 3, 4]])
+        path = _write_vectors(tmp_path, ["", "1\td\t0\t1 2 3 4", "", "1\td"])
+        with pytest.raises(ContextError, match=re.escape(f"{path}:5: expected doc")):
             load_precomputed(path)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -312,6 +348,13 @@ class TestGamma:
         co = validate_kcs_gamma(provider, pdocs, "disease", 1.0, 40, seed=2,
                                 metric="cosine")
         assert eu.max_distance != co.max_distance
+
+    def test_cosine_distance_to_a_zero_vector_is_one(self):
+        zero, unit = np.zeros(3), np.array([0.0, 1.0, 0.0])
+        assert _pair_distance(zero, unit, "cosine") == 1.0
+        assert _pair_distance(unit, zero, "cosine") == 1.0
+        assert _pair_distance(zero, zero, "cosine") == 1.0
+        assert _pair_distance(unit, unit, "cosine") == 0.0
 
     def test_unknown_metric_fails_before_vectorizing(self, lexicons):
         pdocs, _ = self._processed(["a b cancer c d", "e f cancer g h"], lexicons)

@@ -89,6 +89,20 @@ def test_tsv_load(tmp_path):
     assert docs[1].gold_label is None
 
 
+def test_tsv_row_without_three_fields_rejected(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("a\tpositive\tfine\nb\tno label column\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 2: expected id<TAB>label<TAB>text$"):
+        load_corpus(path, "tsv")
+
+
+def test_unknown_corpus_format_rejected(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text("a,positive,fine\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^unknown corpus format 'csv'$"):
+        load_corpus(path, "csv")
+
+
 def test_tsv_row_error_names_its_line(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("a\tpositive\tfine\n\nb\tmaybe\tno such label\n", encoding="utf-8")
@@ -116,6 +130,11 @@ def _balanced_corpus(n_pos, n_neg):
     docs = [Document(id=f"p{i}", text="x", gold_label=POSITIVE) for i in range(n_pos)]
     docs += [Document(id=f"n{i}", text="x", gold_label=NEGATIVE) for i in range(n_neg)]
     return docs
+
+
+def test_folds_need_at_least_two():
+    with pytest.raises(CorpusError, match="^k must be >= 2, got 1$"):
+        stratified_folds(_balanced_corpus(5, 5), k=1, seed=0)
 
 
 def test_folds_divisible_counts():

@@ -957,6 +957,11 @@ def test_model_dict_mismatches_rejected(corrupt, message):
         CoDecompModel.from_dict(blob)
 
 
+def test_model_dict_of_another_kind_rejected():
+    with pytest.raises(CotrainError, match="^not a codecomp record: kind='logreg'$"):
+        CoDecompModel.from_dict({"kind": "logreg", "kcs_names": ["alpha"]})
+
+
 def test_predict_many_keys():
     model, example = _bias_model((0.9, 0.9))
     assert predict_many(model, [example]) == {"x": POSITIVE}

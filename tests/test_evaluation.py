@@ -130,6 +130,10 @@ class TestMetrics:
         m = compute_metrics(dict(gold), gold)
         assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(EvalError, match="^confusion counts must be non-negative$"):
+            Metrics(tp=3, fp=0, fn=-1, tn=2)
+
     def test_id_mismatch(self):
         with pytest.raises(EvalError, match="mismatch"):
             compute_metrics({"1": POSITIVE}, {"2": POSITIVE})
@@ -582,3 +586,28 @@ def test_em_spec_describes_every_em_config_field():
         "model": "em", "alpha": 0.5, "max_iterations": 7,
         "unlabeled_weight": 0.25, "convergence_tolerance": 1e-4,
     }
+
+
+def test_nb_spec_describes_every_field():
+    @dataclass(frozen=True)
+    class NotedNB(NBSpec):
+        note: str = "kept"
+
+    assert NBSpec(alpha=0.5).describe() == {"model": "nb", "alpha": 0.5}
+    assert NotedNB(alpha=0.5).describe() == {"model": "nb", "alpha": 0.5, "note": "kept"}
+
+
+def test_codecomp_spec_describes_every_view_field():
+    @dataclass(frozen=True)
+    class NotedView(KeyConceptSet):
+        note: str = "kept"
+
+    def spec(view):
+        return CoDecompSpec(preset=TaskPreset("t", (view,)))
+
+    view = {"name": "drug", "kind": "keyword", "keywords": ("advil",),
+            "mask_token": "DRUG_TOK"}
+    assert spec(KeyConceptSet(**view)).describe()["views"] == [view]
+    assert spec(NotedView(**view)).describe()["views"] == [{**view, "note": "kept"}]
+    assert (config_fingerprint(spec(NotedView(**view, note="other")).describe())
+            != config_fingerprint(spec(NotedView(**view)).describe()))

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,6 +46,25 @@ class TestLogReg:
     def test_zero_epochs_forbidden(self):
         with pytest.raises(LearnerError, match="epochs"):
             TrainConfig(epochs=0)
+
+    def test_negative_l2_lambda_forbidden(self):
+        with pytest.raises(LearnerError, match="^l2_lambda must be >= 0, got -0.5$"):
+            TrainConfig(l2_lambda=-0.5)
+
+    @pytest.mark.parametrize("X, y", [
+        (np.zeros((3, 2)), [0, 1]),     # one label short
+        (np.zeros(4), [0, 1, 0, 1]),    # not a matrix
+        (np.zeros((0, 2)), []),         # no rows
+    ], ids=["rows", "ndim", "empty"])
+    def test_bad_training_shapes_rejected(self, X, y):
+        with pytest.raises(LearnerError, match=re.escape(
+                f"bad training shapes: X {X.shape}, y {np.asarray(y).shape}")):
+            train_logreg(X, y, TrainConfig())
+
+    def test_loss_gradient_width_mismatch_rejected(self):
+        with pytest.raises(LearnerError,
+                           match="^dimension mismatch: model has 3, data has 4$"):
+            loss_gradient(_zero_model(3), np.zeros((2, 4)), [0.0, 1.0])
 
     def test_bad_learning_rate(self):
         with pytest.raises(LearnerError, match="learning_rate"):
